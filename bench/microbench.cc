@@ -42,22 +42,14 @@
 // low-similarity operating point (docs/dedup_index.md).
 // `--index_smoke_json[=PATH]` is the small-image variant scripts/ci.sh runs.
 //
-// Backup-wire tracking: `microbench --agent_json[=PATH]` backs a duplicate-
-// heavy 2 KB-chunked snapshot up twice — per-chunk link framing vs the
-// extent-coalesced batch protocol (docs/backup_wire.md) — and writes both
-// link-stage seconds, message/extent/wire-byte counts and end-to-end
-// bandwidths to BENCH_agent.json. The acceptance bar is batch framing
-// >= 1.5x faster on the link stage at that small-chunk operating point.
-// `--agent_smoke_json[=PATH]` is the small-image variant scripts/ci.sh runs.
-//
 // Transport loss-sweep tracking: `microbench --transport_json[=PATH]` ships
-// the same duplicate-heavy snapshot over the windowed ack-clocked transport
-// (docs/backup_wire.md) under frame-loss rates {0, 1, 5, 10, 20}% plus mild
-// reordering/duplication, writing per-point goodput, retransmit/repair and
-// stall counters to BENCH_transport.json. The acceptance bar is goodput at
-// 1% loss >= 0.7x the lossless run — recovery must stay ack-clocked, not
-// timeout-bound. `--transport_smoke_json[=PATH]` is the small-image variant
-// scripts/ci.sh runs.
+// a duplicate-heavy 2 KB-chunked snapshot over the windowed ack-clocked
+// transport (docs/backup_wire.md) under frame-loss rates {0, 1, 5, 10, 20}%
+// plus mild reordering/duplication, writing per-point goodput,
+// retransmit/repair and stall counters to BENCH_transport.json. The
+// acceptance bar is goodput at 1% loss >= 0.7x the lossless run — recovery
+// must stay ack-clocked, not timeout-bound. `--transport_smoke_json[=PATH]`
+// is the small-image variant scripts/ci.sh runs.
 //
 // Observability tracking: `microbench --obs_json[=PATH]` exercises the obs
 // layer end to end (docs/observability.md) — measures the wall-time overhead
@@ -835,122 +827,6 @@ int run_index_json(const std::string& path, bool smoke) {
   return 0;
 }
 
-// --- --agent_json mode ------------------------------------------------------
-
-int run_agent_json(const std::string& path, bool smoke) {
-  using namespace shredder::backup;
-  ImageRepoConfig repo_cfg;
-  repo_cfg.image_bytes = smoke ? (8ull << 20) : (64ull << 20);
-  repo_cfg.segment_bytes = smoke ? (256ull << 10) : (1ull << 20);
-  repo_cfg.seed = 4711;
-  ImageRepository repo(repo_cfg);
-
-  // The fig18-style small-chunk operating point the wire protocol targets:
-  // ~2 KB expected chunks, on-device hashing and the sparse index so the
-  // hash and probe stages are already off the critical path — what remains
-  // of index+transfer is the link framing itself.
-  auto server_config = [&](bool batch_link) {
-    BackupServerConfig cfg;
-    cfg.backend = ChunkerBackend::kShredderGpu;
-    cfg.chunker.window = 48;
-    cfg.chunker.mask_bits = 11;  // ~2 KB chunks
-    cfg.chunker.marker = 0x78;
-    cfg.chunker.min_size = 1024;
-    cfg.chunker.max_size = 8 * 1024;
-    cfg.shredder.buffer_bytes = smoke ? (1ull << 20) : (8ull << 20);
-    cfg.fingerprint_on_device = true;
-    cfg.index.kind = dedup::IndexKind::kSparse;
-    cfg.batch_link = batch_link;
-    return cfg;
-  };
-
-  const auto base = repo.snapshot(0.0, 1);
-  const auto snap = repo.snapshot(0.05, 2);  // duplicate-heavy successor
-
-  BackupRunStats per_chunk, batched;
-  for (const bool batch_link : {false, true}) {
-    BackupServer server(server_config(batch_link));
-    BackupAgent agent;
-    server.backup_image("base", as_bytes(base), repo, agent);
-    const auto stats = server.backup_image("snap", as_bytes(snap), repo, agent);
-    if (!stats.verified) {
-      std::fprintf(stderr, "agent bench: backup verification failed\n");
-      return 1;
-    }
-    (batch_link ? batched : per_chunk) = stats;
-  }
-  const double link_speedup = batched.link_seconds > 0
-                                  ? per_chunk.link_seconds / batched.link_seconds
-                                  : 0.0;
-  const double e2e_speedup = per_chunk.backup_bandwidth_gbps > 0
-                                 ? batched.backup_bandwidth_gbps /
-                                       per_chunk.backup_bandwidth_gbps
-                                 : 0.0;
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"image_bytes\": %llu,\n",
-               static_cast<unsigned long long>(repo_cfg.image_bytes));
-  std::fprintf(f, "  \"change_probability\": 0.05,\n");
-  std::fprintf(f, "  \"expected_chunk_bytes\": 2048,\n");
-  std::fprintf(f, "  \"chunks\": %llu,\n",
-               static_cast<unsigned long long>(batched.chunks));
-  std::fprintf(f, "  \"duplicate_chunks\": %llu,\n",
-               static_cast<unsigned long long>(batched.duplicate_chunks));
-  std::fprintf(f,
-               "  \"per_chunk\": {\"link_seconds\": %.6f, \"messages\": %llu, "
-               "\"wire_bytes\": %llu, \"backup_gbps\": %.3f},\n",
-               per_chunk.link_seconds,
-               static_cast<unsigned long long>(per_chunk.link_messages),
-               static_cast<unsigned long long>(per_chunk.wire_bytes),
-               per_chunk.backup_bandwidth_gbps);
-  std::fprintf(f,
-               "  \"extent_batch\": {\"link_seconds\": %.6f, "
-               "\"messages\": %llu, \"extents\": %llu, "
-               "\"wire_bytes\": %llu, \"backup_gbps\": %.3f},\n",
-               batched.link_seconds,
-               static_cast<unsigned long long>(batched.link_messages),
-               static_cast<unsigned long long>(batched.link_extents),
-               static_cast<unsigned long long>(batched.wire_bytes),
-               batched.backup_bandwidth_gbps);
-  std::fprintf(f, "  \"link_speedup_batch_over_per_chunk\": %.3f,\n",
-               link_speedup);
-  std::fprintf(f, "  \"e2e_speedup_batch_over_per_chunk\": %.3f\n",
-               e2e_speedup);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-
-  std::printf("backup link stage, %llu chunks (~2 KB) at 5%% change:\n",
-              static_cast<unsigned long long>(batched.chunks));
-  std::printf("  per-chunk framing:  %8.2f ms  (%llu messages, %s on wire) "
-              "-> %.2f Gbps end-to-end\n",
-              per_chunk.link_seconds * 1e3,
-              static_cast<unsigned long long>(per_chunk.link_messages),
-              human_bytes(per_chunk.wire_bytes).c_str(),
-              per_chunk.backup_bandwidth_gbps);
-  std::printf("  extent batches:     %8.2f ms  (%llu messages, %llu extents, "
-              "%s on wire) -> %.2f Gbps end-to-end\n",
-              batched.link_seconds * 1e3,
-              static_cast<unsigned long long>(batched.link_messages),
-              static_cast<unsigned long long>(batched.link_extents),
-              human_bytes(batched.wire_bytes).c_str(),
-              batched.backup_bandwidth_gbps);
-  std::printf("link-stage speedup: %.1fx | end-to-end: %.2fx  -> %s\n",
-              link_speedup, e2e_speedup, path.c_str());
-  if (link_speedup < 1.5) {
-    std::fprintf(stderr,
-                 "agent bench: link speedup %.2fx below the 1.5x bar at the "
-                 "2 KB duplicate-heavy operating point\n",
-                 link_speedup);
-    return 1;
-  }
-  return 0;
-}
-
 // --- --transport_json mode --------------------------------------------------
 
 int run_transport_json(const std::string& path, bool smoke) {
@@ -961,11 +837,12 @@ int run_transport_json(const std::string& path, bool smoke) {
   repo_cfg.seed = 4711;
   ImageRepository repo(repo_cfg);
 
-  // Same duplicate-heavy ~2 KB operating point as the agent bench; the
-  // variable here is the wire, not the chunking. 64 KiB frames give the
-  // fault schedule enough wire messages to bite at the 1% point, and
-  // max_payload_retx = 2 hands persistent payload losses to the digest-
-  // keyed repair protocol so the high-loss rows exercise it.
+  // The fig18-style small-chunk operating point (~2 KB chunks, on-device
+  // hashing, sparse index, so hash and probe stages are off the critical
+  // path); the variable here is the wire, not the chunking. 64 KiB frames
+  // give the fault schedule enough wire messages to bite at the 1% point,
+  // and max_payload_retx = 2 hands persistent payload losses to the
+  // digest-keyed repair protocol so the high-loss rows exercise it.
   auto server_config = [&] {
     BackupServerConfig cfg;
     cfg.backend = ChunkerBackend::kShredderGpu;
@@ -977,7 +854,6 @@ int run_transport_json(const std::string& path, bool smoke) {
     cfg.shredder.buffer_bytes = smoke ? (1ull << 20) : (8ull << 20);
     cfg.fingerprint_on_device = true;
     cfg.index.kind = dedup::IndexKind::kSparse;
-    cfg.batch_link = true;
     cfg.transport.max_frame_bytes = 64 * 1024;
     cfg.transport.max_payload_retx = 2;
     return cfg;
@@ -990,7 +866,6 @@ int run_transport_json(const std::string& path, bool smoke) {
   struct Point {
     double loss = 0;
     shredder::backup::TransportStats ts;
-    bool degraded = false;
   };
   std::vector<Point> points;
   for (const double loss : losses) {
@@ -1014,7 +889,7 @@ int run_transport_json(const std::string& path, bool smoke) {
                    loss);
       return 1;
     }
-    points.push_back({loss, stats.transport, stats.link_degraded});
+    points.push_back({loss, stats.transport});
   }
   const double lossless_goodput = points.front().ts.goodput_bps;
 
@@ -1049,7 +924,7 @@ int run_transport_json(const std::string& path, bool smoke) {
         static_cast<unsigned long long>(p.ts.rto_fires),
         static_cast<unsigned long long>(p.ts.payloads_stripped),
         static_cast<unsigned long long>(p.ts.repair_frames),
-        p.ts.window_stall_seconds, p.degraded ? "true" : "false",
+        p.ts.window_stall_seconds, p.ts.degraded ? "true" : "false",
         i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n");
@@ -1070,7 +945,7 @@ int run_transport_json(const std::string& path, bool smoke) {
                 static_cast<unsigned long long>(p.ts.fast_retransmits),
                 static_cast<unsigned long long>(p.ts.rto_fires),
                 static_cast<unsigned long long>(p.ts.repair_frames),
-                p.degraded ? "yes" : "no");
+                p.ts.degraded ? "yes" : "no");
   }
   std::printf("-> %s\n", path.c_str());
   const double ratio =
@@ -1113,7 +988,6 @@ int run_retention_json(const std::string& path, bool smoke) {
   cfg.chunker.min_size = 1024;
   cfg.chunker.max_size = 8 * 1024;
   cfg.index.kind = shredder::dedup::IndexKind::kSparse;
-  cfg.batch_link = true;  // manifests ride the batched data plane
   cfg.store = store;
   BackupServer server(cfg);
   BackupAgent agent;
@@ -1449,7 +1323,6 @@ int run_obs_json(const std::string& path, bool smoke) {
   bcfg.chunker = scv2.chunker;
   bcfg.fingerprint_on_device = true;
   bcfg.index.kind = dedup::IndexKind::kSparse;
-  bcfg.batch_link = true;
   bcfg.transport.max_frame_bytes = 64 * 1024;
   bcfg.transport.max_payload_retx = 2;
   bcfg.transport.faults.drop = 0.01;
@@ -1622,18 +1495,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--index_smoke_json=", 19) == 0) {
       return run_index_json(argv[i] + 19, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--agent_json") == 0) {
-      return run_agent_json("BENCH_agent.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--agent_json=", 13) == 0) {
-      return run_agent_json(argv[i] + 13, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--agent_smoke_json") == 0) {
-      return run_agent_json("BENCH_agent_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--agent_smoke_json=", 19) == 0) {
-      return run_agent_json(argv[i] + 19, /*smoke=*/true);
     }
     if (std::strcmp(argv[i], "--transport_json") == 0) {
       return run_transport_json("BENCH_transport.json", /*smoke=*/false);

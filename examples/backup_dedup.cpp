@@ -29,10 +29,9 @@ int main(int argc, char** argv) {
   // Hash chunks on the device too: the pipeline hands chunk+digest pairs to
   // the dedup stage and the host hash stage drops off the critical path.
   server_cfg.fingerprint_on_device = true;
-  // batch_link (the default) ships the backup stream as extent-coalesced
-  // batches — one wire message per drained buffer, duplicate-pointer runs
-  // collapsed to {first, count} extents (docs/backup_wire.md) — instead of
-  // one message per chunk.
+  // The backup stream ships as extent-coalesced batches — one wire message
+  // per drained buffer, duplicate-pointer runs collapsed to {first, count}
+  // extents (docs/backup_wire.md) — instead of one message per chunk.
   BackupServer server(server_cfg);
   BackupAgent agent;
 
@@ -53,8 +52,8 @@ int main(int argc, char** argv) {
                 100.0 * static_cast<double>(stats.duplicate_chunks) /
                     static_cast<double>(stats.chunks),
                 static_cast<unsigned long long>(stats.chunks),
-                static_cast<unsigned long long>(stats.link_messages),
-                static_cast<unsigned long long>(stats.link_extents),
+                static_cast<unsigned long long>(stats.transport.link.messages),
+                static_cast<unsigned long long>(stats.transport.link.extents),
                 human_bytes(stats.wire_bytes).c_str(),
                 stats.verified ? "yes" : "NO");
   }

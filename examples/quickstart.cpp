@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   // 2. Run over a data source. Chunks stream out through a ChunkSink: one
   //    batch per drained pipeline buffer, spans over everything the buffer
-  //    finalized — no per-chunk dispatch. (The old per-chunk callback
-  //    overloads still exist as thin shims over this batch path.)
+  //    finalized — no per-chunk dispatch. (Callers that only want the final
+  //    chunk list use the sink-less shredder.run(data) and read the result.)
   struct StatsSink final : shredder::ChunkSink {
     Summary sizes;
     std::uint64_t batches = 0;

@@ -51,15 +51,6 @@ else
   echo "microbench not built (google-benchmark missing): skipping index smoke"
 fi
 
-echo "=== backup wire smoke (2 KB extent-batch BENCH_agent) ==="
-# Enforces the same >=1.5x extent-over-per-chunk link-stage bar the
-# committed BENCH_agent.json documents at full scale (docs/backup_wire.md).
-if [ -x "$BUILD_DIR/microbench" ]; then
-  "$BUILD_DIR/microbench" --agent_smoke_json="$BUILD_DIR/BENCH_agent_smoke.json"
-else
-  echo "microbench not built (google-benchmark missing): skipping agent smoke"
-fi
-
 echo "=== transport loss-sweep smoke (small-image BENCH_transport) ==="
 # Enforces the goodput-at-1%-loss >= 0.7x-lossless bar the committed
 # BENCH_transport.json documents at full scale (docs/backup_wire.md).
@@ -110,15 +101,17 @@ else
   echo "microbench not built (google-benchmark missing): skipping retention smoke"
 fi
 
-echo "=== ASan/UBSan build (chunking + fingerprint + index + wire + obs stack) ==="
+echo "=== ASan/UBSan build (chunking + fingerprint + index + wire + agent + obs stack) ==="
+# backup_test joins because the agent's frame validation is the backup
+# protocol's trust boundary and every agent test goes through receive_batch.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=address
 cmake --build "$SAN_DIR" -j "$JOBS" \
   --target chunking_test rabin_test minmax_test fingerprint_test \
   index_test dedup_test retention_test core_test sink_test transport_test \
-  obs_test common_test
+  backup_test obs_test common_test
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|obs_test|common_test'
+  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|backup_test|obs_test|common_test'
 
 echo "=== TSan build (queues, thread pool, obs, service, transport) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +

@@ -56,13 +56,10 @@ BackupAgent::Recipe& BackupAgent::open_recipe(const std::string& image_id) {
   return it->second;
 }
 
-std::size_t BackupAgent::validate_batch(
-    std::size_t n_digests, const std::vector<ExtentBatch::Extent>& extents,
-    const std::vector<std::uint32_t>& payload_sizes, std::size_t payload_bytes,
-    bool stripped) {
+void BackupAgent::validate_batch(const ExtentBatch& batch, bool stripped) {
   std::size_t covered = 0;
   std::size_t n_unique = 0;
-  for (const auto& e : extents) {
+  for (const auto& e : batch.extents) {
     if (e.first != covered || e.count == 0) {
       throw ProtocolError(ProtocolViolation::kBadExtentPartition,
                           "BackupAgent: extents do not partition the batch");
@@ -70,17 +67,17 @@ std::size_t BackupAgent::validate_batch(
     covered += e.count;
     if (e.unique) n_unique += e.count;
   }
-  if (covered != n_digests) {
+  if (covered != batch.digests.size()) {
     throw ProtocolError(ProtocolViolation::kBadExtentPartition,
                         "BackupAgent: extents do not partition the batch");
   }
-  if (payload_sizes.size() != n_unique) {
+  if (batch.payload_sizes.size() != n_unique) {
     throw ProtocolError(ProtocolViolation::kPayloadCountMismatch,
                         "BackupAgent: payload_sizes/unique-chunk count "
                         "mismatch");
   }
   std::uint64_t payload_total = 0;
-  for (const std::uint32_t sz : payload_sizes) {
+  for (const std::uint32_t sz : batch.payload_sizes) {
     if (sz == 0) {
       throw ProtocolError(ProtocolViolation::kEmptyChunk,
                           "BackupAgent: zero-byte unique chunk");
@@ -90,12 +87,11 @@ std::size_t BackupAgent::validate_batch(
   // A stripped frame advertises sizes but ships no bytes; a full frame's
   // payload must slice exactly into the advertised sizes.
   const std::uint64_t expected = stripped ? 0 : payload_total;
-  if (expected != payload_bytes) {
+  if (expected != batch.payload.size()) {
     throw ProtocolError(ProtocolViolation::kPayloadBytesMismatch,
                         "BackupAgent: payload bytes do not match "
                         "payload_sizes");
   }
-  return n_unique;
 }
 
 void BackupAgent::admit_chunk(const dedup::ChunkDigest& digest,
@@ -114,44 +110,21 @@ void BackupAgent::admit_chunk(const dedup::ChunkDigest& digest,
   catalog_offset_ += size;
 }
 
-void BackupAgent::receive(const std::string& image_id,
-                          const Message& message) {
-  // One-chunk shim over the batch protocol: a pointer is a single
-  // duplicate extent, a payload chunk a single unique extent. The payload
-  // rides as a view, never copied.
-  const std::vector<dedup::ChunkDigest> digests{message.digest};
-  const bool unique = !message.payload.empty();
-  const std::vector<ExtentBatch::Extent> extents{{0, 1, unique}};
-  std::vector<std::uint32_t> payload_sizes;
-  if (unique) {
-    payload_sizes.push_back(static_cast<std::uint32_t>(message.payload.size()));
-  }
-  apply_batch(image_id, digests, extents, payload_sizes,
-              as_bytes(message.payload));
-}
-
 void BackupAgent::receive_batch(const std::string& image_id,
                                 const ExtentBatch& batch) {
-  apply_batch(image_id, batch.digests, batch.extents, batch.payload_sizes,
-              as_bytes(batch.payload));
-}
-
-void BackupAgent::apply_batch(const std::string& image_id,
-                              const std::vector<dedup::ChunkDigest>& digests,
-                              const std::vector<ExtentBatch::Extent>& extents,
-                              const std::vector<std::uint32_t>& payload_sizes,
-                              ByteSpan payload) {
   auto& recipe = open_recipe(image_id);
-  validate_batch(digests.size(), extents, payload_sizes, payload.size(),
-                 /*stripped=*/false);
+  validate_batch(batch, /*stripped=*/false);
 
+  // Unique payloads are admitted as views into the wire buffer — never
+  // copied on the way in.
+  const ByteSpan payload = as_bytes(batch.payload);
   std::size_t next_size = 0;  // index into payload_sizes
   std::size_t payload_off = 0;
-  for (const auto& e : extents) {
+  for (const auto& e : batch.extents) {
     for (std::uint32_t k = 0; k < e.count; ++k) {
-      const dedup::ChunkDigest& digest = digests[e.first + k];
+      const dedup::ChunkDigest& digest = batch.digests[e.first + k];
       if (e.unique) {
-        const std::size_t sz = payload_sizes[next_size++];
+        const std::size_t sz = batch.payload_sizes[next_size++];
         admit_chunk(digest, payload.subspan(payload_off, sz));
         payload_off += sz;
       } else if (const auto pending = pending_repair_.find(digest);
@@ -177,8 +150,7 @@ void BackupAgent::apply_batch(const std::string& image_id,
 std::vector<dedup::ChunkDigest> BackupAgent::receive_stripped(
     const std::string& image_id, const ExtentBatch& batch) {
   auto& recipe = open_recipe(image_id);
-  validate_batch(batch.digests.size(), batch.extents, batch.payload_sizes,
-                 batch.payload.size(), /*stripped=*/true);
+  validate_batch(batch, /*stripped=*/true);
 
   std::vector<dedup::ChunkDigest> newly_missing;
   for (const auto& e : batch.extents) {
@@ -214,24 +186,6 @@ std::vector<dedup::ChunkDigest> BackupAgent::receive_stripped(
     }
   }
   return newly_missing;
-}
-
-bool BackupAgent::receive_repair(const dedup::ChunkDigest& digest,
-                                 ByteSpan payload) {
-  const auto pending = pending_repair_.find(digest);
-  if (pending == pending_repair_.end()) {
-    return false;  // duplicated repair frame — already materialized
-  }
-  if (dedup::ChunkHasher::hash(payload) != digest) {
-    throw ProtocolError(ProtocolViolation::kBadRepairPayload,
-                        "BackupAgent: repair payload does not hash to its "
-                        "digest");
-  }
-  const std::uint64_t refs = pending->second;
-  pending_repair_.erase(pending);
-  admit_chunk(digest, payload);  // stores with one reference
-  for (std::uint64_t r = 1; r < refs; ++r) store_.add_ref(digest);
-  return true;
 }
 
 bool BackupAgent::receive_repair(const dedup::ChunkDigest& digest,

@@ -69,20 +69,14 @@ class BackupAgent {
   // style sparse index (docs/dedup_index.md). Results are exact either way;
   // only the modelled catalog time (catalog_seconds) differs.
   explicit BackupAgent(dedup::IndexConfig catalog_config = {});
-  // One element of the backup stream: a pointer (digest only) or a payload-
-  // carrying chunk. Legacy unit of the per-chunk wire framing.
-  struct Message {
-    dedup::ChunkDigest digest;
-    ByteVec payload;  // empty => pointer to an already-stored chunk
-  };
 
   // One extent-coalesced wire batch (docs/backup_wire.md): everything one
   // drained server buffer finalized. `digests` names every chunk in stream
   // order; `extents` is a run-length partition of them into duplicate-
   // pointer runs and unique (payload-carrying) runs; the unique payloads
   // ride concatenated in `payload`, sliced by `payload_sizes`. Runs of
-  // consecutive duplicate pointers thus cost one extent record instead of
-  // one message per chunk.
+  // consecutive duplicate pointers thus cost one extent record each. A
+  // single chunk is a one-digest batch with one extent.
   struct ExtentBatch {
     struct Extent {
       std::uint32_t first = 0;  // index of the run's first chunk in `digests`
@@ -112,11 +106,6 @@ class BackupAgent {
 
   bool image_sealed(const std::string& image_id) const;
 
-  // Appends one chunk/pointer to the image. A pointer to an unknown digest
-  // throws ProtocolError{kUnknownPointer}. Kept as a one-chunk shim over
-  // receive_batch().
-  void receive(const std::string& image_id, const Message& message);
-
   // Appends a whole extent batch to the image. Throws ProtocolError when the
   // batch is malformed (extents not a partition, payload sizes inconsistent,
   // zero-byte unique chunks) — checked before anything is applied — or on a
@@ -136,10 +125,9 @@ class BackupAgent {
   // Delivers the payload for a repair-pending digest. Returns false when the
   // digest is not pending (a duplicated repair frame — ignored). Throws
   // ProtocolError{kBadRepairPayload} when the payload does not hash to the
-  // digest (a corrupt or misdirected repair must not poison the store).
-  bool receive_repair(const dedup::ChunkDigest& digest, ByteSpan payload);
-  // Adopting overload: moves the payload into the store (transports that
-  // own the repair buffer hand it over instead of copying).
+  // digest (a corrupt or misdirected repair must not poison the store). The
+  // payload moves into the store — the transport owns the repair buffer and
+  // hands it over instead of copying.
   bool receive_repair(const dedup::ChunkDigest& digest, ByteVec&& payload);
 
   // Digests referenced by the image's recipe whose payloads are still
@@ -181,25 +169,14 @@ class BackupAgent {
 
   Recipe& open_recipe(const std::string& image_id);
 
-  // Frame validation shared by both receive paths, before any state changes.
-  // `stripped` batches must carry no payload bytes; full batches must slice
-  // exactly. Returns the number of unique chunks in the batch.
-  static std::size_t validate_batch(std::size_t n_digests,
-                                    const std::vector<ExtentBatch::Extent>& extents,
-                                    const std::vector<std::uint32_t>& payload_sizes,
-                                    std::size_t payload_bytes, bool stripped);
+  // Frame validation shared by the full and stripped receive paths, before
+  // any state changes. `stripped` batches must carry no payload bytes; full
+  // batches must slice exactly.
+  static void validate_batch(const ExtentBatch& batch, bool stripped);
 
   // Stores a freshly arrived unique chunk and registers it in the catalog.
   void admit_chunk(const dedup::ChunkDigest& digest, ByteSpan bytes);
   void admit_chunk(const dedup::ChunkDigest& digest, ByteVec&& bytes);
-
-  // Shared applier behind both receive paths: `payload` is the concatenated
-  // unique-chunk bytes (a view — the wire buffer is never copied).
-  void apply_batch(const std::string& image_id,
-                   const std::vector<dedup::ChunkDigest>& digests,
-                   const std::vector<ExtentBatch::Extent>& extents,
-                   const std::vector<std::uint32_t>& payload_sizes,
-                   ByteSpan payload);
 
   dedup::ChunkStore store_;
   std::unique_ptr<dedup::IndexBackend> catalog_;

@@ -1,7 +1,6 @@
 #include "backup/backup_server.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -38,8 +37,8 @@ class BatchRecorder final : public ChunkSink {
 BackupServer::BackupServer(BackupServerConfig config)
     : config_(std::move(config)) {
   config_.chunker.validate();
-  // The repair source of the batched transport path: every unique chunk the
-  // server ships is also retained here, so a re-requested digest can always
+  // The transport's repair source: every unique chunk the server ships is
+  // also retained here, so a re-requested digest can always
   // be served. Shareable (e.g. with a dedup_on_store service). Server-owned
   // instances run in deferred-reclaim mode: snapshot deletes park zero-ref
   // chunks for the GC epoch protocol instead of freeing them inline.
@@ -200,22 +199,13 @@ BackupRunStats BackupServer::dedup_and_ship(
       stats.device_fingerprint
           ? 0.0
           : static_cast<double>(image.size()) / config_.costs.host_hash_bw;
-  // The wire: batched streams ride the windowed ack-clocked Transport (with
-  // the server's chunk store as the repair source); the per-chunk framing
-  // keeps the paper's fire-and-forget AgentLink model.
-  std::optional<AgentLink> link;
-  std::optional<Transport> transport;
-  if (config_.batch_link) {
-    auto store = store_;
-    transport.emplace(agent, transport_config(image_id),
-                      [store](const dedup::ChunkDigest& digest) {
+  // The wire: the windowed ack-clocked Transport, with the server's chunk
+  // store as the repair source.
+  Transport transport(agent, transport_config(image_id),
+                      [store = store_](const dedup::ChunkDigest& digest) {
                         return store->get(digest);
                       });
-    transport->begin_image(image_id);
-  } else {
-    link.emplace(agent, config_.costs.link);
-    link->begin_image(image_id);
-  }
+  transport.begin_image(image_id);
   // The index stage is charged whatever the backend's virtual clock says
   // this snapshot's probes cost — a flat per-probe/per-insert rate for the
   // baseline, signature probes + amortized container reads for the sparse
@@ -224,19 +214,14 @@ BackupRunStats BackupServer::dedup_and_ship(
   const std::uint32_t index_stream = next_index_stream_++;
   const dedup::IndexStats index_before = index_->stats();
   stats.index_kind = index_->kind();
-  // Retention bookkeeping (batched path only — the per-chunk AgentLink path
-  // takes no store references): pin the whole dedup walk so a concurrent
-  // gc() cannot free a chunk between this walk's index hit and its add_ref,
-  // and accumulate the image's ordered digest list for its manifest.
-  retention::RetentionManager::Pin pin;
+  // Retention bookkeeping: pin the whole dedup walk so a concurrent gc()
+  // cannot free a chunk between this walk's index hit and its add_ref, and
+  // accumulate the image's ordered digest list for its manifest.
+  retention::RetentionManager::Pin pin = retention_->pin();
   std::vector<dedup::ChunkDigest> manifest_digests;
-  if (config_.batch_link) {
-    pin = retention_->pin();
-    manifest_digests.reserve(chunks.size());
-  }
+  manifest_digests.reserve(chunks.size());
   // The stream ships at the drained-buffer granularity chunk_image recorded:
-  // with batch_link one extent-coalesced wire message per buffer, otherwise
-  // the paper's one message per chunk.
+  // one extent-coalesced wire batch per buffer.
   std::size_t chunk_i = 0;
   for (const std::size_t batch_end : batch_ends) {
     BackupAgent::ExtentBatch wire;
@@ -257,7 +242,7 @@ BackupRunStats BackupServer::dedup_and_ship(
       // add_ref is a stale index hit — the chunk was deleted and swept after
       // the index recorded it — and self-heals: treat the chunk as unique
       // and re-ship the payload (dedup ratio degrades, correctness never).
-      if (config_.batch_link && !unique && !store_->add_ref(digest)) {
+      if (!unique && !store_->add_ref(digest)) {
         unique = true;
       }
       if (unique) {
@@ -265,13 +250,6 @@ BackupRunStats BackupServer::dedup_and_ship(
         next_store_offset_ += c.size;
       } else {
         ++stats.duplicate_chunks;
-      }
-      if (!config_.batch_link) {
-        BackupAgent::Message msg;
-        msg.digest = digest;
-        if (unique) msg.payload.assign(payload.begin(), payload.end());
-        link->send(image_id, msg);
-        continue;
       }
       // Retain the payload server-side: the repair protocol must be able to
       // serve any digest it ever put on the wire. put() is the unique-chunk
@@ -294,48 +272,33 @@ BackupRunStats BackupServer::dedup_and_ship(
                             payload.end());
       }
     }
-    if (config_.batch_link && !wire.digests.empty()) {
-      transport->send_batch(image_id, std::move(wire));
-    }
+    if (!wire.digests.empty()) transport.send_batch(image_id, std::move(wire));
   }
-  if (transport) {
-    transport->end_image(image_id);
-    transport->flush();
-  }
+  transport.end_image(image_id);
+  transport.flush();
 
   const dedup::IndexStats index_after = index_->stats();
   stats.index_seconds = index_after.virtual_seconds -
                         index_before.virtual_seconds;
   stats.index_flash_reads = index_after.flash_reads - index_before.flash_reads;
   stats.index_cache_hits = index_after.cache_hits - index_before.cache_hits;
-  if (transport) {
-    const TransportStats& ts = transport->stats();
-    stats.transport = ts;
-    stats.link_degraded = ts.degraded;
-    // link_seconds is the transport makespan — with faults it exceeds the
-    // logical serialized time in ts.link.virtual_seconds by the recovery
-    // cost; without faults the two agree to within the final ack round trip.
-    stats.link_seconds = ts.virtual_seconds;
-    stats.link_messages = ts.link.messages;
-    stats.link_extents = ts.link.extents;
-    stats.wire_bytes = ts.link.wire_bytes;
-    if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
-      service::TenantTransportHealth health;
-      health.tenant = image_id;
-      health.frames_sent = ts.frames_sent;
-      health.retransmits = ts.retransmits;
-      health.repairs = ts.repair_frames;
-      health.stall_seconds = ts.window_stall_seconds;
-      health.link_seconds = ts.virtual_seconds;
-      health.degraded = ts.degraded;
-      config_.service->report_transport_health(std::move(health));
-    }
-  } else {
-    const LinkStats& wire_stats = link->stats();
-    stats.link_seconds = wire_stats.virtual_seconds;
-    stats.link_messages = wire_stats.messages;
-    stats.link_extents = wire_stats.extents;
-    stats.wire_bytes = wire_stats.wire_bytes;
+  const TransportStats& ts = transport.stats();
+  stats.transport = ts;
+  // link_seconds is the transport makespan — with faults it exceeds the
+  // logical serialized time in ts.link.virtual_seconds by the recovery
+  // cost; without faults the two agree to within the final ack round trip.
+  stats.link_seconds = ts.virtual_seconds;
+  stats.wire_bytes = ts.link.wire_bytes;
+  if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
+    service::TenantTransportHealth health;
+    health.tenant = image_id;
+    health.frames_sent = ts.frames_sent;
+    health.retransmits = ts.retransmits;
+    health.repairs = ts.repair_frames;
+    health.stall_seconds = ts.window_stall_seconds;
+    health.link_seconds = ts.virtual_seconds;
+    health.degraded = ts.degraded;
+    config_.service->report_transport_health(std::move(health));
   }
   stats.index_transfer_seconds = stats.index_seconds + stats.link_seconds;
 
@@ -353,13 +316,11 @@ BackupRunStats BackupServer::dedup_and_ship(
   const ByteVec recreated = agent.recreate(image_id);
   stats.verified = recreated.size() == image.size() &&
                    std::equal(recreated.begin(), recreated.end(), image.begin());
-  if (config_.batch_link) {
-    // The manifest is the durable record the delete walk and crash recovery
-    // replay. Recorded unconditionally: the store references were taken
-    // during the walk above, and a manifest must account for every one.
-    retention_->record_image("", image_id, manifest_digests);
-    pin.release();
-  }
+  // The manifest is the durable record the delete walk and crash recovery
+  // replay. Recorded unconditionally: the store references were taken
+  // during the walk above, and a manifest must account for every one.
+  retention_->record_image("", image_id, manifest_digests);
+  pin.release();
   stats.wall_seconds = wall.elapsed_seconds();
   publish_run_stats(stats, index_before, index_after);
   return stats;
@@ -377,7 +338,9 @@ void BackupServer::publish_run_stats(const BackupRunStats& stats,
   reg.counter("backup.unique_bytes_total").add(stats.unique_bytes);
   reg.counter("backup.retransmits_total").add(stats.transport.retransmits);
   reg.counter("backup.repair_frames_total").add(stats.transport.repair_frames);
-  if (stats.link_degraded) reg.counter("backup.degraded_runs_total").add(1);
+  if (stats.transport.degraded) {
+    reg.counter("backup.degraded_runs_total").add(1);
+  }
   reg.gauge("backup.bandwidth_gbps").set(stats.backup_bandwidth_gbps);
   // Per-snapshot stage timings (virtual seconds), one label per stage so
   // the table/JSON export reads like the paper's bandwidth equation.

@@ -20,7 +20,6 @@
 
 #include "backup/agent.h"
 #include "backup/image.h"
-#include "backup/link.h"
 #include "backup/transport.h"
 #include "chunking/chunk.h"
 #include "chunking/parallel.h"
@@ -51,10 +50,9 @@ struct BackupCostModel {
   double index_probe_s = 3.5e-6;   // per-chunk lookup + queue handling
   double index_insert_s = 6.0e-6;  // extra work for a previously unseen chunk
   // Backup-site wire: 10 GbE bandwidth plus the framing model —
-  // per-message handling, header bytes, extent-record bytes (link.h,
-  // docs/backup_wire.md). The framing terms are what make per-chunk
-  // messages a real term in the bandwidth equation at small chunk sizes,
-  // and what the extent-coalesced protocol amortizes away.
+  // per-message handling, header bytes, extent-record bytes (transport.h,
+  // docs/backup_wire.md). The per-message term is what the extent-coalesced
+  // batches amortize: one wire message per drained buffer, not per chunk.
   LinkCostModel link;
 };
 
@@ -82,18 +80,12 @@ struct BackupServerConfig {
   // The chunking pipeline then delivers chunk+digest pairs and the host
   // hashing stage disappears from the bandwidth equation.
   bool fingerprint_on_device = false;
-  // Ship the backup stream as extent-coalesced batches — one wire message
-  // per drained chunking buffer, duplicate-pointer runs collapsed into
-  // {first, count} extent records (docs/backup_wire.md) — instead of one
-  // message per chunk. Off reproduces the paper's per-chunk link framing
-  // over the lossless fire-and-forget AgentLink; on, the batches ride the
-  // windowed ack-clocked Transport below.
-  bool batch_link = true;
-  // Transport parameters for the batched path: window/RTO/repair knobs and
-  // the injectable fault schedule (transport.h). Its framing costs are
-  // overwritten from `costs.link` so the fig18 calibration stays in one
-  // place. The defaults (no faults, instant applies) make the transport
-  // behave like the lossless link plus one end-of-image control frame.
+  // Wire parameters: window/RTO/repair knobs and the injectable fault
+  // schedule (transport.h). Every snapshot ships as extent-coalesced batches
+  // — one per drained chunking buffer (docs/backup_wire.md). The framing
+  // costs are overwritten from `costs.link` so the fig18 calibration stays
+  // in one place. The defaults (no faults, instant applies) make the
+  // transport a lossless link.
   TransportConfig transport;
   // Content-addressed store of every unique chunk this server has shipped —
   // the source the repair protocol serves re-requested digests from. Leave
@@ -132,8 +124,10 @@ struct BackupRunStats {
   double chunking_seconds = 0;
   double hashing_seconds = 0;
   double index_seconds = 0;           // modelled index time this snapshot
-  // Modelled wire time under the AgentLink framing model: per-message
-  // handling + (headers, digests, extent records, payloads) over link_bw.
+  // Modelled wire time: the transport makespan (transport.virtual_seconds).
+  // Without faults it is the framing-model sum — per-message handling +
+  // (headers, digests, extent records, payloads) over link bandwidth — plus
+  // the final ack round trip; with faults it adds the recovery cost.
   double link_seconds = 0;
   double index_transfer_seconds = 0;  // index_seconds + link_seconds
   bool device_fingerprint = false;
@@ -144,20 +138,14 @@ struct BackupRunStats {
   std::uint64_t index_flash_reads = 0;
   std::uint64_t index_cache_hits = 0;
 
-  // Wire telemetry for this snapshot: messages shipped to the agent, extent
-  // records inside batch messages (zero with per-chunk framing), and total
-  // link bytes including framing overhead. These count the *logical* stream
-  // (each original frame once); retransmissions, acks and repair traffic are
-  // accounted in `transport` below.
-  std::uint64_t link_messages = 0;
-  std::uint64_t link_extents = 0;
+  // Total link bytes of the logical stream including framing overhead (each
+  // original frame once; equals transport.link.wire_bytes).
   std::uint64_t wire_bytes = 0;
 
-  // Full transport telemetry for the batched path (zeroed for the per-chunk
-  // AgentLink path): retransmits, acks, window stalls, repair traffic,
-  // makespan, goodput, degraded-health flag.
+  // Full transport telemetry: the logical stream in `transport.link`
+  // (messages, extents, chunks), plus retransmits, acks, window stalls,
+  // repair traffic, makespan, goodput and the degraded-health flag.
   TransportStats transport;
-  bool link_degraded = false;
 
   // Steady-state pipelined time = slowest stage; and the headline number.
   double virtual_seconds = 0;
@@ -194,9 +182,7 @@ class BackupServer {
   const BackupServerConfig& config() const noexcept { return config_; }
 
   // --- Retention surface (src/retention): manifests, delete, GC, compaction.
-  // Every snapshot shipped over the batched transport records a chunk
-  // manifest here once the backup site verified; the per-chunk AgentLink
-  // path takes no store references and leaves no manifest.
+  // Every snapshot records its chunk manifest here as its backup completes.
   retention::RetentionManager& retention() noexcept { return *retention_; }
   const retention::RetentionManager& retention() const noexcept {
     return *retention_;
@@ -206,8 +192,8 @@ class BackupServer {
   // releasing one store reference per chunk occurrence; chunks that hit zero
   // refs await gc(). The backup site's copy is deleted separately via
   // BackupAgent::delete_image. Throws retention::RetentionError
-  // (kUnknownImage for ids never shipped over the batched path;
-  // kAlreadyDeleted on a repeat delete). A deleted id may be backed up
+  // (kUnknownImage for ids never backed up; kAlreadyDeleted on a repeat
+  // delete). A deleted id may be backed up
   // again afterwards — to a fresh agent, since the old one seals ids.
   retention::RetentionManager::DeleteStats delete_image(
       const std::string& image_id);
@@ -254,7 +240,7 @@ class BackupServer {
   BackupServerConfig config_;
   obs::Registry* registry_ = nullptr;  // resolved in the constructor
   std::unique_ptr<dedup::IndexBackend> index_;
-  std::shared_ptr<dedup::ChunkStore> store_;  // repair source (batched path)
+  std::shared_ptr<dedup::ChunkStore> store_;  // repair source + retention
   std::unique_ptr<retention::RetentionManager> retention_;
   std::unique_ptr<core::Shredder> shredder_;        // GPU backend
   std::unique_ptr<rabin::RabinTables> cpu_tables_;  // CPU backend

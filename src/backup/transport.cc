@@ -168,9 +168,9 @@ void Transport::transmit_next() {
   out.frame = frame;
   out.rto = cfg_.rto_s;
   const double finish = [&] {
-    // Charge the logical link exactly as AgentLink would have: once per
-    // original frame, per-message handling plus framed bytes over bw. The
-    // retransmit path never touches these counters.
+    // Charge the logical link once per original frame: per-message handling
+    // plus framed bytes over bw. The retransmit path never touches these
+    // counters.
     const std::size_t wire = cfg_.link.msg_header_bytes + frame->content_bytes;
     ++stats_.link.messages;
     stats_.link.wire_bytes += wire;

@@ -1,13 +1,15 @@
 // Windowed, ack-clocked server→agent transport with loss, retransmit, flow
-// control and digest-keyed repair (docs/backup_wire.md §transport).
+// control and digest-keyed repair (docs/backup_wire.md).
 //
-// AgentLink (link.h) models a lossless, infinitely buffered wire: every
-// frame arrives, in order, instantly applied. That is fine for calibrating
-// the framing costs of fig18 but useless for the ROADMAP's "deployable over
-// a real WAN" goal, where the backup stream must survive drops, reordering,
-// duplication, multi-millisecond delay spikes and agents that apply slower
-// than the server ships. Transport replaces it on the batched path with a
-// real ARQ protocol, simulated in deterministic virtual time:
+// This is the backup stream's only wire. The server ships one extent-
+// coalesced ExtentBatch per drained chunking buffer: duplicate-pointer runs
+// collapse to {first, count} extent records and unique payloads ride
+// concatenated in the same frame, so a duplicate-heavy snapshot costs a
+// handful of messages instead of one per chunk ("A Moveable Beast": what
+// crosses the boundary, and at what granularity, is the design lever). The
+// stream must survive drops, reordering, duplication, multi-millisecond
+// delay spikes and agents that apply slower than the server ships, so the
+// frames ride a real ARQ protocol, simulated in deterministic virtual time:
 //
 //   * every control/data frame carries a sequence number; the receiver
 //     reassembles in order through a bounded out-of-order buffer and
@@ -48,13 +50,32 @@
 #include <vector>
 
 #include "backup/agent.h"
-#include "backup/link.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "dedup/digest.h"
 #include "obs/trace.h"
 
 namespace shredder::backup {
+
+// Modelled framing costs of the backup link. Bandwidth matches the §7.3
+// 10 GbE; the message constants model a 2012-era kernel network stack
+// (per-message handling dominated by syscall + interrupt + protocol work).
+struct LinkCostModel {
+  double bw = 1.25e9;          // payload bandwidth, B/s (10 GbE)
+  double msg_s = 2.0e-6;       // flat per-wire-message handling, both ends
+  std::size_t msg_header_bytes = 64;     // framing bytes per wire message
+  std::size_t extent_record_bytes = 16;  // bytes per extent record
+};
+
+// Cumulative wire telemetry.
+struct LinkStats {
+  std::uint64_t messages = 0;       // wire messages shipped (incl. control)
+  std::uint64_t extents = 0;        // extent records inside batch messages
+  std::uint64_t chunks = 0;         // chunk entries shipped (pointers + data)
+  std::uint64_t wire_bytes = 0;     // total link bytes incl. framing
+  std::uint64_t payload_bytes = 0;  // unique chunk payload bytes
+  double virtual_seconds = 0;       // modelled link-stage time
+};
 
 // Per-transmission fault probabilities, drawn from one seeded SplitMix64 so
 // every schedule is reproducible. Applied to both directions (data/repair
@@ -76,8 +97,7 @@ struct FaultModel {
 };
 
 struct TransportConfig {
-  // Framing costs shared with AgentLink so lossless transport seconds are
-  // directly comparable to the fire-and-forget link model.
+  // Framing costs charged once per original frame into TransportStats::link.
   LinkCostModel link;
   double latency_s = 10e-6;  // one-way propagation (LAN default)
   // Frames larger than this are segmented at chunk boundaries: content bytes
@@ -115,10 +135,11 @@ struct TransportConfig {
   std::string trace_label = "link";  // distinguishes tenants on shared tracers
 };
 
-// Cumulative transport telemetry. `link` counts each *original* frame once,
-// exactly as AgentLink would have (no double-charge on the retransmit path);
-// everything physical — retransmissions, acks, repair traffic, stall time —
-// is accounted beside it.
+// Cumulative transport telemetry. `link` counts each *original* frame once
+// under the LinkCostModel (no double-charge on the retransmit path), so a
+// lossless run's link stats are the closed-form framing sum; everything
+// physical — retransmissions, acks, repair traffic, stall time — is
+// accounted beside it.
 struct TransportStats {
   LinkStats link;  // logical stream: originals only, framing-model costs
 

@@ -275,17 +275,13 @@ ShredderResult Shredder::run(ByteSpan data, ChunkSink& sink) {
   return run_impl(source, &sink, data);
 }
 
-ShredderResult Shredder::run(DataSource& source, const ChunkCallback& on_chunk,
-                             const DigestCallback& on_digest) {
-  PerChunkAdapter adapter(on_chunk, on_digest);
-  return run_impl(source, adapter.empty() ? nullptr : &adapter, {});
+ShredderResult Shredder::run(DataSource& source) {
+  return run_impl(source, nullptr, {});
 }
 
-ShredderResult Shredder::run(ByteSpan data, const ChunkCallback& on_chunk,
-                             const DigestCallback& on_digest) {
+ShredderResult Shredder::run(ByteSpan data) {
   MemorySource source(data, config_.host.reader_bw);
-  PerChunkAdapter adapter(on_chunk, on_digest);
-  return run_impl(source, adapter.empty() ? nullptr : &adapter, data);
+  return run_impl(source, nullptr, data);
 }
 
 HostChunkResult chunk_on_host(ByteSpan data,

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -94,15 +93,10 @@ struct ShredderResult {
 
 class Shredder {
  public:
-  // Legacy per-chunk upcall types (now shims over the batch path; see
-  // core/sink.h). on_digest only fires when fingerprint_on_device is set.
-  using ChunkCallback = ::shredder::ChunkCallback;
-  using DigestCallback = ::shredder::DigestCallback;
-
   // Throws std::invalid_argument on bad configuration.
   explicit Shredder(ShredderConfig config);
 
-  // Batch-first consumption: `sink` receives one ChunkBatchView per drained
+  // Streaming consumption: `sink` receives one ChunkBatchView per drained
   // pipeline buffer that finalized chunks, in stream order, plus exactly one
   // eos batch — no per-chunk dispatch on the store path. The ByteSpan
   // overload always provides payload views into `data`; the DataSource
@@ -110,16 +104,11 @@ class Shredder {
   ShredderResult run(DataSource& source, ChunkSink& sink);
   ShredderResult run(ByteSpan data, ChunkSink& sink);
 
-  // Chunks the whole stream from `source`, invoking `on_chunk` (if set) as
-  // chunks become final. Returns the full result. Kept as a PerChunkAdapter
-  // shim over the batch path; output is bit-identical to the sink overloads.
-  ShredderResult run(DataSource& source, const ChunkCallback& on_chunk = {},
-                     const DigestCallback& on_digest = {});
-
+  // Sink-less runs: chunk the whole stream and return the full result.
+  ShredderResult run(DataSource& source);
   // Convenience: chunk an in-memory buffer served at the host reader
   // bandwidth (the SAN model).
-  ShredderResult run(ByteSpan data, const ChunkCallback& on_chunk = {},
-                     const DigestCallback& on_digest = {});
+  ShredderResult run(ByteSpan data);
 
   const ShredderConfig& config() const noexcept { return config_; }
   const rabin::RabinTables& tables() const noexcept { return tables_; }

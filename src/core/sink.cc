@@ -129,16 +129,4 @@ std::size_t PayloadTail::slot_leases() const noexcept {
   return n;
 }
 
-PerChunkAdapter::PerChunkAdapter(ChunkCallback on_chunk,
-                                 DigestCallback on_digest)
-    : on_chunk_(std::move(on_chunk)), on_digest_(std::move(on_digest)) {}
-
-void PerChunkAdapter::on_batch(const ChunkBatchView& batch) {
-  const bool paired = batch.digests.size() == batch.chunks.size();
-  for (std::size_t i = 0; i < batch.chunks.size(); ++i) {
-    if (on_chunk_) on_chunk_(batch.chunks[i]);
-    if (on_digest_ && paired) on_digest_(batch.chunks[i], batch.digests[i]);
-  }
-}
-
 }  // namespace shredder

@@ -1,23 +1,18 @@
-// Batch-first consumer API: the library's preferred way to receive chunks.
+// Batch consumer API: the library's only way to stream chunks to a consumer.
 //
-// Every producer surface used to upcall its consumer once per chunk through a
-// std::function — N virtual dispatches per drained buffer, and (on the backup
-// path) N wire messages where one would do. ChunkSink inverts that: the store
-// stage hands the consumer ONE ChunkBatchView per drained pipeline buffer,
-// carrying spans over everything the buffer finalized — chunks, their device
-// digests when the fingerprint stage ran, and (when the producer retains
-// payload bytes) a window of the stream the chunks can be sliced from.
-//
-// The per-chunk std::function surfaces (Shredder::run callbacks,
-// service::TenantOptions::on_chunk/on_digest) are kept as thin shims: they
-// wrap the callbacks in a PerChunkAdapter and ride the batch path, so legacy
-// consumers see bit-identical chunk/digest streams (tests/sink_test.cc holds
-// exactly that) while batch consumers pay no per-chunk dispatch at all.
+// The store stage hands the consumer ONE ChunkBatchView per drained pipeline
+// buffer, carrying spans over everything the buffer finalized — chunks, their
+// device digests when the fingerprint stage ran, and (when the producer
+// retains payload bytes) a window of the stream the chunks can be sliced
+// from. No per-chunk dispatch on the store path, and the backup server ships
+// the same granularity as one wire batch. Every frontend delivers through it:
+// Shredder::run, service::TenantOptions::sink, the backup server's chunking
+// stage. Consumers that only need the final chunk list call the sink-less
+// Shredder::run overloads and read the result.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 
 #include "chunking/chunk.h"
@@ -28,13 +23,6 @@
 namespace shredder {
 
 class PayloadTail;
-
-// Per-chunk upcall types shared by every frontend (core::Shredder, the
-// multi-tenant service). Kept for compatibility; new consumers should
-// implement ChunkSink instead.
-using ChunkCallback = std::function<void(const chunking::Chunk&)>;
-using DigestCallback =
-    std::function<void(const chunking::Chunk&, const dedup::ChunkDigest&)>;
 
 // Everything one drained buffer finalized, delivered in stream order. All
 // spans point into producer-owned storage and are valid only for the
@@ -75,7 +63,7 @@ struct ChunkBatchView {
   ByteSpan chunk_bytes(std::size_t i) const;
 };
 
-// The batch-first consumer interface. on_batch runs on the producer's store
+// The batch consumer interface. on_batch runs on the producer's store
 // thread, in stream order; it must not re-enter the producer.
 class ChunkSink {
  public:
@@ -162,23 +150,6 @@ class PayloadTail {
   std::uint64_t end_ = 0;  // absolute end of the window (and the stream)
   std::size_t slot_cap_ = static_cast<std::size_t>(-1);
   mutable ByteVec scratch_;  // splice target for cross-segment slices
-};
-
-// Shim keeping the per-chunk callback surfaces alive: replays a batch as the
-// exact per-chunk upcall sequence the legacy API produced.
-class PerChunkAdapter final : public ChunkSink {
- public:
-  explicit PerChunkAdapter(ChunkCallback on_chunk,
-                           DigestCallback on_digest = {});
-
-  void on_batch(const ChunkBatchView& batch) override;
-
-  // True when both callbacks are unset (nothing to dispatch).
-  bool empty() const noexcept { return !on_chunk_ && !on_digest_; }
-
- private:
-  ChunkCallback on_chunk_;
-  DigestCallback on_digest_;
 };
 
 }  // namespace shredder

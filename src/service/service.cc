@@ -152,23 +152,13 @@ ChunkingService::StreamId ChunkingService::open(TenantOptions opts) {
         s->last_end = end;
       });
   session->opts = std::move(opts);
-  // Batch-first consumption: the store thread talks to one sink per tenant.
-  // Per-chunk callbacks become a PerChunkAdapter shim over the batch path,
-  // so the hot loop never dispatches a per-chunk std::function.
-  if (session->opts.sink != nullptr) {
-    session->sink = session->opts.sink;
-  } else if (session->opts.on_chunk || session->opts.on_digest) {
-    session->adapter = std::make_unique<PerChunkAdapter>(
-        session->opts.on_chunk, session->opts.on_digest);
-    session->sink = session->adapter.get();
-  }
   // Every batch carries its staged bytes as a refcounted lease, so honoring
   // wants_payload() is per-session and free — including for tenants opened
   // mid-run. Cap 0: the store thread never parks pinned slots in a tenant
   // tail across batches (see Session::retain).
   session->retain =
       config_.dedup_on_store ||
-      (session->sink != nullptr && session->sink->wants_payload());
+      (session->opts.sink != nullptr && session->opts.sink->wants_payload());
   session->tail.set_slot_cap(0);
   // Dedup sessions pin the GC epoch for their whole walk (retention.h).
   if (retention_) session->pin = retention_->pin();
@@ -621,7 +611,7 @@ void ChunkingService::publish_index_delta(const dedup::IndexStats& before) {
 // always delivered so sinks have a flush point. Afterwards the tail is
 // trimmed to the open chunk's start, keeping the window bounded.
 void ChunkingService::deliver_batch(Session& s, std::size_t first, bool eos) {
-  if (s.sink != nullptr && (eos || s.chunks.size() > first)) {
+  if (s.opts.sink != nullptr && (eos || s.chunks.size() > first)) {
     ChunkBatchView view;
     view.stream_id = s.id;
     view.stream_seq = s.batch_seq++;
@@ -636,7 +626,7 @@ void ChunkingService::deliver_batch(Session& s, std::size_t first, bool eos) {
       view.payload_base = s.tail.window_base();
       view.tail = &s.tail;
     }
-    s.sink->on_batch(view);
+    s.opts.sink->on_batch(view);
   }
   s.tail.trim(s.last_end);
 }

@@ -77,7 +77,7 @@ struct ServiceConfig {
   std::size_t tenant_queue_depth = 4;  // per-tenant buffers awaiting dispatch
   // Run the engine's on-device fingerprint stage for every tenant: chunks
   // arrive with device-computed SHA-256 digests (bit-identical to host
-  // dedup::Sha256), delivered via TenantOptions::on_digest and
+  // dedup::Sha256), delivered in each tenant sink's batches and in
   // TenantResult::digests.
   bool fingerprint_on_device = false;
   // Deduplicate every tenant's chunks inline on the store thread against one
@@ -167,26 +167,19 @@ struct ServiceHealth {
   bool healthy() const noexcept { return degraded_agents == 0; }
 };
 
-// Legacy per-chunk upcall types, shared with core (see core/sink.h).
-using ChunkCallback = ::shredder::ChunkCallback;
-using DigestCallback = ::shredder::DigestCallback;
-
 struct TenantOptions {
   std::string name;          // label for reports; defaults to "tenant-<id>"
   std::uint32_t weight = 1;  // weighted-fair share of device dispatches
   double channel_bw = 0;     // modelled client channel, B/s; 0 = reader_bw
-  // Batch-first consumer: one ChunkBatchView per drained buffer that
+  // Streaming consumer: one ChunkBatchView per drained buffer that
   // finalized chunks plus an eos batch, delivered on the store thread in
   // stream order. Not owned; must outlive the session. Payload views ride
   // whenever the sink wants_payload() (per-session retention is a
   // refcounted slot lease, core/lease.h — no copy, so any tenant may ask,
   // including ones opened mid-run) or the service stores payloads
-  // (dedup_on_store). When a sink is set the per-chunk callbacks below are
-  // ignored.
+  // (dedup_on_store). Null = no streaming consumer; the chunks still
+  // arrive in the TenantResult.
   ChunkSink* sink = nullptr;
-  // Per-chunk shims (wrapped in a PerChunkAdapter over the batch path).
-  ChunkCallback on_chunk;    // invoked on the store thread, in stream order
-  DigestCallback on_digest;  // per-chunk digest upcall (fingerprint mode)
   // Snapshot identity for retention (dedup_on_store services only). When
   // set, the session's ordered digest list is recorded as a chunk manifest
   // under (name, image_id) once the stream completes, making the snapshot
@@ -379,20 +372,17 @@ class ChunkingService {
     std::uint64_t last_end = 0;
     std::vector<chunking::Chunk> chunks;
     std::vector<dedup::ChunkDigest> digests;  // fingerprint mode, 1:1 chunks
-    // Batch delivery: the consumer sink (opts.sink, or the adapter wrapping
-    // the per-chunk callbacks), the delivered-batch ordinal, and — when the
-    // session retains payloads — the rolling lease window from which chunk
-    // payloads are sliced. `retain` is fixed at open(): dedup_on_store
-    // services always retain (the store slices unique chunks), otherwise
-    // only sessions whose sink wants_payload(). The tail runs with slot
-    // cap 0 so no tenant parks pinned slots across batches — N sessions
-    // each holding under-cap leases could otherwise starve the shared ring.
-    ChunkSink* sink = nullptr;
-    std::unique_ptr<PerChunkAdapter> adapter;
     // GC pin held for the session's whole dedup walk (dedup_on_store): a
     // concurrent gc() must not free a chunk between this stream's index hit
     // and its add_ref. Released by finalize_session.
     retention::RetentionManager::Pin pin;
+    // Batch delivery to opts.sink: the delivered-batch ordinal, and — when
+    // the session retains payloads — the rolling lease window from which
+    // chunk payloads are sliced. `retain` is fixed at open(): dedup_on_store
+    // services always retain (the store slices unique chunks), otherwise
+    // only sessions whose sink wants_payload(). The tail runs with slot
+    // cap 0 so no tenant parks pinned slots across batches — N sessions
+    // each holding under-cap leases could otherwise starve the shared ring.
     std::uint64_t batch_seq = 0;
     bool retain = false;
     PayloadTail tail;

@@ -122,15 +122,28 @@ TEST(ImageRepository, Validation) {
 
 // --- BackupAgent protocol ---
 
+// One-chunk wire batch naming `bytes`: a unique extent carrying the payload,
+// or — with `pointer` — a single duplicate pointer to an already-stored chunk.
+BackupAgent::ExtentBatch one_chunk(const ByteVec& bytes, bool pointer = false) {
+  BackupAgent::ExtentBatch batch;
+  batch.digests = {dedup::ChunkHasher::hash(as_bytes(bytes))};
+  batch.extents = {{0, 1, !pointer}};
+  if (!pointer) {
+    batch.payload_sizes = {static_cast<std::uint32_t>(bytes.size())};
+    batch.payload = bytes;
+  }
+  return batch;
+}
+
 TEST(BackupAgent, StoresAndRecreates) {
   BackupAgent agent;
   agent.begin_image("img");
   const auto a = random_bytes(100, 1);
   const auto b = random_bytes(50, 2);
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(b)), b});
+  agent.receive_batch("img", one_chunk(a));
+  agent.receive_batch("img", one_chunk(b));
   // Duplicate chunk as pointer.
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+  agent.receive_batch("img", one_chunk(a, /*pointer=*/true));
   const auto out = agent.recreate("img");
   ByteVec expect(a);
   expect.insert(expect.end(), b.begin(), b.end());
@@ -142,16 +155,16 @@ TEST(BackupAgent, StoresAndRecreates) {
 TEST(BackupAgent, PointerToUnknownChunkThrows) {
   BackupAgent agent;
   agent.begin_image("img");
-  EXPECT_THROW(
-      agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(random_bytes(8, 3))), {}}),
-      std::invalid_argument);
+  EXPECT_THROW(agent.receive_batch(
+                   "img", one_chunk(random_bytes(8, 3), /*pointer=*/true)),
+               std::invalid_argument);
 }
 
 TEST(BackupAgent, UnknownImageThrows) {
   BackupAgent agent;
   EXPECT_THROW(agent.recreate("nope"), std::invalid_argument);
   const auto a = random_bytes(8, 4);
-  EXPECT_THROW(agent.receive("nope", {dedup::ChunkHasher::hash(as_bytes(a)), a}),
+  EXPECT_THROW(agent.receive_batch("nope", one_chunk(a)),
                std::invalid_argument);
 }
 
@@ -161,9 +174,9 @@ TEST(BackupAgent, BeginImageIdempotentWhileOpen) {
   BackupAgent agent;
   EXPECT_TRUE(agent.begin_image("img"));
   const auto a = random_bytes(100, 1);
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
+  agent.receive_batch("img", one_chunk(a));
   EXPECT_FALSE(agent.begin_image("img"));  // no-op re-open
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+  agent.receive_batch("img", one_chunk(a, /*pointer=*/true));
   EXPECT_EQ(agent.recreate("img").size(), 200u);  // recipe survived intact
   agent.end_image("img", 2);
   EXPECT_TRUE(agent.image_sealed("img"));
@@ -180,7 +193,7 @@ TEST(BackupAgent, EndImageValidatesRecipeLength) {
   BackupAgent agent;
   agent.begin_image("img");
   const auto a = random_bytes(64, 9);
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
+  agent.receive_batch("img", one_chunk(a));
   try {
     agent.end_image("img", 5);  // truncated stream: only 1 chunk arrived
     FAIL() << "expected ProtocolError";
@@ -190,7 +203,7 @@ TEST(BackupAgent, EndImageValidatesRecipeLength) {
   agent.end_image("img", 1);
   // Data after the seal is a violation too.
   try {
-    agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+    agent.receive_batch("img", one_chunk(a, /*pointer=*/true));
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.violation(), ProtocolViolation::kSealedImage);
@@ -436,11 +449,11 @@ TEST(BackupAgent, CatalogKnobKeepsProtocolExact) {
     BackupAgent agent(cfg);
     agent.begin_image("img");
     const auto a = random_bytes(100, 1);
-    agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
-    agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+    agent.receive_batch("img", one_chunk(a));
+    agent.receive_batch("img", one_chunk(a, /*pointer=*/true));
     EXPECT_THROW(
-        agent.receive(
-            "img", {dedup::ChunkHasher::hash(as_bytes(random_bytes(8, 2))), {}}),
+        agent.receive_batch(
+            "img", one_chunk(random_bytes(8, 2), /*pointer=*/true)),
         std::invalid_argument);
     ByteVec expect(a);
     expect.insert(expect.end(), a.begin(), a.end());

@@ -306,13 +306,19 @@ TEST(Shredder, MinMaxEndToEnd) {
 }
 
 TEST(Shredder, UpcallsStreamInOrder) {
+  // Collects the chunks of every delivered batch, in delivery order.
+  struct StreamedChunks final : ChunkSink {
+    std::vector<chunking::Chunk> chunks;
+    void on_batch(const ChunkBatchView& batch) override {
+      chunks.insert(chunks.end(), batch.chunks.begin(), batch.chunks.end());
+    }
+  };
   ShredderConfig cfg = small_config();
   Shredder shredder(cfg);
   const auto data = random_bytes(200000, 15);
-  std::vector<chunking::Chunk> streamed;
-  const auto result = shredder.run(
-      as_bytes(data), [&](const chunking::Chunk& c) { streamed.push_back(c); });
-  EXPECT_EQ(streamed, result.chunks);
+  StreamedChunks sink;
+  const auto result = shredder.run(as_bytes(data), sink);
+  EXPECT_EQ(sink.chunks, result.chunks);
 }
 
 TEST(Shredder, BoundarySpanningBuffersIsFound) {

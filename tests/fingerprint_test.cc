@@ -54,6 +54,17 @@ std::vector<dedup::ChunkDigest> host_digests(
   return out;
 }
 
+// Collects every delivered chunk and device digest, in stream order.
+class CollectingSink final : public ChunkSink {
+ public:
+  void on_batch(const ChunkBatchView& batch) override {
+    chunks.insert(chunks.end(), batch.chunks.begin(), batch.chunks.end());
+    digests.insert(digests.end(), batch.digests.begin(), batch.digests.end());
+  }
+  std::vector<chunking::Chunk> chunks;
+  std::vector<dedup::ChunkDigest> digests;
+};
+
 // --- Shredder: every GPU mode must match the host reference ---
 
 class FingerprintModes : public ::testing::TestWithParam<GpuMode> {};
@@ -133,20 +144,14 @@ TEST(Fingerprint, TinyInputSingleTrailingChunk) {
   EXPECT_EQ(result.digests[0], dedup::ChunkHasher::hash(as_bytes(data)));
 }
 
-TEST(Fingerprint, DigestCallbackStreamsInChunkOrder) {
+TEST(Fingerprint, SinkDigestsStreamInChunkOrder) {
   ShredderConfig cfg = small_config();
   Shredder shredder(cfg);
   const auto data = random_bytes(300000, 43);
-  std::vector<chunking::Chunk> cb_chunks;
-  std::vector<dedup::ChunkDigest> cb_digests;
-  const auto result = shredder.run(
-      as_bytes(data), {},
-      [&](const chunking::Chunk& c, const dedup::ChunkDigest& d) {
-        cb_chunks.push_back(c);
-        cb_digests.push_back(d);
-      });
-  EXPECT_EQ(cb_chunks, result.chunks);
-  EXPECT_EQ(cb_digests, result.digests);
+  CollectingSink sink;
+  const auto result = shredder.run(as_bytes(data), sink);
+  EXPECT_EQ(sink.chunks, result.chunks);
+  EXPECT_EQ(sink.digests, result.digests);
 }
 
 TEST(Fingerprint, OffByDefaultLeavesResultUnchanged) {
@@ -204,13 +209,10 @@ TEST(Fingerprint, ServiceTenantsMatchHostSha256) {
 
   service::ChunkingService svc(cfg);
   std::vector<service::ChunkingService::StreamId> ids;
-  std::vector<std::vector<dedup::ChunkDigest>> streamed(n_streams);
+  std::vector<CollectingSink> sinks(n_streams);
   for (std::size_t k = 0; k < n_streams; ++k) {
     service::TenantOptions opts;
-    opts.on_digest = [&streamed, k](const chunking::Chunk&,
-                                    const dedup::ChunkDigest& d) {
-      streamed[k].push_back(d);
-    };
+    opts.sink = &sinks[k];
     ids.push_back(svc.open(std::move(opts)));
   }
   std::vector<std::thread> producers;
@@ -230,7 +232,7 @@ TEST(Fingerprint, ServiceTenantsMatchHostSha256) {
     EXPECT_EQ(result.chunks, expected) << "stream " << k;
     EXPECT_EQ(result.digests, host_digests(as_bytes(payloads[k]), expected))
         << "stream " << k;
-    EXPECT_EQ(streamed[k], result.digests) << "stream " << k;
+    EXPECT_EQ(sinks[k].digests, result.digests) << "stream " << k;
     EXPECT_GT(result.report.stage_totals.fingerprint, 0.0);
   }
   svc.shutdown();

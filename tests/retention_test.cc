@@ -508,28 +508,42 @@ TEST(RetentionCompaction, ManagerDrivesIndexAndManifestTogether) {
 
 // --- End-to-end churn through BackupServer ----------------------------------
 
-backup::BackupServerConfig churn_server_config() {
+backup::BackupServerConfig churn_server_config(
+    backup::ChunkerBackend backend = backup::ChunkerBackend::kPthreadsCpu) {
   backup::BackupServerConfig c;
-  c.backend = backup::ChunkerBackend::kPthreadsCpu;
+  c.backend = backend;
   c.chunker.window = 32;
   c.chunker.mask_bits = 11;
   c.chunker.marker = 0x42;
   c.chunker.min_size = 512;
   c.chunker.max_size = 8 * 1024;
   c.shredder.buffer_bytes = 512 * 1024;
+  c.shredder.sim_threads = 2;
   c.cpu_threads = 4;
   c.index.kind = dedup::IndexKind::kSparse;
   c.index.sparse.container_entries = 128;
+  if (backend == backup::ChunkerBackend::kSharedService) {
+    service::ServiceConfig svc;
+    svc.chunker = c.chunker;
+    svc.buffer_bytes = 512 * 1024;
+    svc.sim_threads = 2;
+    c.service = std::make_shared<service::ChunkingService>(svc);
+  }
   return c;
 }
 
-TEST(RetentionEndToEnd, ChurnDeleteGcCompactThroughBackupServer) {
+// Every chunking backend's snapshots record manifests that delete, GC and
+// compaction walk; the survivors recreate bit-identically.
+class RetentionEndToEnd
+    : public ::testing::TestWithParam<backup::ChunkerBackend> {};
+
+TEST_P(RetentionEndToEnd, ChurnDeleteGcCompactThroughBackupServer) {
   backup::ImageRepoConfig repo_cfg;
   repo_cfg.image_bytes = 2 * 1024 * 1024;
   repo_cfg.segment_bytes = 128 * 1024;
   repo_cfg.seed = 7;
   backup::ImageRepository repo(repo_cfg);
-  backup::BackupServer server(churn_server_config());
+  backup::BackupServer server(churn_server_config(GetParam()));
   backup::BackupAgent agent;
 
   // Back up 6 mostly-distinct snapshots.
@@ -582,6 +596,12 @@ TEST(RetentionEndToEnd, ChurnDeleteGcCompactThroughBackupServer) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RetentionEndToEnd,
+    ::testing::Values(backup::ChunkerBackend::kShredderGpu,
+                      backup::ChunkerBackend::kPthreadsCpu,
+                      backup::ChunkerBackend::kSharedService));
 
 TEST(RetentionEndToEnd, SelfHealingReshipsAfterOverzealousSweep) {
   // Delete + GC everything, then back the same content up again: every index

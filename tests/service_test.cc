@@ -228,6 +228,28 @@ TEST(ChunkingService, ChunkStreamMatchesShredderRun) {
 
 // --- Backpressure -----------------------------------------------------------
 
+// Consumer that stalls the store thread on every chunk it is handed.
+class SlowSink final : public ChunkSink {
+ public:
+  void on_batch(const ChunkBatchView& batch) override {
+    for (const auto& c : batch.chunks) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      delivered += c.size;
+    }
+  }
+  std::atomic<std::uint64_t> delivered{0};
+};
+
+// Consumer that blocks the store thread until `gate` is released.
+class GatedSink final : public ChunkSink {
+ public:
+  explicit GatedSink(std::shared_future<void> gate) : gate_(std::move(gate)) {}
+  void on_batch(const ChunkBatchView&) override { gate_.wait(); }
+
+ private:
+  std::shared_future<void> gate_;
+};
+
 TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   // Tiny queues everywhere and a consumer that stalls on every chunk: the
   // whole pipeline backs up to the producer, which must simply block (never
@@ -238,18 +260,15 @@ TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   cfg.tenant_queue_depth = 1;
 
   const auto data = random_bytes(120000, 21);
-  std::atomic<std::uint64_t> delivered{0};
+  SlowSink sink;
   ChunkingService svc(cfg);
   TenantOptions opts;
-  opts.on_chunk = [&](const chunking::Chunk& c) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    delivered += c.size;
-  };
+  opts.sink = &sink;
   const auto id = svc.open(std::move(opts));
   svc.submit(id, as_bytes(data));
   svc.finish(id);
   const auto result = svc.wait(id);
-  EXPECT_EQ(delivered.load(), data.size());
+  EXPECT_EQ(sink.delivered.load(), data.size());
   EXPECT_EQ(result.chunks, dedicated_chunks(cfg, as_bytes(data)));
   // The producer outran the device, so the dispatch queue really filled up.
   EXPECT_EQ(result.report.max_queue_depth, cfg.tenant_queue_depth);
@@ -261,15 +280,12 @@ TEST(ChunkingService, TrySubmitShedsLoadInsteadOfBlocking) {
   cfg.ring_slots = 2;
   cfg.tenant_queue_depth = 1;
 
-  // Stall the store thread on the first chunk so the pipeline stays full.
+  // Stall the store thread on its first batch so the pipeline stays full.
   std::promise<void> release;
-  std::shared_future<void> release_f(release.get_future());
-  std::atomic<bool> stalled{false};
+  GatedSink sink(release.get_future().share());
   ChunkingService svc(cfg);
   TenantOptions opts;
-  opts.on_chunk = [&, release_f](const chunking::Chunk&) {
-    if (!stalled.exchange(true)) release_f.wait();
-  };
+  opts.sink = &sink;
   const auto id = svc.open(std::move(opts));
 
   const auto buffer = random_bytes(cfg.buffer_bytes, 31);
@@ -307,12 +323,14 @@ TEST(ChunkingService, WeightedTenantFinishesFirstInVirtualTime) {
   const auto data_b = random_bytes(256 * 1024, 42);
   std::promise<void> gate;
   std::shared_future<void> gate_f(gate.get_future());
+  GatedSink heavy_sink(gate_f);
+  GatedSink light_sink(gate_f);
   ChunkingService svc(cfg);
   TenantOptions heavy;
   heavy.weight = 8;
-  heavy.on_chunk = [gate_f](const chunking::Chunk&) { gate_f.wait(); };
+  heavy.sink = &heavy_sink;
   TenantOptions light;
-  light.on_chunk = [gate_f](const chunking::Chunk&) { gate_f.wait(); };
+  light.sink = &light_sink;
   const auto id_a = svc.open(std::move(heavy));
   const auto id_b = svc.open(std::move(light));
 

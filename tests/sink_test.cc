@@ -1,13 +1,14 @@
-// Batch-first consumer API suite (core/sink.h, docs/backup_wire.md):
+// Batch consumer API suite (core/sink.h, docs/backup_wire.md):
 //
-//  * adapter equivalence — the per-chunk callback shims produce bit-identical
-//    chunk/digest streams to the batch path across Shredder, the service and
-//    the backup server;
+//  * sink equivalence — the batches a ChunkSink receives concatenate to
+//    exactly the collected result (chunks, digests, one eos batch) across
+//    Shredder and the service;
 //  * payload views — ChunkBatchView::chunk_bytes slices the real stream
 //    bytes, for in-memory runs and for streaming runs with a rolling tail;
-//  * extent-coalesced wire protocol — random duplicate-run layouts recreate
-//    bit-exactly, malformed batches are rejected, and the 2 KB small-chunk
-//    regression holds the >=1.5x link-stage win over per-chunk framing.
+//  * extent-coalesced wire protocol — every chunk ships once, random
+//    duplicate-run layouts recreate bit-exactly, malformed batches are
+//    rejected, and the 2 KB small-chunk point stays batched (one wire
+//    message per drained buffer, never one per chunk).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,7 +82,7 @@ core::ShredderConfig small_shredder_config(bool fingerprint) {
   return cfg;
 }
 
-// --- ChunkBatchView / PerChunkAdapter units --------------------------------
+// --- ChunkBatchView / PayloadTail units ------------------------------------
 
 TEST(ChunkBatchView, ChunkBytesSlicesAndBoundsChecks) {
   const ByteVec data = random_bytes(256, 1);
@@ -223,63 +224,24 @@ TEST(PayloadTailDeathTest, RejectsCarryBeyondTheStagedBuffer) {
                "carry reaches before the stream start");
 }
 
-TEST(PerChunkAdapter, ReplaysBatchAsPerChunkUpcalls) {
-  std::vector<chunking::Chunk> seen;
-  std::vector<dedup::ChunkDigest> seen_digests;
-  PerChunkAdapter adapter(
-      [&](const chunking::Chunk& c) { seen.push_back(c); },
-      [&](const chunking::Chunk&, const dedup::ChunkDigest& d) {
-        seen_digests.push_back(d);
-      });
-  EXPECT_FALSE(adapter.empty());
-  const std::vector<chunking::Chunk> chunks = {{0, 10}, {10, 20}};
-  const std::vector<dedup::ChunkDigest> digests = {
-      dedup::ChunkHasher::hash(as_bytes(random_bytes(4, 2))),
-      dedup::ChunkHasher::hash(as_bytes(random_bytes(4, 3)))};
-  ChunkBatchView view;
-  view.chunks = chunks;
-  view.digests = digests;
-  adapter.on_batch(view);
-  EXPECT_EQ(seen, chunks);
-  ASSERT_EQ(seen_digests.size(), 2u);
-  EXPECT_EQ(seen_digests[0], digests[0]);
-  EXPECT_EQ(seen_digests[1], digests[1]);
-  EXPECT_TRUE(PerChunkAdapter({}, {}).empty());
-}
-
-// --- Shredder: adapter equivalence + payload views -------------------------
+// --- Shredder: sink equivalence + payload views ----------------------------
 
 class ShredderSinkModes : public ::testing::TestWithParam<bool> {};
 
-TEST_P(ShredderSinkModes, CallbackShimMatchesBatchPath) {
+TEST_P(ShredderSinkModes, SinkMatchesResult) {
   const bool fingerprint = GetParam();
   const auto data = random_bytes(300000, 7);
 
-  core::Shredder a(small_shredder_config(fingerprint));
-  std::vector<chunking::Chunk> cb_chunks;
-  std::vector<dedup::ChunkDigest> cb_digests;
-  const auto cb_result = a.run(
-      as_bytes(data),
-      [&](const chunking::Chunk& c) { cb_chunks.push_back(c); },
-      [&](const chunking::Chunk&, const dedup::ChunkDigest& d) {
-        cb_digests.push_back(d);
-      });
-
-  core::Shredder b(small_shredder_config(fingerprint));
+  core::Shredder shredder(small_shredder_config(fingerprint));
   RecordingSink sink(/*want_payload=*/true);
-  const auto batch_result = b.run(as_bytes(data), sink);
+  const auto batch_result = shredder.run(as_bytes(data), sink);
 
-  // The shim and the batch path deliver bit-identical streams, both equal to
-  // the collected result.
-  EXPECT_EQ(cb_chunks, batch_result.chunks);
+  // The delivered batches concatenate to exactly the collected result.
   EXPECT_EQ(sink.chunks(), batch_result.chunks);
-  EXPECT_EQ(cb_result.chunks, batch_result.chunks);
   EXPECT_EQ(sink.eos_batches(), 1u);
   if (fingerprint) {
-    ASSERT_EQ(cb_digests.size(), batch_result.chunks.size());
     ASSERT_EQ(sink.digests().size(), batch_result.chunks.size());
-    for (std::size_t i = 0; i < cb_digests.size(); ++i) {
-      EXPECT_EQ(cb_digests[i], batch_result.digests[i]);
+    for (std::size_t i = 0; i < sink.digests().size(); ++i) {
       EXPECT_EQ(sink.digests()[i], batch_result.digests[i]);
     }
   } else {
@@ -333,7 +295,7 @@ TEST(ShredderSink, EmptyStreamDeliversOneEosBatch) {
   EXPECT_EQ(sink.eos_batches(), 1u);
 }
 
-// --- Service: adapter equivalence ------------------------------------------
+// --- Service: sink equivalence ---------------------------------------------
 
 service::ServiceConfig small_service_config(bool fingerprint) {
   service::ServiceConfig cfg;
@@ -348,47 +310,28 @@ service::ServiceConfig small_service_config(bool fingerprint) {
   return cfg;
 }
 
-TEST(ServiceSink, CallbackShimMatchesBatchPath) {
+TEST(ServiceSink, SinkMatchesResult) {
   for (const bool fingerprint : {false, true}) {
     service::ChunkingService svc(small_service_config(fingerprint));
     const auto data = random_bytes(200000, 21);
 
-    std::vector<chunking::Chunk> cb_chunks;
-    std::vector<dedup::ChunkDigest> cb_digests;
-    service::TenantOptions with_callbacks;
-    with_callbacks.on_chunk = [&](const chunking::Chunk& c) {
-      cb_chunks.push_back(c);
-    };
-    with_callbacks.on_digest = [&](const chunking::Chunk&,
-                                   const dedup::ChunkDigest& d) {
-      cb_digests.push_back(d);
-    };
     RecordingSink sink;
-    service::TenantOptions with_sink;
-    with_sink.sink = &sink;
-
-    const auto id_a = svc.open(std::move(with_callbacks));
-    const auto id_b = svc.open(std::move(with_sink));
-    for (const auto id : {id_a, id_b}) {
-      svc.submit(id, as_bytes(data));
-      svc.finish(id);
-    }
-    const auto res_a = svc.wait(id_a);
-    const auto res_b = svc.wait(id_b);
+    service::TenantOptions opts;
+    opts.sink = &sink;
+    const auto id = svc.open(std::move(opts));
+    svc.submit(id, as_bytes(data));
+    svc.finish(id);
+    const auto res = svc.wait(id);
     svc.shutdown();
 
-    EXPECT_EQ(res_a.chunks, res_b.chunks);
-    EXPECT_EQ(cb_chunks, res_a.chunks);
-    EXPECT_EQ(sink.chunks(), res_b.chunks);
+    EXPECT_EQ(sink.chunks(), res.chunks);
     EXPECT_EQ(sink.eos_batches(), 1u);
     EXPECT_FALSE(sink.batch_ends().empty());
-    EXPECT_EQ(sink.batch_ends().back(), res_b.chunks.size());
+    EXPECT_EQ(sink.batch_ends().back(), res.chunks.size());
     if (fingerprint) {
-      ASSERT_EQ(cb_digests.size(), res_a.chunks.size());
-      ASSERT_EQ(sink.digests().size(), res_b.chunks.size());
-      for (std::size_t i = 0; i < cb_digests.size(); ++i) {
-        EXPECT_EQ(sink.digests()[i], cb_digests[i]);
-      }
+      EXPECT_EQ(sink.digests(), res.digests);
+    } else {
+      EXPECT_TRUE(sink.digests().empty());
     }
   }
 }
@@ -460,9 +403,9 @@ TEST(ServiceSink, DedupStoreServiceDeliversPayloadViews) {
   }
 }
 
-// --- Backup: wire-framing equivalence + extent coalescing ------------------
+// --- Backup: extent-coalesced wire batches ---------------------------------
 
-backup::BackupServerConfig small_server_config(bool batch_link) {
+backup::BackupServerConfig small_server_config() {
   backup::BackupServerConfig cfg;
   cfg.chunker.window = 32;
   cfg.chunker.mask_bits = 11;  // ~2 KB chunks: the small-chunk operating point
@@ -471,41 +414,34 @@ backup::BackupServerConfig small_server_config(bool batch_link) {
   cfg.chunker.max_size = 8 * 1024;
   cfg.shredder.buffer_bytes = 512 * 1024;
   cfg.shredder.sim_threads = 4;
-  cfg.batch_link = batch_link;
   return cfg;
 }
 
-TEST(BackupWire, BatchFramingMatchesPerChunkFraming) {
+TEST(BackupWire, EveryChunkShipsOnceInCoalescedBatches) {
   backup::ImageRepoConfig repo_cfg;
   repo_cfg.image_bytes = 4 * 1024 * 1024;
   repo_cfg.segment_bytes = 128 * 1024;
   repo_cfg.seed = 5;
   backup::ImageRepository repo(repo_cfg);
-  backup::BackupServer per_chunk(small_server_config(false));
-  backup::BackupServer batched(small_server_config(true));
-  backup::BackupAgent agent_a, agent_b;
+  backup::BackupServer server(small_server_config());
+  backup::BackupAgent agent;
   for (int step = 0; step < 3; ++step) {
     const auto snap = repo.snapshot(0.2 * step, step + 1);
     const std::string id = "vm" + std::to_string(step);
-    const auto sa = per_chunk.backup_image(id, as_bytes(snap), repo, agent_a);
-    const auto sb = batched.backup_image(id, as_bytes(snap), repo, agent_b);
-    // Same chunks, same dedup decisions, same recreated images.
-    ASSERT_TRUE(sa.verified);
-    ASSERT_TRUE(sb.verified);
-    EXPECT_EQ(sa.chunks, sb.chunks);
-    EXPECT_EQ(sa.duplicate_chunks, sb.duplicate_chunks);
-    EXPECT_EQ(sa.unique_bytes, sb.unique_bytes);
-    EXPECT_EQ(agent_a.recreate(id), agent_b.recreate(id));
-    // Per-chunk framing ships one message per chunk (+1 begin_image);
-    // batch framing one per drained buffer.
-    EXPECT_EQ(sa.link_messages, sa.chunks + 1);
-    EXPECT_EQ(sa.link_extents, 0u);
-    EXPECT_LT(sb.link_messages, sa.link_messages / 4);
-    EXPECT_GT(sb.link_extents, 0u);
-    EXPECT_LT(sb.link_seconds, sa.link_seconds);
+    const auto stats = server.backup_image(id, as_bytes(snap), repo, agent);
+    ASSERT_TRUE(stats.verified);
+    EXPECT_EQ(agent.recreate(id), snap);
+    if (step > 0) {
+      EXPECT_GT(stats.duplicate_chunks, 0u);
+    }
+    // Every chunk rides the logical stream exactly once, every unique byte
+    // ships exactly once as payload, and the stream is batched: one message
+    // per drained buffer (+ begin/end), with duplicate runs as extents.
+    EXPECT_EQ(stats.transport.link.chunks, stats.chunks);
+    EXPECT_EQ(stats.transport.link.payload_bytes, stats.unique_bytes);
+    EXPECT_LT(stats.transport.link.messages, stats.chunks / 4);
+    EXPECT_GT(stats.transport.link.extents, 0u);
   }
-  EXPECT_EQ(agent_a.unique_bytes(), agent_b.unique_bytes());
-  EXPECT_EQ(agent_a.unique_chunks(), agent_b.unique_chunks());
 }
 
 TEST(BackupWire, ExtentCoalescingPropertyRandomDuplicateRuns) {
@@ -522,7 +458,7 @@ TEST(BackupWire, ExtentCoalescingPropertyRandomDuplicateRuns) {
   repo_cfg.segment_bytes = 128 * 1024;
   backup::ImageRepository repo(repo_cfg);
 
-  backup::BackupServer server(small_server_config(true));
+  backup::BackupServer server(small_server_config());
   backup::BackupAgent agent;
   for (int image = 0; image < 4; ++image) {
     ByteVec bytes;
@@ -617,36 +553,25 @@ TEST(BackupWire, ReceiveBatchRejectsMalformedFrames) {
 
 TEST(BackupWire, SmallChunkLinkRegressionAt2KB) {
   // The fig18-style small-chunk operating point: ~2 KB chunks, duplicate-
-  // heavy successor snapshot. Extent coalescing must cut the link stage by
-  // >=1.5x over per-chunk framing (the full-scale bar BENCH_agent.json
-  // enforces; this is the test-scale regression guard).
+  // heavy successor snapshot. This bound is what catches a slide back to
+  // per-chunk framing, where the message count would track the chunk count.
   backup::ImageRepoConfig repo_cfg;
   repo_cfg.image_bytes = 4 * 1024 * 1024;
   repo_cfg.segment_bytes = 256 * 1024;
   repo_cfg.seed = 17;
   backup::ImageRepository repo(repo_cfg);
 
-  backup::BackupRunStats per_chunk, batched;
-  for (const bool batch_link : {false, true}) {
-    backup::BackupServer server(small_server_config(batch_link));
-    backup::BackupAgent agent;
-    const auto base = repo.snapshot(0.0, 1);
-    server.backup_image("base", as_bytes(base), repo, agent);
-    const auto snap = repo.snapshot(0.05, 2);
-    const auto stats = server.backup_image("snap", as_bytes(snap), repo, agent);
-    ASSERT_TRUE(stats.verified);
-    (batch_link ? batched : per_chunk) = stats;
-  }
-  EXPECT_EQ(batched.chunks, per_chunk.chunks);
-  EXPECT_EQ(batched.duplicate_chunks, per_chunk.duplicate_chunks);
-  // The link-stage bar, and the end-to-end consequence: with the per-chunk
-  // message term gone the batch path can only be faster.
-  EXPECT_GE(per_chunk.link_seconds, 1.5 * batched.link_seconds);
-  EXPECT_GE(batched.backup_bandwidth_gbps, per_chunk.backup_bandwidth_gbps);
+  backup::BackupServer server(small_server_config());
+  backup::BackupAgent agent;
+  const auto base = repo.snapshot(0.0, 1);
+  server.backup_image("base", as_bytes(base), repo, agent);
+  const auto snap = repo.snapshot(0.05, 2);
+  const auto stats = server.backup_image("snap", as_bytes(snap), repo, agent);
+  ASSERT_TRUE(stats.verified);
   // One wire message per drained 512 KiB buffer, segmented by the transport
   // at 256 KiB of frame content (so a payload-heavy buffer can split into up
   // to three frames), plus the begin/end image control frames.
-  EXPECT_LE(batched.link_messages,
+  EXPECT_LE(stats.transport.link.messages,
             3 * (repo_cfg.image_bytes / (512 * 1024)) + 2);
 }
 

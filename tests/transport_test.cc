@@ -2,7 +2,7 @@
 // (backup/transport.h): differential schedules of loss, reordering,
 // duplication, delay and agent stalls must never change a delivered byte,
 // only the accounted recovery work. Also the typed-ProtocolError negative
-// tests for malformed frames and the LinkStats accounting identities.
+// tests for malformed frames and the LinkStats closed-form accounting.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "backup/agent.h"
 #include "backup/backup_server.h"
 #include "backup/image.h"
-#include "backup/link.h"
 #include "backup/transport.h"
 #include "common/rng.h"
 #include "service/service.h"
@@ -103,19 +102,53 @@ void expect_accounting(const TransportStats& ts) {
 
 // --- differential fault matrix --------------------------------------------
 
-TEST(Transport, LosslessMatchesAgentLinkStream) {
-  const Stream s = make_stream(11, 6, 24);
-  // Reference: the fire-and-forget link.
-  BackupAgent ref_agent;
-  AgentLink link(ref_agent, LinkCostModel{});
-  link.begin_image("img");
-  for (const auto& batch : s.batches) link.send_batch("img", batch);
-  EXPECT_EQ(ref_agent.recreate("img"), s.image);
-
+TEST(Transport, LosslessLinkStatsMatchClosedFormCostModel) {
+  // A begin frame, one mixed unique/duplicate batch and an end frame over a
+  // lossless wire: the logical link stats are exactly the LinkCostModel sum
+  // over the three frames, and no recovery machinery fires.
+  const TransportConfig cfg;
+  const LinkCostModel& costs = cfg.link;
   BackupAgent agent;
-  const TransportStats ts = ship(agent, s, TransportConfig{});
-  EXPECT_EQ(agent.recreate("img"), s.image);
-  EXPECT_TRUE(agent.image_sealed("img"));
+  Transport t(agent, cfg);
+
+  const auto a = random_bytes(1000, 1);
+  const auto b = random_bytes(500, 2);
+  const auto da = dedup::ChunkHasher::hash(as_bytes(a));
+  const auto db = dedup::ChunkHasher::hash(as_bytes(b));
+
+  std::uint64_t wire = 0;
+  double seconds = 0;
+  const auto msg = [&](std::size_t content) {
+    wire += costs.msg_header_bytes + content;
+    seconds += costs.msg_s +
+               static_cast<double>(costs.msg_header_bytes + content) /
+                   costs.bw;
+  };
+
+  t.begin_image("img");
+  msg(3);  // "img"
+  BackupAgent::ExtentBatch batch;
+  batch.digests = {da, db, da, da};  // two uniques, then a two-pointer run
+  batch.extents = {{0, 2, true}, {2, 2, false}};
+  batch.payload_sizes = {static_cast<std::uint32_t>(a.size()),
+                         static_cast<std::uint32_t>(b.size())};
+  batch.payload = a;
+  batch.payload.insert(batch.payload.end(), b.begin(), b.end());
+  t.send_batch("img", batch);
+  msg(4 * sizeof(dedup::ChunkDigest) + 2 * costs.extent_record_bytes +
+      2 * sizeof(std::uint32_t) + a.size() + b.size());
+  t.end_image("img");
+  msg(3 + sizeof(std::uint64_t));  // "img" + expected chunk count
+  t.flush();
+
+  const TransportStats& ts = t.stats();
+  EXPECT_EQ(ts.link.messages, 3u);
+  EXPECT_EQ(ts.link.chunks, 4u);
+  EXPECT_EQ(ts.link.extents, 2u);
+  EXPECT_EQ(ts.link.wire_bytes, wire);
+  EXPECT_EQ(ts.link.payload_bytes, a.size() + b.size());
+  EXPECT_NEAR(ts.link.virtual_seconds, seconds, 1e-12);
+
   expect_accounting(ts);
   EXPECT_EQ(ts.retransmits, 0u);
   EXPECT_EQ(ts.rto_fires, 0u);
@@ -123,14 +156,16 @@ TEST(Transport, LosslessMatchesAgentLinkStream) {
   EXPECT_EQ(ts.repair_requests, 0u);
   EXPECT_EQ(ts.frames_dropped, 0u);
   EXPECT_FALSE(ts.degraded);
-  // Both sides agree on the stream contents.
-  EXPECT_EQ(agent.unique_chunks(), ref_agent.unique_chunks());
-  EXPECT_EQ(agent.unique_bytes(), ref_agent.unique_bytes());
-  // The logical link accounting covers every chunk exactly once, and the
-  // makespan of the serialized simulation stays within the final handshake
-  // of the fire-and-forget serialized time.
-  EXPECT_EQ(ts.link.chunks, 6u * 24u);
+  // The makespan of the serialized simulation stays within the final ack
+  // round trip of the logical serialized time.
   EXPECT_NEAR(ts.virtual_seconds, ts.link.virtual_seconds, 1e-3);
+
+  EXPECT_TRUE(agent.image_sealed("img"));
+  ByteVec expect(a);
+  expect.insert(expect.end(), b.begin(), b.end());
+  expect.insert(expect.end(), a.begin(), a.end());
+  expect.insert(expect.end(), a.begin(), a.end());
+  EXPECT_EQ(agent.recreate("img"), expect);
 }
 
 TEST(Transport, FaultMatrixDeliversBitIdenticalImages) {
@@ -353,14 +388,14 @@ TEST(BackupAgent, StrippedBatchAndRepairFlow) {
   }
   // A corrupt repair payload must not poison the store.
   try {
-    agent.receive_repair(da, as_bytes(b));
+    agent.receive_repair(da, ByteVec(b));
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.violation(), ProtocolViolation::kBadRepairPayload);
   }
-  EXPECT_TRUE(agent.receive_repair(da, as_bytes(a)));
-  EXPECT_FALSE(agent.receive_repair(da, as_bytes(a)));  // duplicate repair
-  EXPECT_TRUE(agent.receive_repair(db, as_bytes(b)));
+  EXPECT_TRUE(agent.receive_repair(da, ByteVec(a)));
+  EXPECT_FALSE(agent.receive_repair(da, ByteVec(a)));  // duplicate repair
+  EXPECT_TRUE(agent.receive_repair(db, ByteVec(b)));
   EXPECT_EQ(agent.pending_repairs(), 0u);
   ByteVec expect(a);
   expect.insert(expect.end(), b.begin(), b.end());
@@ -455,59 +490,6 @@ TEST(BackupAgent, MalformedFramesCarryTypedViolations) {
   ok.payload = a;
   agent.receive_batch("img", ok);
   EXPECT_EQ(agent.recreate("img"), a);
-}
-
-// --- LinkStats accounting (mixed send / send_batch) ------------------------
-
-TEST(AgentLink, MixedTrafficAccountingIsExact) {
-  const LinkCostModel costs;
-  BackupAgent agent;
-  AgentLink link(agent, costs);
-
-  const auto a = random_bytes(1000, 1);
-  const auto b = random_bytes(500, 2);
-  const auto da = dedup::ChunkHasher::hash(as_bytes(a));
-  const auto db = dedup::ChunkHasher::hash(as_bytes(b));
-
-  std::uint64_t wire = 0;
-  double seconds = 0;
-  const auto msg = [&](std::size_t content) {
-    wire += costs.msg_header_bytes + content;
-    seconds += costs.msg_s +
-               static_cast<double>(costs.msg_header_bytes + content) /
-                   costs.bw;
-  };
-
-  link.begin_image("img");
-  msg(3);  // "img"
-  link.send("img", {da, a});
-  msg(sizeof(dedup::ChunkDigest) + a.size());
-  link.send("img", {da, {}});
-  msg(sizeof(dedup::ChunkDigest));
-
-  BackupAgent::ExtentBatch batch;
-  batch.digests = {db, da};
-  batch.extents = {{0, 1, true}, {1, 1, false}};
-  batch.payload_sizes = {static_cast<std::uint32_t>(b.size())};
-  batch.payload = b;
-  link.send_batch("img", batch);
-  msg(2 * sizeof(dedup::ChunkDigest) + 2 * costs.extent_record_bytes +
-      sizeof(std::uint32_t) + b.size());
-
-  const LinkStats& st = link.stats();
-  EXPECT_EQ(st.messages, 4u);
-  EXPECT_EQ(st.chunks, 4u);    // 2 per-chunk sends + 2 batch entries
-  EXPECT_EQ(st.extents, 2u);   // only batch messages carry extent records
-  EXPECT_EQ(st.wire_bytes, wire);
-  EXPECT_EQ(st.payload_bytes, a.size() + b.size());
-  EXPECT_NEAR(st.virtual_seconds, seconds, 1e-12);
-  EXPECT_EQ(agent.recreate("img"), [&] {
-    ByteVec e(a);
-    e.insert(e.end(), a.begin(), a.end());
-    e.insert(e.end(), b.begin(), b.end());
-    e.insert(e.end(), a.begin(), a.end());
-    return e;
-  }());
 }
 
 // --- end-to-end through BackupServer ---------------------------------------
@@ -618,9 +600,9 @@ TEST(BackupServer, ServiceTenantTransportOverridesAndHealth) {
   EXPECT_TRUE(sl.verified);
   EXPECT_TRUE(sc.verified);
   EXPECT_GT(sl.transport.retransmits, 0u);
-  EXPECT_TRUE(sl.link_degraded);  // 25% loss is far past the 5% threshold
+  EXPECT_TRUE(sl.transport.degraded);  // 25% loss: far past the 5% bar
   EXPECT_EQ(sc.transport.retransmits, 0u);
-  EXPECT_FALSE(sc.link_degraded);
+  EXPECT_FALSE(sc.transport.degraded);
 
   // Both snapshots reported their transport health to the service.
   const auto health = svc->transport_health();
