@@ -1,8 +1,12 @@
-// SHA-256 (FIPS 180-4), from scratch.
+// SHA-256 (FIPS 180-4), from scratch — the chunk fingerprint of the
+// dedup/backup stack (dedup::ChunkDigest, dedup/digest.h) and the inner loop
+// of the simulated device hash kernel (core::fingerprint_on_gpu).
 //
-// Offered alongside SHA-1 for deployments that want a stronger chunk hash;
-// the backup case study defaults to SHA-1 (the common choice in 2012-era
-// dedup systems), tests cover both against the NIST vectors.
+// update() hands each run of whole 64-byte blocks to one compression
+// function picked once per process by CPUID: the x86 SHA-extensions kernel
+// when the CPU has SHA + SSSE3 + SSE4.1, the portable loop otherwise
+// (dedup/sha256_compress.h). No build flag selects it; digests are identical
+// either way, and the tests run both against each other and the NIST vectors.
 #pragma once
 
 #include <array>
@@ -32,8 +36,6 @@ class Sha256 {
   static Sha256Digest hash(ByteSpan data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t h_[8];
   std::uint64_t length_ = 0;
   std::array<std::uint8_t, 64> buffer_{};

@@ -1,6 +1,8 @@
 #include "retention/manifest.h"
 
 #include <algorithm>
+#include <set>
+#include <string_view>
 #include <utility>
 
 namespace shredder::retention {
@@ -41,6 +43,9 @@ void ManifestStore::begin_image(const std::string& tenant,
                              describe(tenant, image) + " is live");
   }
   images_[Key{tenant, image}] = Image{};
+  if (dead_chunk_records_ != 0 && 2 * dead_chunk_records_ >= chunk_records_) {
+    drop_dead_chunks_locked();
+  }
   append_locked(ManifestOp::kBegin, tenant, image);
 }
 
@@ -61,6 +66,7 @@ void ManifestStore::append_chunk(const std::string& tenant,
   }
   img->digests.push_back(digest);
   append_locked(ManifestOp::kChunk, tenant, image, digest);
+  ++chunk_records_;
 }
 
 void ManifestStore::seal_image(const std::string& tenant,
@@ -126,6 +132,7 @@ void ManifestStore::commit_delete(const std::string& tenant,
                              describe(tenant, image) + " is not mid-delete");
   }
   img->state = ImageState::kDeleted;
+  dead_chunk_records_ += img->digests.size();
   img->digests.clear();
   img->digests.shrink_to_fit();
   append_locked(ManifestOp::kDeleteCommit, tenant, image);
@@ -226,6 +233,8 @@ std::uint64_t ManifestStore::replay_locked(
     std::vector<ManifestRecord> records) {
   images_.clear();
   log_.clear();
+  chunk_records_ = 0;
+  dead_chunk_records_ = 0;
   for (ManifestRecord& r : records) {
     const Key key{r.tenant, r.image};
     const auto it = images_.find(key);
@@ -241,6 +250,7 @@ std::uint64_t ManifestStore::replay_locked(
       case ManifestOp::kChunk:
         if (img != nullptr && img->state == ImageState::kInProgress) {
           img->digests.push_back(r.digest);
+          ++chunk_records_;
           applied = true;
         }
         break;
@@ -259,6 +269,7 @@ std::uint64_t ManifestStore::replay_locked(
       case ManifestOp::kDeleteCommit:
         if (img != nullptr && img->state == ImageState::kDeleting) {
           img->state = ImageState::kDeleted;
+          dead_chunk_records_ += img->digests.size();
           img->digests.clear();
           applied = true;
         }
@@ -282,10 +293,37 @@ std::uint64_t ManifestStore::rebuild_from_log(
   return replay_locked(std::move(records));
 }
 
+void ManifestStore::drop_dead_chunks_locked() {
+  // An id is only reused once its delete committed, so a kChunk is dead
+  // exactly when a kDeleteCommit of its id comes later in the log. Walk
+  // newest first, collecting those ids.
+  std::set<std::pair<std::string_view, std::string_view>> committed;
+  std::vector<bool> dead(log_.size(), false);
+  for (std::size_t i = log_.size(); i-- > 0;) {
+    const ManifestRecord& r = log_[i];
+    const std::pair<std::string_view, std::string_view> key{r.tenant, r.image};
+    if (r.op == ManifestOp::kDeleteCommit) {
+      committed.insert(key);
+    } else if (r.op == ManifestOp::kChunk) {
+      dead[i] = committed.contains(key);
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < log_.size(); ++i) {
+    if (dead[i]) continue;
+    if (kept != i) log_[kept] = std::move(log_[i]);
+    ++kept;
+  }
+  log_.erase(log_.begin() + static_cast<std::ptrdiff_t>(kept), log_.end());
+  chunk_records_ -= dead_chunk_records_;
+  dead_chunk_records_ = 0;
+}
+
 ManifestStore::CompactionStats ManifestStore::compact() {
   MutexLock lock(mu_);
   CompactionStats cs;
   cs.records_before = log_.size();
+  drop_dead_chunks_locked();
   std::vector<ManifestRecord> kept;
   kept.reserve(log_.size());
   for (ManifestRecord& r : log_) {

@@ -13,6 +13,11 @@
 // the two records, so a crash mid-walk recovers with intent logged and the
 // retention manager rolls the delete forward, recomputing store refcounts
 // from the surviving live manifests.
+//
+// The log cleans itself: once the kChunk records of deleted images are at
+// least half of the log's kChunk records, the next begin_image drops them.
+// A deleted image keeps its four control records, so it still reads (and
+// rebuilds) as kDeleted; only compact() forgets it.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +82,8 @@ class ManifestStore {
   // --- Recording (the backup path) ---
   // Throws RetentionError{kImageExists} if (tenant, image) is live
   // (in-progress, sealed or mid-delete); a fully deleted id may be reused.
+  // Drops the dead kChunk records first when they are at least half of the
+  // log's kChunk records.
   void begin_image(const std::string& tenant, const std::string& image);
   // Throws kUnknownImage / kImageSealed.
   void append_chunk(const std::string& tenant, const std::string& image,
@@ -132,7 +139,8 @@ class ManifestStore {
   std::uint64_t rebuild_from_log(std::vector<ManifestRecord> records);
 
   // Rewrites the log dropping deleted images' records (and their
-  // tombstones) entirely. After compaction a purged image id reads as
+  // tombstones) entirely, plus the kChunk records of earlier, deleted
+  // incarnations of reused ids. After compaction a purged image id reads as
   // kUnknownImage and may be reused.
   struct CompactionStats {
     std::uint64_t records_before = 0;
@@ -158,10 +166,15 @@ class ManifestStore {
                      const dedup::ChunkDigest& digest = {}) REQUIRES(mu_);
   std::uint64_t replay_locked(std::vector<ManifestRecord> records)
       REQUIRES(mu_);
+  // Erases every kChunk record of a deleted incarnation from log_.
+  void drop_dead_chunks_locked() REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::map<Key, Image> images_ GUARDED_BY(mu_);
   std::vector<ManifestRecord> log_ GUARDED_BY(mu_);
+  // kChunk records in log_, and how many of them belong to deleted images.
+  std::uint64_t chunk_records_ GUARDED_BY(mu_) = 0;
+  std::uint64_t dead_chunk_records_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace shredder::retention

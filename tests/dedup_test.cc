@@ -1,11 +1,14 @@
-// Tests for the dedup substrate: SHA-1/SHA-256 against official vectors,
-// chunk index, content-addressed store, and the deduplicator.
+// Tests for the dedup substrate: SHA-1/SHA-256 against official vectors
+// (SHA-256 through both compression paths), chunk index, content-addressed
+// store, and the deduplicator.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "chunking/cdc.h"
 #include "common/rng.h"
@@ -13,6 +16,7 @@
 #include "dedup/index.h"
 #include "dedup/sha1.h"
 #include "dedup/sha256.h"
+#include "dedup/sha256_compress.h"
 #include "dedup/store.h"
 
 namespace shredder::dedup {
@@ -112,6 +116,126 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     pos += n;
   }
   EXPECT_EQ(h.finish(), Sha256::hash(as_bytes(data)));
+}
+
+TEST(Sha256, FinishResets) {
+  Sha256 h;
+  h.update(str_bytes("abc"));
+  h.finish();
+  h.update(str_bytes("abc"));
+  EXPECT_EQ(h.finish().hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// --- SHA-256 compression paths (dedup/sha256_compress.h) ---
+//
+// Sha256 runs whichever compression function CPUID picked; these run the
+// portable loop and the SHA-NI kernel side by side through a test-local
+// padder, so both paths are checked on every machine that has both.
+
+// Full SHA-256 of `msg` through one compression function. The padded
+// message sits `offset` bytes into its buffer so the kernel reads unaligned
+// blocks.
+Sha256Digest digest_with(sha256_compress::CompressFn fn, ByteSpan msg,
+                         std::size_t offset) {
+  const std::size_t padded = (msg.size() + 9 + 63) / 64 * 64;
+  std::vector<std::uint8_t> buf(offset + padded, 0);
+  std::uint8_t* block = buf.data() + offset;
+  if (!msg.empty()) std::memcpy(block, msg.data(), msg.size());
+  block[msg.size()] = 0x80;
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[padded - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  std::uint32_t state[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                            0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                            0x1f83d9abu, 0x5be0cd19u};
+  fn(state, block, padded / 64);
+  Sha256Digest d;
+  for (std::size_t i = 0; i < 32; ++i) {
+    d.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return d;
+}
+
+struct NistVector {
+  std::string message;
+  const char* hex;
+};
+
+std::vector<NistVector> nist_vectors() {
+  return {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+TEST(Sha256Compress, PortableMatchesNistVectors) {
+  for (const auto& v : nist_vectors()) {
+    EXPECT_EQ(digest_with(sha256_compress::portable, as_bytes(v.message), 0)
+                  .hex(),
+              v.hex)
+        << v.message.size() << "-byte message";
+  }
+}
+
+TEST(Sha256Compress, HardwareMatchesNistVectors) {
+  if (!sha256_compress::hardware_available()) {
+    GTEST_SKIP() << "CPUID reports no SHA/SSSE3/SSE4.1; SHA-NI path not run";
+  }
+  for (const auto& v : nist_vectors()) {
+    EXPECT_EQ(digest_with(sha256_compress::hardware, as_bytes(v.message), 0)
+                  .hex(),
+              v.hex)
+        << v.message.size() << "-byte message";
+  }
+}
+
+// Every length 0..1100 (all the 55/56/63/64/119/120 padding edges and
+// multi-block runs), each at a different misalignment: the hardware kernel
+// equals the portable oracle block for block.
+TEST(Sha256Compress, HardwareMatchesPortableAtEveryLength) {
+  if (!sha256_compress::hardware_available()) {
+    GTEST_SKIP() << "CPUID reports no SHA/SSSE3/SSE4.1; SHA-NI path not run";
+  }
+  const auto data = random_bytes(1100, 11);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const ByteSpan msg = ByteSpan(data).first(len);
+    const std::size_t offset = 1 + len % 15;
+    ASSERT_EQ(digest_with(sha256_compress::hardware, msg, offset),
+              digest_with(sha256_compress::portable, msg, 0))
+        << "length " << len << " offset " << offset;
+  }
+}
+
+// The public hasher (dispatched compression, buffered update, one-step
+// padding in finish) against the portable oracle: every length 0..1100,
+// input at offsets 1..15, fed through random update() split points.
+TEST(Sha256Compress, HasherMatchesPortableUnderRandomSplits) {
+  std::vector<std::uint8_t> storage(16 + 1100);
+  SplitMix64 fill(12);
+  for (auto& b : storage) b = static_cast<std::uint8_t>(fill.next());
+  SplitMix64 rng(13);
+  Sha256 h;
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const std::size_t offset = 1 + len % 15;
+    const ByteSpan msg = ByteSpan(storage).subspan(offset, len);
+    std::size_t pos = 0;
+    while (pos < len) {
+      const std::size_t n =
+          std::min<std::size_t>(rng.next_below(150), len - pos);
+      h.update(msg.subspan(pos, n));
+      pos += n;
+    }
+    const Sha256Digest expect = digest_with(sha256_compress::portable, msg, 0);
+    ASSERT_EQ(h.finish(), expect) << "length " << len << " offset " << offset;
+    ASSERT_EQ(Sha256::hash(msg), expect) << "length " << len;
+  }
 }
 
 // --- ChunkIndex ---

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -178,6 +179,72 @@ TEST(ManifestStore, CompactionPurgesDeletedImages) {
   ManifestStore rebuilt;
   rebuilt.rebuild_from_log(m.log_records());
   EXPECT_EQ(rebuilt.digests("t", "keep"), m.digests("t", "keep"));
+}
+
+// Without compact() the log still stays bounded: begin_image drops deleted
+// images' kChunk records once they are half of the log's kChunk records and
+// keeps their control records. A store recovered from its own log every
+// round (rebuild_from_log recounts the dead records) cleans identically and
+// reports every id's state — deleted and reused ids included.
+TEST(ManifestStore, LogDropsDeletedChunkRecordsOnAppend) {
+  // With four images kept the log purges every third round, so a recovered
+  // store that lost its dead-record count would fall behind.
+  constexpr int kRounds = 210;
+  constexpr std::size_t kKeep = 4;
+  constexpr std::uint64_t kChunks = 16;
+  constexpr int kIds = 7;  // ids come back once their delete committed
+  ManifestStore m;
+  auto recovered = std::make_unique<ManifestStore>();
+  std::deque<std::string> live;
+  std::uint64_t deletes = 0;
+  std::uint64_t seed = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    if (live.size() == kKeep) {
+      for (ManifestStore* s : {&m, recovered.get()}) {
+        s->begin_delete("t", live.front());
+        s->commit_delete("t", live.front());
+      }
+      live.pop_front();
+      ++deletes;
+    }
+    std::vector<ChunkDigest> ds;
+    for (std::uint64_t k = 0; k < kChunks; ++k) ds.push_back(synth_digest(seed++));
+    live.push_back("img" + std::to_string(r % kIds));
+    m.record_image("t", live.back(), ds);
+    recovered->record_image("t", live.back(), ds);
+
+    // Live kChunk records twice over, four control records per deleted
+    // incarnation, begin + seal per live image.
+    const std::uint64_t live_chunk_records = live.size() * kChunks;
+    ASSERT_LE(m.record_count(),
+              2 * live_chunk_records + 4 * deletes + 2 * live.size())
+        << "round " << r;
+
+    auto next = std::make_unique<ManifestStore>();
+    EXPECT_EQ(next->rebuild_from_log(recovered->log_records()), 0u);
+    recovered = std::move(next);
+    ASSERT_EQ(recovered->record_count(), m.record_count()) << "round " << r;
+    for (int i = 0; i < kIds; ++i) {
+      const std::string id = "img" + std::to_string(i);
+      ASSERT_EQ(recovered->state("t", id), m.state("t", id))
+          << id << " round " << r;
+      if (m.state("t", id) == ImageState::kSealed) {
+        EXPECT_EQ(recovered->digests("t", id), m.digests("t", id)) << id;
+      }
+    }
+  }
+  EXPECT_EQ(m.deleted_images(), static_cast<std::uint64_t>(kIds) - kKeep);
+
+  // compact() still purges deleted ids outright. The live ids keep their
+  // current incarnation whole and only the control records of their
+  // kRounds / kIds - 1 earlier, deleted ones.
+  const auto cs = m.compact();
+  EXPECT_EQ(cs.images_purged, static_cast<std::uint64_t>(kIds) - kKeep);
+  EXPECT_EQ(m.record_count(),
+            kKeep * (kChunks + 2) + 4 * kKeep * (kRounds / kIds - 1));
+  for (const std::string& id : live) {
+    EXPECT_EQ(m.state("t", id), ImageState::kSealed);
+  }
 }
 
 // --- RetentionManager: delete walk, epoch/pin GC ---------------------------
