@@ -13,7 +13,7 @@ compile time is spent. Two invariant families:
        chunking <- dedup
        {common, dedup, obs} <- retention
        {rabin, chunking, gpusim, dedup, obs} <- core
-       {core, retention} <- service
+       core <- service
        {core, dedup, retention, service} <- backup
        {core, dedup} <- {inchdfs, redelim}
 
@@ -72,7 +72,7 @@ DIRECT_DEPS: dict[str, set[str]] = {
     "dedup": {"common", "chunking"},
     "retention": {"common", "dedup", "obs"},
     "core": {"common", "rabin", "chunking", "gpusim", "dedup", "obs"},
-    "service": {"core", "retention"},
+    "service": {"core"},
     "backup": {"core", "dedup", "retention", "service"},
     "inchdfs": {"core", "dedup"},
     "redelim": {"core", "dedup"},

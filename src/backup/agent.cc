@@ -6,9 +6,6 @@
 
 namespace shredder::backup {
 
-BackupAgent::BackupAgent(dedup::IndexConfig catalog_config)
-    : catalog_(dedup::make_index(catalog_config)) {}
-
 bool BackupAgent::begin_image(const std::string& image_id) {
   auto [it, inserted] = recipes_.try_emplace(image_id);
   if (!inserted && it->second.sealed) {
@@ -94,20 +91,17 @@ void BackupAgent::validate_batch(const ExtentBatch& batch, bool stripped) {
   }
 }
 
-void BackupAgent::admit_chunk(const dedup::ChunkDigest& digest,
-                              ByteSpan bytes) {
-  store_.put(digest, bytes);
-  catalog_->lookup_or_insert(
-      digest, dedup::ChunkLocation{catalog_offset_, bytes.size()});
-  catalog_offset_ += bytes.size();
-}
-
-void BackupAgent::admit_chunk(const dedup::ChunkDigest& digest,
-                              ByteVec&& bytes) {
-  const std::size_t size = bytes.size();
-  store_.put(digest, std::move(bytes));
-  catalog_->lookup_or_insert(digest, dedup::ChunkLocation{catalog_offset_, size});
-  catalog_offset_ += size;
+void BackupAgent::reference_pointer(const dedup::ChunkDigest& digest) {
+  if (const auto pending = pending_repair_.find(digest);
+      pending != pending_repair_.end()) {
+    // The chunk's payload is still in flight on the repair path: defer the
+    // reference until the repair lands.
+    ++pending->second;
+  } else if (!store_.add_ref(digest)) {
+    throw ProtocolError(
+        ProtocolViolation::kUnknownPointer,
+        "BackupAgent: pointer to unknown chunk (protocol violation)");
+  }
 }
 
 void BackupAgent::receive_batch(const std::string& image_id,
@@ -125,22 +119,10 @@ void BackupAgent::receive_batch(const std::string& image_id,
       const dedup::ChunkDigest& digest = batch.digests[e.first + k];
       if (e.unique) {
         const std::size_t sz = batch.payload_sizes[next_size++];
-        admit_chunk(digest, payload.subspan(payload_off, sz));
+        store_.put(digest, payload.subspan(payload_off, sz));
         payload_off += sz;
-      } else if (const auto pending = pending_repair_.find(digest);
-                 pending != pending_repair_.end()) {
-        // Pointer to a chunk whose payload is still in flight on the repair
-        // path: defer the reference until the repair lands.
-        ++pending->second;
       } else {
-        // Membership goes through the catalog index (the modelled probe);
-        // the ref-counted store stays the ground truth for payload bytes.
-        if (!catalog_->lookup(digest).has_value() ||
-            !store_.add_ref(digest)) {
-          throw ProtocolError(
-              ProtocolViolation::kUnknownPointer,
-              "BackupAgent: pointer to unknown chunk (protocol violation)");
-        }
+        reference_pointer(digest);
       }
       recipe.chunks.push_back(digest);
     }
@@ -157,15 +139,7 @@ std::vector<dedup::ChunkDigest> BackupAgent::receive_stripped(
     for (std::uint32_t k = 0; k < e.count; ++k) {
       const dedup::ChunkDigest& digest = batch.digests[e.first + k];
       if (!e.unique) {
-        if (const auto pending = pending_repair_.find(digest);
-            pending != pending_repair_.end()) {
-          ++pending->second;
-        } else if (!catalog_->lookup(digest).has_value() ||
-                   !store_.add_ref(digest)) {
-          throw ProtocolError(
-              ProtocolViolation::kUnknownPointer,
-              "BackupAgent: pointer to unknown chunk (protocol violation)");
-        }
+        reference_pointer(digest);
         recipe.chunks.push_back(digest);
         continue;
       }
@@ -201,7 +175,7 @@ bool BackupAgent::receive_repair(const dedup::ChunkDigest& digest,
   }
   const std::uint64_t refs = pending->second;
   pending_repair_.erase(pending);
-  admit_chunk(digest, std::move(payload));  // stores with one reference
+  store_.put(digest, std::move(payload));  // stores with one reference
   for (std::uint64_t r = 1; r < refs; ++r) store_.add_ref(digest);
   return true;
 }

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -26,7 +25,6 @@
 
 #include "common/bytes.h"
 #include "dedup/digest.h"
-#include "dedup/index.h"
 #include "dedup/store.h"
 
 namespace shredder::backup {
@@ -63,13 +61,6 @@ class ProtocolError : public std::invalid_argument {
 
 class BackupAgent {
  public:
-  // The agent keeps a fingerprint catalog in front of its chunk store — the
-  // same IndexKind knob as the server side, so the backup site's membership
-  // path can be modelled with either the baseline map or the ChunkStash-
-  // style sparse index (docs/dedup_index.md). Results are exact either way;
-  // only the modelled catalog time (catalog_seconds) differs.
-  explicit BackupAgent(dedup::IndexConfig catalog_config = {});
-
   // One extent-coalesced wire batch (docs/backup_wire.md): everything one
   // drained server buffer finalized. `digests` names every chunk in stream
   // order; `extents` is a run-length partition of them into duplicate-
@@ -156,11 +147,6 @@ class BackupAgent {
   std::uint64_t unique_chunks() const { return store_.unique_chunks(); }
   std::uint64_t unique_bytes() const { return store_.unique_bytes(); }
 
-  // Modelled time the catalog index has consumed answering the server's
-  // chunk/pointer stream.
-  double catalog_seconds() const { return catalog_->virtual_seconds(); }
-  const dedup::IndexBackend& catalog() const noexcept { return *catalog_; }
-
  private:
   struct Recipe {
     std::vector<dedup::ChunkDigest> chunks;
@@ -174,13 +160,14 @@ class BackupAgent {
   // batches must slice exactly.
   static void validate_batch(const ExtentBatch& batch, bool stripped);
 
-  // Stores a freshly arrived unique chunk and registers it in the catalog.
-  void admit_chunk(const dedup::ChunkDigest& digest, ByteSpan bytes);
-  void admit_chunk(const dedup::ChunkDigest& digest, ByteVec&& bytes);
+  // Takes the recipe reference a duplicate pointer names: deferred while
+  // the chunk is repair-pending, else a store reference. The content-
+  // addressed store answers membership, so a pointer to a digest it does not
+  // hold (never shipped, or reclaimed by delete_image) throws
+  // ProtocolError{kUnknownPointer}.
+  void reference_pointer(const dedup::ChunkDigest& digest);
 
   dedup::ChunkStore store_;
-  std::unique_ptr<dedup::IndexBackend> catalog_;
-  std::uint64_t catalog_offset_ = 0;
   std::map<std::string, Recipe> recipes_;
   // Pending-repair table: digest -> recipe references recorded so far. When
   // the repair payload arrives the chunk is stored once and ref-counted up

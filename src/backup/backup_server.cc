@@ -38,10 +38,10 @@ BackupServer::BackupServer(BackupServerConfig config)
     : config_(std::move(config)) {
   config_.chunker.validate();
   // The transport's repair source: every unique chunk the server ships is
-  // also retained here, so a re-requested digest can always
-  // be served. Shareable (e.g. with a dedup_on_store service). Server-owned
-  // instances run in deferred-reclaim mode: snapshot deletes park zero-ref
-  // chunks for the GC epoch protocol instead of freeing them inline.
+  // also retained here, so a re-requested digest can always be served.
+  // Shareable across servers. Server-owned instances run in deferred-reclaim
+  // mode: snapshot deletes park zero-ref chunks for the GC epoch protocol
+  // instead of freeing them inline.
   store_ = config_.store ? config_.store
                          : std::make_shared<dedup::ChunkStore>(
                                /*deferred_reclaim=*/true);
@@ -105,19 +105,6 @@ TransportConfig BackupServer::transport_config(
   cfg.link = config_.costs.link;
   cfg.tracer = config_.tracer;
   cfg.trace_label = image_id;
-  if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
-    if (const auto t = config_.service->tenant_transport(image_id)) {
-      if (t->window_frames > 0) cfg.window_frames = t->window_frames;
-      if (t->rto_s > 0) cfg.rto_s = t->rto_s;
-      if (t->agent_apply_bw >= 0) cfg.agent_apply_bw = t->agent_apply_bw;
-      if (t->drop >= 0) cfg.faults.drop = t->drop;
-      if (t->reorder >= 0) cfg.faults.reorder = t->reorder;
-      if (t->duplicate >= 0) cfg.faults.duplicate = t->duplicate;
-      if (t->delay >= 0) cfg.faults.delay = t->delay;
-      if (t->stall >= 0) cfg.faults.stall = t->stall;
-      if (t->fault_seed != 0) cfg.faults.seed = t->fault_seed;
-    }
-  }
   return cfg;
 }
 
@@ -289,17 +276,6 @@ BackupRunStats BackupServer::dedup_and_ship(
   // cost; without faults the two agree to within the final ack round trip.
   stats.link_seconds = ts.virtual_seconds;
   stats.wire_bytes = ts.link.wire_bytes;
-  if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
-    service::TenantTransportHealth health;
-    health.tenant = image_id;
-    health.frames_sent = ts.frames_sent;
-    health.retransmits = ts.retransmits;
-    health.repairs = ts.repair_frames;
-    health.stall_seconds = ts.window_stall_seconds;
-    health.link_seconds = ts.virtual_seconds;
-    health.degraded = ts.degraded;
-    config_.service->report_transport_health(std::move(health));
-  }
   stats.index_transfer_seconds = stats.index_seconds + stats.link_seconds;
 
   // --- Steady-state pipelined bandwidth: slowest stage wins ---

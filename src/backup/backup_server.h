@@ -91,8 +91,7 @@ struct BackupServerConfig {
   // the source the repair protocol serves re-requested digests from. Leave
   // null for a server-owned instance (constructed in deferred-reclaim mode
   // so snapshot deletes park chunks for the GC epoch protocol instead of
-  // freeing them inline); pass one in to share (e.g. with a dedup_on_store
-  // ChunkingService).
+  // freeing them inline); pass one in to share it between servers.
   std::shared_ptr<dedup::ChunkStore> store;
   // Modelled costs of the retention control plane (delete walks, GC sweeps,
   // manifest appends).
@@ -226,9 +225,8 @@ class BackupServer {
                                 double generation_seconds,
                                 double chunking_seconds, BackupAgent& agent);
 
-  // Builds the per-snapshot transport configuration: server defaults, link
-  // costs from the cost model, then any per-tenant overrides registered with
-  // the shared service (kSharedService backend only).
+  // Builds the per-snapshot transport configuration: server defaults plus
+  // the link costs from the cost model, traced under the image id.
   TransportConfig transport_config(const std::string& image_id) const;
 
   // Publishes one finished snapshot's deltas into registry_ (no-op when

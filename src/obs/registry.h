@@ -5,8 +5,8 @@
 // BackupRunStats, TransportStats, IndexStats, KernelRunStats, LinkStats —
 // each plumbed by hand to whoever wanted it. The registry is the common
 // sink: a hook site increments a Counter or observes a Timing, and any
-// consumer (ServiceHealth, the obs bench, a test) reads one snapshot instead
-// of six structs.
+// consumer (the obs bench, perfbench, a test) reads one snapshot instead of
+// six structs.
 //
 // Design constraints, in order:
 //   * Near-zero cost when disabled: every mutator early-outs on one relaxed
@@ -179,8 +179,8 @@ class Registry {
       const std::vector<MetricSample>& base,
       const std::vector<MetricSample>& now);
 
-  // Sum of a counter across every label set (0 when absent); the roll-up
-  // primitive ServiceHealth aggregates per-tenant counters with.
+  // Sum of a counter across every label set (0 when absent): the roll-up
+  // primitive for reading a labeled counter as one fleet-wide total.
   std::uint64_t counter_sum(const std::string& name) const;
 
   std::string to_json() const;

@@ -26,14 +26,6 @@ void ServiceConfig::validate() const {
     throw std::invalid_argument(
         "ServiceConfig: tenant_queue_depth must be >= 1");
   }
-  if (dedup_on_store && !fingerprint_on_device) {
-    throw std::invalid_argument(
-        "ServiceConfig: dedup_on_store requires fingerprint_on_device");
-  }
-  if (store != nullptr && !dedup_on_store) {
-    throw std::invalid_argument(
-        "ServiceConfig: a chunk store requires dedup_on_store");
-  }
 }
 
 ChunkingService::ChunkingService(ServiceConfig config)
@@ -52,14 +44,6 @@ ChunkingService::ChunkingService(ServiceConfig config)
   m_bytes_ingested_ = &registry_->counter("service.bytes_ingested_total");
   m_buffers_dispatched_ =
       &registry_->counter("service.buffers_dispatched_total");
-  m_transport_reports_ =
-      &registry_->counter("service.transport_reports_total");
-  m_transport_degraded_ =
-      &registry_->counter("service.transport_degraded_total");
-  m_transport_retx_ =
-      &registry_->counter("service.transport_retransmits_total");
-  m_transport_repairs_ =
-      &registry_->counter("service.transport_repairs_total");
   core::PipelineEngineConfig engine_cfg;
   engine_cfg.mode = config_.mode;
   engine_cfg.slot_bytes = config_.buffer_bytes + config_.chunker.window - 1;
@@ -69,21 +53,6 @@ ChunkingService::ChunkingService(ServiceConfig config)
   engine_cfg.registry = registry_;
   engine_ = std::make_unique<core::PipelineEngine>(engine_cfg, *device_,
                                                    tables_, config_.chunker);
-  if (config_.dedup_on_store) {
-    index_ = dedup::make_index(config_.index);
-    // Service-owned stores run in deferred-reclaim mode so delete_image
-    // parks zero-ref chunks for the GC epoch protocol instead of freeing
-    // them under concurrent sessions.
-    store_ = config_.store != nullptr
-                 ? config_.store
-                 : std::make_shared<dedup::ChunkStore>(
-                       /*deferred_reclaim=*/true);
-    retention::RetentionConfig retention_cfg;
-    retention_cfg.registry = registry_;
-    retention_cfg.tracer = tracer_;
-    retention_ =
-        std::make_unique<retention::RetentionManager>(store_, retention_cfg);
-  }
   aggregate_.init_seconds = engine_->init_seconds();
   scheduler_thread_ = std::thread([this] { scheduler_loop(); });
   store_thread_ = std::thread([this] { store_loop(); });
@@ -157,11 +126,8 @@ ChunkingService::StreamId ChunkingService::open(TenantOptions opts) {
   // mid-run. Cap 0: the store thread never parks pinned slots in a tenant
   // tail across batches (see Session::retain).
   session->retain =
-      config_.dedup_on_store ||
-      (session->opts.sink != nullptr && session->opts.sink->wants_payload());
+      session->opts.sink != nullptr && session->opts.sink->wants_payload();
   session->tail.set_slot_cap(0);
-  // Dedup sessions pin the GC epoch for their whole walk (retention.h).
-  if (retention_) session->pin = retention_->pin();
   sessions_.emplace(id, std::move(session));
   ++open_sessions_;
   ++aggregate_.n_tenants;
@@ -400,52 +366,13 @@ void ChunkingService::store_loop() {
       }
       // Fingerprint mode: chunk ends arrive resolved, paired with device
       // digests — emit them directly instead of running the host filter.
-      // With dedup_on_store every chunk also probes the shared index (the
-      // tenant id keys the sparse backend's prefetch cache); unique payloads
-      // are sliced from the session's rolling tail into the shared store,
-      // duplicates add a reference to the stored copy.
       const auto emit_fingerprinted = [&] {
-        const double index_t0 = index_ ? index_->virtual_seconds() : 0.0;
-        const dedup::IndexStats index_before =
-            index_ ? index_->stats() : dedup::IndexStats{};
         core::for_each_fingerprinted_chunk(
             *batch, s->last_end,
             [&](const chunking::Chunk& c, const dedup::ChunkDigest& d) {
               s->chunks.push_back(c);
               s->digests.push_back(d);
-              if (index_) {
-                const auto existing = index_->lookup_or_insert(
-                    d, dedup::ChunkLocation{next_store_offset_, c.size},
-                    s->id);
-                // A failed add_ref on an index hit is a stale entry — the
-                // chunk was deleted and GC-swept after the index recorded
-                // it. Self-heal: treat the chunk as unique and re-store the
-                // payload (dedup ratio degrades, correctness never).
-                bool duplicate = existing.has_value();
-                if (duplicate && !store_->add_ref(d)) duplicate = false;
-                if (duplicate) {
-                  ++s->report.n_duplicate_chunks;
-                  s->report.duplicate_bytes += c.size;
-                } else {
-                  SHREDDER_CHECK_MSG(
-                      c.offset >= s->tail.base() && c.end() <= s->tail.end(),
-                      "ChunkingService: chunk outside the rolling tail");
-                  // Usually a direct alias of the leased slot; spliced only
-                  // for chunks spanning buffers. The put() below is then
-                  // the unique byte's single copy: leased slot -> store.
-                  const ByteSpan bytes = s->tail.slice(
-                      c.offset, static_cast<std::size_t>(c.size));
-                  next_store_offset_ += c.size;
-                  if (store_->put(d, bytes) == dedup::PutOutcome::kInserted) {
-                    s->report.stored_bytes += c.size;
-                  }
-                }
-              }
             });
-        if (index_) {
-          s->report.index_seconds += index_->virtual_seconds() - index_t0;
-          publish_index_delta(index_before);
-        }
       };
       const std::size_t batch_first = s->chunks.size();
       // Extend the rolling tail before emitting: chunk payload slices and
@@ -484,7 +411,6 @@ void ChunkingService::store_loop() {
       batch->stages.store = core::store_stage_seconds(
           config_.device, batch->boundaries.size(), engine_->pipelined(),
           batch->digests.size() * sizeof(dedup::ChunkDigest));
-      const double index_seconds_before = s->report.index_seconds;
       if (config_.fingerprint_on_device) {
         emit_fingerprinted();
       } else {
@@ -520,8 +446,7 @@ void ChunkingService::store_loop() {
           tl_stream, gpu::EngineKind::kCopyD2H, batch->stages.store);
       if (tracer_ != nullptr) {
         trace_batch(*s, *batch, h2d_finish, kernel_finish, fp_finish,
-                    s->last_finish_v,
-                    s->report.index_seconds - index_seconds_before);
+                    s->last_finish_v);
       }
 
       auto& r = s->report;
@@ -554,8 +479,7 @@ void ChunkingService::store_loop() {
 void ChunkingService::trace_batch(const Session& s,
                                   const core::BoundaryBatch& batch,
                                   double h2d_finish, double kernel_finish,
-                                  double fp_finish, double d2h_finish,
-                                  double index_seconds) {
+                                  double fp_finish, double d2h_finish) {
   const obs::Labels args{{"tenant", s.report.name},
                          {"seq", std::to_string(batch.seq)}};
   // Engine tracks: exact [finish - duration, finish) intervals from the
@@ -576,33 +500,12 @@ void ChunkingService::trace_batch(const Session& s,
   tracer_->span(tenant_track, "reader", s.ready_v - batch.stages.reader,
                 s.ready_v, args);
   tracer_->span(tenant_track, "buffer", h2d_start, d2h_finish, args);
-  // Store-side index probing: modelled time that runs after the digests
-  // land on the host, not on a device engine.
-  if (index_seconds > 0) {
-    tracer_->span("index", "probe", d2h_finish, d2h_finish + index_seconds,
-                  args);
-  }
   // Scheduler series, stamped when the buffer reached the device: credit
   // after the dispatch charge, queue depth right after the pop.
   const std::string sched_track = "sched/" + s.report.name;
   tracer_->counter(sched_track, "credit", h2d_start, batch.sched_credit);
   tracer_->counter(sched_track, "queue_depth", h2d_start,
                    static_cast<double>(batch.queue_depth));
-}
-
-void ChunkingService::publish_index_delta(const dedup::IndexStats& before) {
-  const dedup::IndexStats now = index_->stats();
-  obs::Registry& reg = *registry_;
-  reg.counter("index.probes_total").add(now.probes - before.probes);
-  reg.counter("index.inserts_total").add(now.inserts - before.inserts);
-  reg.counter("index.signature_hits_total")
-      .add(now.signature_hits - before.signature_hits);
-  reg.counter("index.false_signature_hits_total")
-      .add(now.false_signature_hits - before.false_signature_hits);
-  reg.counter("index.flash_reads_total")
-      .add(now.flash_reads - before.flash_reads);
-  reg.counter("index.cache_hits_total")
-      .add(now.cache_hits - before.cache_hits);
 }
 
 // One ChunkBatchView to the session's sink: the chunks appended since
@@ -652,17 +555,9 @@ void ChunkingService::finalize_session(Session& s, std::uint64_t total_bytes,
       r.virtual_seconds > 0
           ? static_cast<double>(total_bytes) / r.virtual_seconds
           : 0.0;
-  // Retention: the completed stream's digest list becomes its snapshot
-  // manifest (the durable record delete_image walks), and the session's GC
-  // pin lifts — chunks this walk zero-stamped are now the sweep's to free.
-  if (retention_ && !s.opts.image_id.empty()) {
-    retention_->record_image(r.name, s.opts.image_id, s.digests);
-  }
-  s.pin.release();
   {
     MutexLock lock(mu_);
     aggregate_.total_bytes += total_bytes;
-    aggregate_.dedup_stored_bytes += r.stored_bytes;
     aggregate_.tenants.push_back(r);  // summary copy; chunks stay in session
     s.complete = true;
   }
@@ -724,85 +619,8 @@ ServiceReport ChunkingService::shutdown() {
       report.virtual_seconds > 0
           ? report.compute_busy_seconds / report.virtual_seconds
           : 0.0;
-  if (index_) {
-    const auto istats = index_->stats();
-    report.dedup_unique_chunks = istats.inserts;
-    // Summed from the store-thread decisions, not derived from the probe
-    // counter: external read-only probes of dedup_index() must not skew it.
-    for (const auto& t : report.tenants) {
-      report.dedup_duplicate_chunks += t.n_duplicate_chunks;
-    }
-    report.index_virtual_seconds = istats.virtual_seconds;
-  }
   report.wall_seconds = wall_.elapsed_seconds();
-  {
-    MutexLock tlock(transport_mu_);
-    report.transport.assign(transport_health_.begin(),
-                            transport_health_.end());
-  }
-  report.health = health();
-  report.degraded_agents =
-      static_cast<std::size_t>(report.health.degraded_agents);
   return report;
-}
-
-ServiceHealth ChunkingService::health() const {
-  ServiceHealth h;
-  {
-    MutexLock lock(mu_);
-    h.open_sessions = open_sessions_;
-  }
-  const obs::Registry& reg = *registry_;
-  h.buffers_dispatched = reg.counter_sum("service.buffers_dispatched_total");
-  h.bytes_ingested = reg.counter_sum("service.bytes_ingested_total");
-  h.transport_reports = reg.counter_sum("service.transport_reports_total");
-  h.degraded_agents = reg.counter_sum("service.transport_degraded_total");
-  h.transport_retransmits =
-      reg.counter_sum("service.transport_retransmits_total");
-  h.transport_repairs = reg.counter_sum("service.transport_repairs_total");
-  return h;
-}
-
-retention::RetentionManager::DeleteStats ChunkingService::delete_image(
-    const std::string& tenant, const std::string& image) {
-  if (!retention_) {
-    throw std::logic_error(
-        "ChunkingService: delete_image requires dedup_on_store");
-  }
-  return retention_->delete_image(tenant, image);
-}
-
-void ChunkingService::set_tenant_transport(const std::string& tenant,
-                                           const TenantTransport& transport) {
-  MutexLock lock(transport_mu_);
-  tenant_transports_[tenant] = transport;
-}
-
-std::optional<TenantTransport> ChunkingService::tenant_transport(
-    const std::string& tenant) const {
-  MutexLock lock(transport_mu_);
-  const auto it = tenant_transports_.find(tenant);
-  if (it == tenant_transports_.end()) return std::nullopt;
-  return it->second;
-}
-
-void ChunkingService::report_transport_health(TenantTransportHealth health) {
-  // The registry is the single source of truth for the verdict counters;
-  // health()/shutdown() read them back instead of a parallel tally.
-  m_transport_reports_->add(1);
-  if (health.degraded) m_transport_degraded_->add(1);
-  m_transport_retx_->add(health.retransmits);
-  m_transport_repairs_->add(health.repairs);
-  MutexLock lock(transport_mu_);
-  transport_health_.push_back(std::move(health));
-  while (transport_health_.size() > config_.transport_health_capacity) {
-    transport_health_.pop_front();
-  }
-}
-
-std::vector<TenantTransportHealth> ChunkingService::transport_health() const {
-  MutexLock lock(transport_mu_);
-  return {transport_health_.begin(), transport_health_.end()};
 }
 
 }  // namespace shredder::service

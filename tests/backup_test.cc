@@ -210,6 +210,56 @@ TEST(BackupAgent, EndImageValidatesRecipeLength) {
   }
 }
 
+TEST(BackupAgent, DeleteReleasesRefsAndForgetsReclaimedChunks) {
+  // delete_image is the backup site's retention walk: one released store
+  // reference per recipe occurrence, so a chunk another image still names
+  // survives and one only the deleted image named is reclaimed — after
+  // which the store no longer answers for it and a pointer to it is a
+  // protocol violation, exactly like a pointer to a never-shipped chunk.
+  const auto violation = [](const auto& op) {
+    try {
+      op();
+    } catch (const ProtocolError& e) {
+      return e.violation();
+    }
+    ADD_FAILURE() << "expected ProtocolError";
+    return ProtocolViolation::kUnknownImage;
+  };
+  BackupAgent agent;
+  const auto shared = random_bytes(100, 1);
+  const auto only_old = random_bytes(60, 2);
+  agent.begin_image("old");
+  agent.receive_batch("old", one_chunk(shared));
+  agent.receive_batch("old", one_chunk(only_old));
+  agent.receive_batch("old", one_chunk(shared, /*pointer=*/true));
+  EXPECT_EQ(violation([&] { agent.delete_image("old"); }),
+            ProtocolViolation::kImageInProgress);
+  agent.end_image("old", 3);
+  agent.begin_image("new");
+  agent.receive_batch("new", one_chunk(shared, /*pointer=*/true));
+  agent.end_image("new", 1);
+  ASSERT_EQ(agent.unique_chunks(), 2u);
+
+  EXPECT_EQ(agent.delete_image("old"), 3u);
+  EXPECT_EQ(agent.unique_chunks(), 1u);  // only_old reclaimed, shared kept
+  EXPECT_EQ(agent.unique_bytes(), shared.size());
+  EXPECT_EQ(agent.recreate("new"), shared);
+  EXPECT_EQ(violation([&] { agent.delete_image("old"); }),
+            ProtocolViolation::kUnknownImage);
+  EXPECT_EQ(violation([&] { agent.recreate("old"); }),
+            ProtocolViolation::kUnknownImage);
+
+  agent.begin_image("later");
+  EXPECT_EQ(violation([&] {
+              agent.receive_batch("later", one_chunk(only_old,
+                                                     /*pointer=*/true));
+            }),
+            ProtocolViolation::kUnknownPointer);
+  // The shared chunk is still referenceable.
+  agent.receive_batch("later", one_chunk(shared, /*pointer=*/true));
+  EXPECT_EQ(agent.recreate("later"), shared);
+}
+
 // --- BackupServer end-to-end ---
 
 class BackupBackends : public ::testing::TestWithParam<ChunkerBackend> {};
@@ -438,29 +488,6 @@ TEST(BackupServer, SparseIndexDuplicateRunsHitThePrefetchCache) {
   // one per chunk.
   EXPECT_LT(stats.index_flash_reads,
             stats.chunks / 8 + cfg.index.sparse.container_entries);
-}
-
-TEST(BackupAgent, CatalogKnobKeepsProtocolExact) {
-  // The agent-side catalog index behaves identically under both kinds.
-  for (const auto kind :
-       {dedup::IndexKind::kPaperBaseline, dedup::IndexKind::kSparse}) {
-    dedup::IndexConfig cfg;
-    cfg.kind = kind;
-    BackupAgent agent(cfg);
-    agent.begin_image("img");
-    const auto a = random_bytes(100, 1);
-    agent.receive_batch("img", one_chunk(a));
-    agent.receive_batch("img", one_chunk(a, /*pointer=*/true));
-    EXPECT_THROW(
-        agent.receive_batch(
-            "img", one_chunk(random_bytes(8, 2), /*pointer=*/true)),
-        std::invalid_argument);
-    ByteVec expect(a);
-    expect.insert(expect.end(), a.begin(), a.end());
-    EXPECT_EQ(agent.recreate("img"), expect);
-    EXPECT_GT(agent.catalog_seconds(), 0.0);
-    EXPECT_EQ(agent.catalog().kind(), kind);
-  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // protocol over the deferred-reclaim store, crash-consistency (kill between
 // manifest write, release walk, GC sweep and compaction — recovery must
 // never free a referenced chunk), the entry-log compaction differential, and
-// the churn workload end-to-end through BackupServer and ChunkingService.
+// the churn workload end-to-end through BackupServer on every chunking
+// backend, the shared ChunkingService included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include "backup/backup_server.h"
 #include "backup/image.h"
 #include "common/rng.h"
-#include "core/source.h"
 #include "dedup/sparse_index.h"
 #include "dedup/store.h"
 #include "obs/registry.h"
@@ -696,61 +696,6 @@ TEST(RetentionEndToEnd, SelfHealingReshipsAfterOverzealousSweep) {
   EXPECT_EQ(second.duplicate_chunks, 0u);
   EXPECT_EQ(second.unique_bytes, image.size());
   EXPECT_EQ(agent_b.recreate("v2"), image);
-}
-
-// --- Per-tenant deletes through ChunkingService ------------------------------
-
-TEST(RetentionService, PerTenantImageDeleteOverSharedStore) {
-  service::ServiceConfig cfg;
-  cfg.chunker.window = 32;
-  cfg.chunker.mask_bits = 11;
-  cfg.chunker.marker = 0x42;
-  cfg.chunker.min_size = 512;
-  cfg.chunker.max_size = 8 * 1024;
-  cfg.buffer_bytes = 256 * 1024;
-  cfg.sim_threads = 2;
-  cfg.fingerprint_on_device = true;
-  cfg.dedup_on_store = true;
-  service::ChunkingService svc(cfg);
-  ASSERT_NE(svc.retention(), nullptr);
-
-  const auto shared_payload = payload_for(101, 256 * 1024);
-  const auto extra_payload = payload_for(202, 128 * 1024);
-  ByteVec b_payload = shared_payload;
-  b_payload.insert(b_payload.end(), extra_payload.begin(), extra_payload.end());
-
-  const auto run = [&](const std::string& name, ByteSpan data) {
-    core::MemorySource source(data, cfg.host.reader_bw);
-    service::TenantOptions opts;
-    opts.name = name;
-    opts.image_id = name + "-snap1";
-    return svc.chunk_stream(source, std::move(opts));
-  };
-  const auto res_a = run("alice", as_bytes(shared_payload));
-  const auto res_b = run("bob", as_bytes(b_payload));
-  ASSERT_EQ(svc.retention()->manifests().live_images(), 2u);
-
-  // Deleting alice's snapshot must not strand bob: their shared chunks stay
-  // referenced, only alice-exclusive ones hit zero.
-  const auto ds = svc.delete_image("alice", "alice-snap1");
-  EXPECT_EQ(ds.chunks_released, res_a.chunks.size());
-  for (const auto& d : res_b.digests) {
-    ASSERT_TRUE(svc.chunk_store()->contains(d));
-    EXPECT_GT(svc.chunk_store()->ref_count(d).value_or(0), 0u);
-  }
-  const auto gc = svc.retention()->gc();
-  EXPECT_GT(gc.chunks_freed, 0u);
-  // Bob's stream still reconstructs from the store after the sweep.
-  ByteVec rebuilt;
-  for (std::size_t i = 0; i < res_b.chunks.size(); ++i) {
-    const auto bytes = svc.chunk_store()->get(res_b.digests[i]);
-    ASSERT_TRUE(bytes.has_value());
-    rebuilt.insert(rebuilt.end(), bytes->begin(), bytes->end());
-  }
-  EXPECT_EQ(rebuilt, b_payload);
-  // Unknown tenant/image stays a typed error.
-  EXPECT_THROW(svc.delete_image("alice", "alice-snap1"), RetentionError);
-  svc.shutdown();
 }
 
 }  // namespace

@@ -455,142 +455,6 @@ TEST(ChunkingService, ConfigValidation) {
   cfg = small_service_config();
   cfg.tenant_queue_depth = 0;
   EXPECT_THROW(ChunkingService{cfg}, std::invalid_argument);
-  cfg = small_service_config();
-  cfg.dedup_on_store = true;  // needs the device digests
-  EXPECT_THROW(ChunkingService{cfg}, std::invalid_argument);
-}
-
-// --- Inline dedup against the shared fingerprint index ---------------------
-
-TEST(ChunkingService, InlineDedupAcrossTenants) {
-  // Two tenants stream the same payload, a third streams distinct bytes.
-  // With dedup_on_store every chunk probes one service-wide index, so one
-  // copy of the shared payload's chunks is unique and the other is entirely
-  // duplicate — regardless of how the streams interleaved.
-  for (const auto kind :
-       {dedup::IndexKind::kPaperBaseline, dedup::IndexKind::kSparse}) {
-    ServiceConfig cfg = small_service_config();
-    cfg.fingerprint_on_device = true;
-    cfg.dedup_on_store = true;
-    cfg.index.kind = kind;
-    ChunkingService svc(cfg);
-    const auto shared_payload = random_bytes(256 * 1024, 31);
-    const auto distinct_payload = random_bytes(256 * 1024, 32);
-    const auto shared_chunks =
-        dedicated_chunks(cfg, as_bytes(shared_payload)).size();
-    const auto distinct_chunks =
-        dedicated_chunks(cfg, as_bytes(distinct_payload)).size();
-
-    std::vector<ChunkingService::StreamId> ids;
-    for (int k = 0; k < 3; ++k) ids.push_back(svc.open());
-    std::vector<std::thread> producers;
-    for (int k = 0; k < 3; ++k) {
-      producers.emplace_back([&, k] {
-        svc.submit(ids[static_cast<std::size_t>(k)],
-                   k < 2 ? as_bytes(shared_payload)
-                         : as_bytes(distinct_payload));
-        svc.finish(ids[static_cast<std::size_t>(k)]);
-      });
-    }
-    for (auto& t : producers) t.join();
-    std::uint64_t dup_chunks = 0;
-    double index_seconds = 0;
-    for (const auto id : ids) {
-      const auto res = svc.wait(id);
-      dup_chunks += res.report.n_duplicate_chunks;
-      index_seconds += res.report.index_seconds;
-    }
-    const auto report = svc.shutdown();
-    ASSERT_NE(svc.dedup_index(), nullptr);
-    EXPECT_EQ(report.dedup_unique_chunks, shared_chunks + distinct_chunks);
-    EXPECT_EQ(report.dedup_duplicate_chunks, shared_chunks);
-    EXPECT_EQ(dup_chunks, shared_chunks);
-    EXPECT_GT(index_seconds, 0.0);
-    EXPECT_NEAR(report.index_virtual_seconds, index_seconds, 1e-12);
-  }
-}
-
-TEST(ChunkingService, DedupStoreHoldsUniquePayloads) {
-  // With dedup_on_store the service is a backup target: unique chunk
-  // payloads land in the shared ChunkStore, duplicates add a reference, and
-  // the recorded bytes reconstruct every stream.
-  ServiceConfig cfg = small_service_config();
-  cfg.fingerprint_on_device = true;
-  cfg.dedup_on_store = true;
-  ChunkingService svc(cfg);
-  ASSERT_NE(svc.chunk_store(), nullptr);
-  const auto payload = random_bytes(256 * 1024, 41);
-
-  const auto id_a = svc.open();
-  const auto id_b = svc.open();
-  for (const auto id : {id_a, id_b}) {
-    svc.submit(id, as_bytes(payload));
-    svc.finish(id);
-  }
-  const auto res_a = svc.wait(id_a);
-  const auto res_b = svc.wait(id_b);
-  const auto report = svc.shutdown();
-  const dedup::ChunkStore& store = *svc.chunk_store();
-
-  // One tenant contributed every unique payload, the other only references.
-  EXPECT_EQ(res_a.report.stored_bytes + res_b.report.stored_bytes,
-            payload.size());
-  EXPECT_EQ(report.dedup_stored_bytes, payload.size());
-  EXPECT_EQ(store.unique_bytes(), payload.size());
-  EXPECT_EQ(store.unique_chunks(), res_a.chunks.size());
-  // Both tenants' chunks are referenced: one ref per stored chunk + one per
-  // duplicate.
-  EXPECT_EQ(store.total_refs(), res_a.chunks.size() + res_b.chunks.size());
-  // The stored payloads reconstruct the stream byte-for-byte.
-  ByteVec rebuilt;
-  for (std::size_t i = 0; i < res_a.chunks.size(); ++i) {
-    const auto bytes = store.get(res_a.digests[i]);
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(bytes->size(), res_a.chunks[i].size);
-    rebuilt.insert(rebuilt.end(), bytes->begin(), bytes->end());
-  }
-  EXPECT_EQ(rebuilt, payload);
-}
-
-TEST(ChunkingService, SharedStoreSpansServices) {
-  // Two services sharing one ChunkStore: the second service re-stores
-  // nothing for content the first already holds (store-level dedup even
-  // though each service keeps its own index).
-  const auto payload = random_bytes(128 * 1024, 43);
-  auto store = std::make_shared<dedup::ChunkStore>();
-  for (int round = 0; round < 2; ++round) {
-    ServiceConfig cfg = small_service_config();
-    cfg.fingerprint_on_device = true;
-    cfg.dedup_on_store = true;
-    cfg.store = store;
-    ChunkingService svc(cfg);
-    const auto id = svc.open();
-    svc.submit(id, as_bytes(payload));
-    svc.finish(id);
-    const auto res = svc.wait(id);
-    svc.shutdown();
-    // Round 0 stores everything; round 1 finds every chunk already present.
-    EXPECT_EQ(res.report.stored_bytes,
-              round == 0 ? payload.size() : 0u);
-  }
-  EXPECT_EQ(store->unique_bytes(), payload.size());
-}
-
-TEST(ChunkingService, StoreWithoutDedupRejected) {
-  ServiceConfig cfg = small_service_config();
-  cfg.store = std::make_shared<dedup::ChunkStore>();
-  EXPECT_THROW(ChunkingService{cfg}, std::invalid_argument);
-}
-
-TEST(ChunkingService, NoDedupIndexUnlessEnabled) {
-  ServiceConfig cfg = small_service_config();
-  ChunkingService svc(cfg);
-  EXPECT_EQ(svc.dedup_index(), nullptr);
-  const auto id = svc.open();
-  svc.finish(id);
-  const auto res = svc.wait(id);
-  EXPECT_EQ(res.report.n_duplicate_chunks, 0u);
-  svc.shutdown();
 }
 
 }  // namespace

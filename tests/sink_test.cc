@@ -379,30 +379,6 @@ TEST(ServiceSink, PayloadWantingSinkGetsViewsWithoutStoreRetention) {
   check(sink_b, res_b, data_b);
 }
 
-TEST(ServiceSink, DedupStoreServiceDeliversPayloadViews) {
-  auto cfg = small_service_config(/*fingerprint=*/true);
-  cfg.dedup_on_store = true;
-  service::ChunkingService svc(cfg);
-  const auto data = random_bytes(200000, 51);
-  RecordingSink sink(/*want_payload=*/true);
-  service::TenantOptions opts;
-  opts.sink = &sink;
-  const auto id = svc.open(std::move(opts));
-  svc.submit(id, as_bytes(data));
-  svc.finish(id);
-  const auto res = svc.wait(id);
-  svc.shutdown();
-  ASSERT_EQ(sink.payloads().size(), res.chunks.size());
-  for (std::size_t i = 0; i < res.chunks.size(); ++i) {
-    const auto& c = res.chunks[i];
-    EXPECT_EQ(std::memcmp(sink.payloads()[i].data(),
-                          data.data() + static_cast<std::size_t>(c.offset),
-                          static_cast<std::size_t>(c.size)),
-              0)
-        << "chunk " << i;
-  }
-}
-
 // --- Backup: extent-coalesced wire batches ---------------------------------
 
 backup::BackupServerConfig small_server_config() {
