@@ -7,7 +7,8 @@
 #   4. microbench smokes
 #   5. ASan/UBSan lane (unaligned loads, arena-backed block chains)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
-#      obs registry/tracer, multi-tenant service, transport, hashing)
+#      obs registry/tracer, multi-tenant service, transport, hashing,
+#      backup server)
 #
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
@@ -113,7 +114,7 @@ cmake --build "$SAN_DIR" -j "$JOBS" \
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
   -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|backup_test|obs_test|common_test'
 
-echo "=== TSan build (queues, thread pool, obs, service, transport, hashing) ==="
+echo "=== TSan build (queues, thread pool, obs, service, transport, hashing, backup) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +
 # ThreadPool stress), obs_test (registry shards racing snapshot, tracer),
 # service_test (N producer threads over one engine), core_test (slot-lease
@@ -121,15 +122,17 @@ echo "=== TSan build (queues, thread pool, obs, service, transport, hashing) ===
 # sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
 # the shared store), dedup_test and fingerprint_test (the device hash kernel
 # runs on many sim_threads workers, so the first SHA-256 calls race through
-# the one-time CPUID dispatch). TSan's happens-before checking is what the
+# the one-time CPUID dispatch), backup_test (the CPU backend hashes every
+# snapshot's chunks on the chunker's pool threads, each writing its own
+# range of one digest vector). TSan's happens-before checking is what the
 # thread-safety annotations cannot give us under gcc.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target common_test obs_test service_test core_test transport_test \
-  sink_test retention_test dedup_test fingerprint_test
+  sink_test retention_test dedup_test fingerprint_test backup_test
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'common_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|dedup_test|fingerprint_test'
+  -R 'common_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|dedup_test|fingerprint_test|backup_test'
 
 echo "=== ci OK ==="

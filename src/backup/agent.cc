@@ -203,16 +203,24 @@ ByteVec BackupAgent::recreate(const std::string& image_id) const {
     throw ProtocolError(ProtocolViolation::kUnknownImage,
                         "BackupAgent: unknown image: " + image_id);
   }
-  ByteVec out;
+  const auto incomplete = [&] {
+    return ProtocolError(ProtocolViolation::kRecipeIncomplete,
+                         "BackupAgent: missing chunk during recreate (" +
+                             std::to_string(pending_repair_.size()) +
+                             " repairs pending)");
+  };
+  // Size the image once, then copy each chunk straight out of the store
+  // into it: one copy per byte, no per-chunk buffer, no regrowth.
+  std::uint64_t total = 0;
   for (const auto& digest : it->second.chunks) {
-    const auto chunk = store_.get(digest);
-    if (!chunk.has_value()) {
-      throw ProtocolError(ProtocolViolation::kRecipeIncomplete,
-                          "BackupAgent: missing chunk during recreate (" +
-                              std::to_string(pending_repair_.size()) +
-                              " repairs pending)");
-    }
-    out.insert(out.end(), chunk->begin(), chunk->end());
+    const auto bytes = store_.chunk_bytes(digest);
+    if (!bytes.has_value()) throw incomplete();
+    total += *bytes;
+  }
+  ByteVec out;
+  out.reserve(static_cast<std::size_t>(total));
+  for (const auto& digest : it->second.chunks) {
+    if (!store_.append_to(digest, out)) throw incomplete();
   }
   return out;
 }

@@ -129,7 +129,8 @@ class BackupAgent {
   // Total digests currently in the pending-repair table (all images).
   std::size_t pending_repairs() const { return pending_repair_.size(); }
 
-  // Recreates the full image from its recipe. Throws
+  // Recreates the full image from its recipe into an output sized once,
+  // copying each chunk straight out of the store. Throws
   // ProtocolError{kRecipeIncomplete} while any recipe chunk is still
   // repair-pending.
   ByteVec recreate(const std::string& image_id) const;

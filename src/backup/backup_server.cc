@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace shredder::backup {
@@ -31,6 +32,28 @@ class BatchRecorder final : public ChunkSink {
   std::vector<std::size_t>& ends_;
   std::size_t total_ = 0;
 };
+
+// Host SHA-256 of every chunk, in chunk order. With a pool, each worker
+// hashes its own contiguous range into the presized vector, so the order is
+// kept and the workers allocate nothing.
+std::vector<dedup::ChunkDigest> host_digests(
+    ByteSpan image, const std::vector<chunking::Chunk>& chunks,
+    ThreadPool* pool) {
+  std::vector<dedup::ChunkDigest> digests(chunks.size());
+  const auto hash_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      digests[i] = dedup::ChunkHasher::hash(
+          image.subspan(static_cast<std::size_t>(chunks[i].offset),
+                        static_cast<std::size_t>(chunks[i].size)));
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(chunks.size(), hash_range);
+  } else {
+    hash_range(0, chunks.size());
+  }
+  return digests;
+}
 
 }  // namespace
 
@@ -117,11 +140,14 @@ double BackupServer::chunk_image(const std::string& image_id, ByteSpan image,
     case ChunkerBackend::kShredderGpu: {
       auto result = shredder_->run(image, recorder);
       chunks = std::move(result.chunks);
-      digests = std::move(result.digests);
+      digests = config_.fingerprint_on_device
+                    ? std::move(result.digests)
+                    : host_digests(image, chunks, /*pool=*/nullptr);
       return result.virtual_seconds;
     }
     case ChunkerBackend::kPthreadsCpu: {
       chunks = cpu_chunker_->chunk(image);
+      digests = host_digests(image, chunks, &cpu_chunker_->pool());
       // No pipeline buffers on the CPU path: synthesize batch bounds at the
       // same buffer granularity the GPU backends ship at, so the wire
       // protocol amortizes identically. (Exact bounds may differ at buffer
@@ -150,7 +176,9 @@ double BackupServer::chunk_image(const std::string& image_id, ByteSpan image,
       opts.sink = &recorder;
       auto result = config_.service->chunk_stream(source, std::move(opts));
       chunks = std::move(result.chunks);
-      digests = std::move(result.digests);
+      digests = config_.fingerprint_on_device
+                    ? std::move(result.digests)
+                    : host_digests(image, chunks, /*pool=*/nullptr);
       return result.report.virtual_seconds;
     }
   }
@@ -169,8 +197,8 @@ BackupRunStats BackupServer::dedup_and_ship(
   stats.generation_seconds = generation_seconds;
   stats.chunking_seconds = chunking_seconds;
   stats.chunks = chunks.size();
-  stats.device_fingerprint = !digests.empty();
-  if (stats.device_fingerprint && digests.size() != chunks.size()) {
+  stats.device_fingerprint = config_.fingerprint_on_device;
+  if (digests.size() != chunks.size()) {
     throw std::invalid_argument(
         "BackupServer: digest/chunk count mismatch from the chunking stage");
   }
@@ -181,7 +209,8 @@ BackupRunStats BackupServer::dedup_and_ship(
   // --- Hash + index lookup + transfer stages ---
   // With device fingerprints the hash stage already happened inside the
   // chunking pipeline (its kernel time is part of chunking_seconds), so the
-  // host hashing term drops out of the bandwidth equation.
+  // host hashing term drops out of the bandwidth equation. Otherwise
+  // chunk_image hashed on the host, priced at the host hash bandwidth.
   stats.hashing_seconds =
       stats.device_fingerprint
           ? 0.0
@@ -212,14 +241,19 @@ BackupRunStats BackupServer::dedup_and_ship(
   std::size_t chunk_i = 0;
   for (const std::size_t batch_end : batch_ends) {
     BackupAgent::ExtentBatch wire;
+    if (chunk_i < batch_end) {
+      // Sized once: every chunk's digest, and the batch's byte span as an
+      // upper bound on its unique payload.
+      wire.digests.reserve(batch_end - chunk_i);
+      wire.payload.reserve(static_cast<std::size_t>(
+          chunks[batch_end - 1].end() - chunks[chunk_i].offset));
+    }
     for (; chunk_i < batch_end; ++chunk_i) {
       const auto& c = chunks[chunk_i];
       const ByteSpan payload =
           image.subspan(static_cast<std::size_t>(c.offset),
                         static_cast<std::size_t>(c.size));
-      const auto digest = stats.device_fingerprint
-                              ? digests[chunk_i]
-                              : dedup::ChunkHasher::hash(payload);
+      const auto& digest = digests[chunk_i];
       const auto existing = index_->lookup_or_insert(
           digest, dedup::ChunkLocation{next_store_offset_, c.size},
           index_stream);

@@ -4,13 +4,14 @@
 // Pipeline per snapshot: the backup agent mounts/generates the image at the
 // 10 Gb/s source rate; Shredder (or the pthreads baseline) chunks it with
 // min/max sizes enabled; each chunk is SHA-256-fingerprinted — on the host
-// store thread, or on the device by the pipeline's fingerprint stage when
-// fingerprint_on_device is set; hashes are batched into the index-lookup
-// queue; unique chunks ship to the backup site over the link while
-// duplicates send pointers. All stages overlap, so the steady-state backup
-// bandwidth is bounded by the slowest stage — the chunker for the CPU
-// baseline, the host hash for the GPU-chunking path, and the generation
-// source once hashing moves on-device too.
+// (the pthreads baseline hashes on its chunker's worker pool), or on the
+// device by the pipeline's fingerprint stage when fingerprint_on_device is
+// set; hashes are batched into the index-lookup queue; unique chunks ship
+// to the backup site over the link while duplicates send pointers. All
+// stages overlap, so the steady-state backup bandwidth is bounded by the
+// slowest stage — the chunker for the CPU baseline, the host hash for the
+// GPU-chunking path, and the generation source once hashing moves
+// on-device too.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +76,10 @@ struct BackupServerConfig {
   BackupCostModel costs;
   core::ShredderConfig shredder;   // used when backend == kShredderGpu
   std::size_t cpu_threads = 12;    // pthreads baseline width
-  // Fingerprint chunks on the device instead of the host store thread
-  // (kShredderGpu and kSharedService backends; the CPU baseline ignores it).
-  // The chunking pipeline then delivers chunk+digest pairs and the host
-  // hashing stage disappears from the bandwidth equation.
+  // Fingerprint chunks on the device instead of the host (kShredderGpu and
+  // kSharedService backends; the CPU baseline ignores it and hashes on its
+  // chunker's pool). The chunking pipeline then delivers chunk+digest pairs
+  // and the host hashing stage disappears from the bandwidth equation.
   bool fingerprint_on_device = false;
   // Wire parameters: window/RTO/repair knobs and the injectable fault
   // schedule (transport.h). Every snapshot ships as extent-coalesced batches
@@ -207,17 +208,19 @@ class BackupServer {
   retention::RetentionManager::CompactStats compact_index();
 
  private:
-  // Chunking stage: fills `chunks` (and `digests` when the backend
-  // fingerprints on-device), records the drained-buffer batch structure as
-  // cumulative chunk counts in `batch_ends` (the granularity of the wire
+  // Chunking + fingerprint stage: fills `chunks` and one digest per chunk
+  // in `digests` — from the device when fingerprint_on_device is set, else
+  // hashed on the host (on the CPU chunker's pool for kPthreadsCpu, serially
+  // for the pipeline backends) — records the drained-buffer batch structure
+  // as cumulative chunk counts in `batch_ends` (the granularity of the wire
   // batches downstream), and returns the virtual chunking seconds.
   double chunk_image(const std::string& image_id, ByteSpan image,
                      std::vector<chunking::Chunk>& chunks,
                      std::vector<dedup::ChunkDigest>& digests,
                      std::vector<std::size_t>& batch_ends);
-  // Hash + index + transfer + verification stages shared by all paths.
-  // `digests` empty => hash on the host; otherwise they are the
-  // device-precomputed fingerprints, 1:1 with `chunks`.
+  // Index + transfer + verification stages shared by all paths. `digests`
+  // are chunk_image's fingerprints, 1:1 with `chunks`; the hash stage is
+  // priced from config_.fingerprint_on_device.
   BackupRunStats dedup_and_ship(const std::string& image_id, ByteSpan image,
                                 std::vector<chunking::Chunk> chunks,
                                 std::vector<dedup::ChunkDigest> digests,

@@ -52,6 +52,10 @@ class ParallelChunker {
   const ParallelChunkerStats& stats() const noexcept { return stats_; }
   std::size_t threads() const noexcept { return pool_.size(); }
 
+  // The chunker's worker pool, lent to callers for per-chunk work between
+  // chunk() calls (the backup server hashes the chunks on it).
+  ThreadPool& pool() noexcept { return pool_; }
+
  private:
   const rabin::RabinTables& tables_;
   ChunkerConfig config_;

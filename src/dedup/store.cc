@@ -82,6 +82,22 @@ std::optional<ByteVec> ChunkStore::get(const ChunkDigest& digest) const {
   return it->second.data;
 }
 
+bool ChunkStore::append_to(const ChunkDigest& digest, ByteVec& out) const {
+  MutexLock lock(mutex_);
+  const auto it = chunks_.find(digest);
+  if (it == chunks_.end()) return false;
+  out.insert(out.end(), it->second.data.begin(), it->second.data.end());
+  return true;
+}
+
+std::optional<std::uint64_t> ChunkStore::chunk_bytes(
+    const ChunkDigest& digest) const {
+  MutexLock lock(mutex_);
+  const auto it = chunks_.find(digest);
+  if (it == chunks_.end()) return std::nullopt;
+  return it->second.data.size();
+}
+
 bool ChunkStore::contains(const ChunkDigest& digest) const {
   MutexLock lock(mutex_);
   return chunks_.contains(digest);

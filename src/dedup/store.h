@@ -93,6 +93,16 @@ class ChunkStore {
   // Copy of the chunk payload, or nullopt if unknown.
   std::optional<ByteVec> get(const ChunkDigest& digest) const;
 
+  // Appends the chunk payload to `out`, copying straight out of the store
+  // under its lock — no intermediate buffer. Returns false, leaving `out`
+  // untouched, if the digest is unknown. Zero-ref parked entries read like
+  // get() reads them.
+  bool append_to(const ChunkDigest& digest, ByteVec& out) const;
+
+  // Payload size of the chunk, or nullopt if unknown — lets a reader size
+  // its buffer once before a run of append_to() calls.
+  std::optional<std::uint64_t> chunk_bytes(const ChunkDigest& digest) const;
+
   bool contains(const ChunkDigest& digest) const;
 
   // Adds a reference to an existing chunk, resurrecting a zero-ref parked

@@ -7,7 +7,9 @@
 #include "backup/agent.h"
 #include "backup/backup_server.h"
 #include "backup/image.h"
+#include "chunking/cdc.h"
 #include "common/rng.h"
+#include "rabin/rabin.h"
 #include "service/service.h"
 
 namespace shredder::backup {
@@ -150,6 +152,59 @@ TEST(BackupAgent, StoresAndRecreates) {
   expect.insert(expect.end(), a.begin(), a.end());
   EXPECT_EQ(out, expect);
   EXPECT_EQ(agent.unique_chunks(), 2u);
+}
+
+TEST(BackupAgent, RecreateEqualsConcatenatedStoreGets) {
+  // recreate() copies each chunk straight out of the agent's store into an
+  // output sized once. Its bytes must equal a get() per recipe digest,
+  // concatenated — over unique runs, pointer runs and digests repeated
+  // across batches.
+  const std::vector<ByteVec> c = {random_bytes(700, 31), random_bytes(1200, 32),
+                                  random_bytes(90, 33), random_bytes(2048, 34),
+                                  random_bytes(5, 35)};
+  struct Entry {
+    std::size_t chunk;
+    bool unique;
+  };
+  const std::vector<std::vector<Entry>> batches = {
+      {{0, true}, {1, true}, {2, true}, {0, false}},
+      {{1, false}, {2, false}, {3, true}, {4, true}, {0, false}},
+      {{4, false}, {4, false}, {3, false}},
+  };
+  BackupAgent agent;
+  dedup::ChunkStore reference;  // the same puts the agent's store receives
+  std::vector<dedup::ChunkDigest> recipe;
+  agent.begin_image("img");
+  for (const auto& entries : batches) {
+    BackupAgent::ExtentBatch batch;
+    for (const auto& [chunk, unique] : entries) {
+      const ByteVec& bytes = c[chunk];
+      const auto digest = dedup::ChunkHasher::hash(as_bytes(bytes));
+      const auto idx = static_cast<std::uint32_t>(batch.digests.size());
+      batch.digests.push_back(digest);
+      if (batch.extents.empty() || batch.extents.back().unique != unique) {
+        batch.extents.push_back({idx, 1, unique});
+      } else {
+        ++batch.extents.back().count;
+      }
+      if (unique) {
+        batch.payload_sizes.push_back(static_cast<std::uint32_t>(bytes.size()));
+        batch.payload.insert(batch.payload.end(), bytes.begin(), bytes.end());
+        reference.put(digest, as_bytes(bytes));
+      }
+      recipe.push_back(digest);
+    }
+    agent.receive_batch("img", batch);
+  }
+  agent.end_image("img", recipe.size());
+  ByteVec expect;
+  for (const auto& digest : recipe) {
+    const auto bytes = reference.get(digest);
+    ASSERT_TRUE(bytes.has_value());
+    expect.insert(expect.end(), bytes->begin(), bytes->end());
+  }
+  EXPECT_EQ(agent.recreate("img"), expect);
+  EXPECT_EQ(agent.unique_chunks(), c.size());
 }
 
 TEST(BackupAgent, PointerToUnknownChunkThrows) {
@@ -351,6 +406,41 @@ TEST(BackupServer, SharedServiceConfigValidation) {
   cfg = small_server_config(ChunkerBackend::kSharedService);
   cfg.chunker.mask_bits = 9;  // diverges from the service's chunker
   EXPECT_THROW(BackupServer{cfg}, std::invalid_argument);
+}
+
+TEST(BackupServer, PooledHostHashMatchesSerialDigests) {
+  // The CPU backend hashes its chunks on the chunker's worker pool. The
+  // manifest must still list SHA-256 over the serial chunker's chunks, in
+  // order, and the hash stage stays priced at the host hash bandwidth.
+  ImageRepository repo(small_repo_config());
+  const auto cfg = small_server_config(ChunkerBackend::kPthreadsCpu);
+  ASSERT_EQ(cfg.cpu_threads, 4u);
+  BackupServer server(cfg);
+  BackupAgent agent;
+  const auto snap = repo.snapshot(0.0, 1);
+  const ByteSpan image = as_bytes(snap);
+  const auto stats = server.backup_image("vm1", image, repo, agent);
+  ASSERT_TRUE(stats.verified);
+
+  const rabin::RabinTables tables(cfg.chunker.window);
+  const auto chunks = chunking::chunk_serial(tables, cfg.chunker, image);
+  ASSERT_GE(chunks.size(), 1000u);
+  std::vector<dedup::ChunkDigest> expect;
+  for (const auto& c : chunks) {
+    expect.push_back(dedup::ChunkHasher::hash(
+        image.subspan(static_cast<std::size_t>(c.offset),
+                      static_cast<std::size_t>(c.size))));
+  }
+  EXPECT_EQ(stats.chunks, chunks.size());
+  EXPECT_EQ(server.retention().manifests().digests("", "vm1"), expect);
+  EXPECT_FALSE(stats.device_fingerprint);
+  EXPECT_EQ(stats.hashing_seconds,
+            static_cast<double>(stats.bytes) / cfg.costs.host_hash_bw);
+
+  const auto again = server.backup_image("vm2", image, repo, agent);
+  EXPECT_TRUE(again.verified);
+  EXPECT_EQ(again.duplicate_chunks, again.chunks);
+  EXPECT_EQ(again.unique_bytes, 0u);
 }
 
 TEST(BackupServer, MinMaxChunkSizesRespected) {

@@ -483,6 +483,51 @@ TEST(ChunkStore, AddRefCounts) {
   EXPECT_EQ(store.total_refs(), 2u);
 }
 
+TEST(ChunkStore, AppendToAppendsStoredBytesAfterExistingContent) {
+  ChunkStore store;
+  const auto data = random_bytes(700, 11);
+  const auto d = ChunkHasher::hash(as_bytes(data));
+  store.put(d, as_bytes(data));
+  ByteVec out = random_bytes(33, 12);
+  ByteVec expect = out;
+  expect.insert(expect.end(), data.begin(), data.end());
+  EXPECT_TRUE(store.append_to(d, out));
+  EXPECT_EQ(out, expect);
+  EXPECT_EQ(store.chunk_bytes(d), data.size());
+  // A second read appends again; the store is unchanged by reading.
+  EXPECT_TRUE(store.append_to(d, out));
+  EXPECT_EQ(out.size(), 33 + 2 * data.size());
+  EXPECT_EQ(store.total_refs(), 1u);
+}
+
+TEST(ChunkStore, AppendToUnknownDigestLeavesBufferUntouched) {
+  ChunkStore store;
+  const auto missing = ChunkHasher::hash(str_bytes("missing"));
+  ByteVec out = random_bytes(40, 13);
+  const ByteVec before = out;
+  EXPECT_FALSE(store.append_to(missing, out));
+  EXPECT_EQ(out, before);
+  EXPECT_FALSE(store.chunk_bytes(missing).has_value());
+}
+
+TEST(ChunkStore, AppendToReadsParkedChunkLikeGet) {
+  ChunkStore store(/*deferred_reclaim=*/true);
+  const auto data = random_bytes(300, 14);
+  const auto d = ChunkHasher::hash(as_bytes(data));
+  store.put(d, as_bytes(data));
+  ASSERT_EQ(store.release_ref(d), ReleaseOutcome::kDeferred);
+  ASSERT_EQ(store.ref_count(d), 0u);
+  ByteVec out;
+  EXPECT_TRUE(store.append_to(d, out));
+  EXPECT_EQ(out, store.get(d).value());
+  EXPECT_EQ(store.chunk_bytes(d), data.size());
+  // Once swept, both reads miss.
+  store.sweep_zero_refs();
+  EXPECT_FALSE(store.append_to(d, out));
+  EXPECT_FALSE(store.get(d).has_value());
+  EXPECT_EQ(out, data);
+}
+
 // --- Deduplicator ---
 
 TEST(Deduplicator, FirstIngestAllUnique) {
