@@ -5,7 +5,8 @@
 #      -Werror=thread-safety over the annotations in src/common/annotations.h)
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
 #   4. microbench smokes
-#   5. ASan/UBSan lane (unaligned loads, arena-backed block chains)
+#   5. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
+#      service's per-tenant payload leases)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      obs registry/tracer, multi-tenant service, transport, hashing,
 #      backup server)
@@ -102,17 +103,19 @@ else
   echo "microbench not built (google-benchmark missing): skipping retention smoke"
 fi
 
-echo "=== ASan/UBSan build (chunking + fingerprint + index + wire + agent + obs stack) ==="
+echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs stack) ==="
 # backup_test joins because the agent's frame validation is the backup
 # protocol's trust boundary and every agent test goes through receive_batch.
+# service_test joins because every tenant's payload leases and rolling tail
+# live in the store stage (core::StreamStore) the service drives per session.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=address
 cmake --build "$SAN_DIR" -j "$JOBS" \
   --target chunking_test rabin_test minmax_test fingerprint_test \
-  index_test dedup_test retention_test core_test sink_test transport_test \
-  backup_test obs_test common_test
+  index_test dedup_test retention_test core_test sink_test service_test \
+  transport_test backup_test obs_test common_test
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|backup_test|obs_test|common_test'
+  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|service_test|transport_test|backup_test|obs_test|common_test'
 
 echo "=== TSan build (queues, thread pool, obs, service, transport, hashing, backup) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "chunking/minmax.h"
 #include "common/check.h"
 #include "gpusim/dma.h"
 
@@ -356,6 +355,103 @@ std::optional<BoundaryBatch> PipelineEngine::next_batch() {
     }
   }
   return batch;
+}
+
+StreamStore::StreamStore(const PipelineEngine& engine, std::uint32_t stream_id,
+                         ChunkSink* sink, std::size_t slot_cap, ByteSpan whole)
+    : spec_(engine.device_spec()),
+      pinned_(engine.pipelined()),
+      stream_id_(stream_id),
+      sink_(sink),
+      whole_(whole),
+      retain_(whole.empty() && sink != nullptr && sink->wants_payload()) {
+  // In fingerprint mode the engine is the sole chunk-emission mechanism, so
+  // the host filter is not even constructed.
+  if (!engine.fingerprints()) {
+    filter_.emplace(engine.chunker().min_size, engine.chunker().max_size,
+                    [this](std::uint64_t end) {
+                      chunks_.push_back({last_end_, end - last_end_});
+                      last_end_ = end;
+                    });
+  }
+  tail_.set_slot_cap(slot_cap);
+}
+
+double StreamStore::consume(BoundaryBatch& batch) {
+  SHREDDER_CHECK_MSG(!ended_, "StreamStore: batch after end of stream");
+  const std::size_t first = chunks_.size();
+  const std::size_t digest_bytes =
+      batch.digests.size() * sizeof(dedup::ChunkDigest);
+  if (batch.eos) {
+    ended_ = true;
+    // The trailing chunk's digest still crosses the bus although the eos
+    // batch carries no boundaries.
+    if (digest_bytes > 0) {
+      batch.stages.store = store_stage_seconds(spec_, 0, pinned_, digest_bytes);
+    }
+    // For eos batches payload_end is the stream's total byte count.
+    if (filter_.has_value()) {
+      filter_->finish(batch.payload_end);
+    } else {
+      emit_fingerprinted(batch);
+      SHREDDER_CHECK_MSG(last_end_ == batch.payload_end,
+                         "fingerprint stream ended short of the stream total");
+    }
+    deliver(first, /*eos=*/true);
+    return batch.stages.store;
+  }
+  if (retain_ && !batch.payload.empty()) {
+    // Zero-copy retention: the lease moves into the tail, keeping the pinned
+    // slot (or basic-mode vector) alive for payload views.
+    tail_.append(std::move(batch.payload), batch.payload_carry);
+  }
+  // Copy boundaries (and digests) back device -> host, then resolve chunks.
+  batch.stages.store = store_stage_seconds(spec_, batch.boundaries.size(),
+                                           pinned_, digest_bytes);
+  if (filter_.has_value()) {
+    for (const std::uint64_t b : batch.boundaries) filter_->push(b);
+  } else {
+    emit_fingerprinted(batch);
+  }
+  deliver(first, /*eos=*/false);
+  return batch.stages.store;
+}
+
+// Pairs the engine's resolved chunk ends with their digests, rebuilding
+// each chunk from the stream's previous end offset.
+void StreamStore::emit_fingerprinted(const BoundaryBatch& batch) {
+  for (std::size_t i = 0; i < batch.chunk_ends.size(); ++i) {
+    chunks_.push_back({last_end_, batch.chunk_ends[i] - last_end_});
+    digests_.push_back(batch.digests[i]);
+    last_end_ = batch.chunk_ends[i];
+  }
+}
+
+// One ChunkBatchView over the chunks appended since `first`: skipped for
+// chunkless data batches, always sent at eos so sinks have a flush point.
+// Afterwards the tail is trimmed to the open chunk's start, keeping the
+// window bounded by (open chunk + one buffer).
+void StreamStore::deliver(std::size_t first, bool eos) {
+  if (sink_ != nullptr && (eos || chunks_.size() > first)) {
+    ChunkBatchView view;
+    view.stream_id = stream_id_;
+    view.stream_seq = batch_seq_++;
+    view.eos = eos;
+    view.chunks = std::span<const chunking::Chunk>(chunks_).subspan(first);
+    if (!filter_.has_value()) {
+      view.digests =
+          std::span<const dedup::ChunkDigest>(digests_).subspan(first);
+    }
+    if (!whole_.empty()) {
+      view.payload = whole_;
+    } else if (!tail_.empty()) {
+      view.payload = tail_.window();
+      view.payload_base = tail_.window_base();
+      view.tail = &tail_;
+    }
+    sink_->on_batch(view);
+  }
+  tail_.trim(last_end_);
 }
 
 }  // namespace shredder::core

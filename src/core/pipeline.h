@@ -6,7 +6,8 @@
 // it, flows through the pinned staging ring, the H2D DMA and the chunking
 // kernel in submission order, and comes back out as a BoundaryBatch carrying
 // the same tag. Single-stream Shredder::run and the multi-tenant
-// service::ChunkingService are both thin shells around this engine.
+// service::ChunkingService are both thin shells around this engine, and
+// both run each stream's Store stage through one StreamStore (below).
 //
 // Stage layout (each arrow is a bounded queue; depth bounds the buffers in
 // flight, exactly like Figure 8's ring):
@@ -27,10 +28,10 @@
 // flight, which is the engine-level backpressure the service relies on when
 // clients outrun the device. A slot stays leased until the LAST SlotLease
 // referencing it drops (core/lease.h) — every BoundaryBatch carries its
-// buffer's staged bytes as a refcounted lease, so consumers that retain
-// payload windows (rolling PayloadTail, the service's dedup store path)
-// alias the pinned slot directly instead of copying, and a consumer that
-// holds leases too long simply extends the same backpressure to producers.
+// buffer's staged bytes as a refcounted lease, so a StreamStore retaining a
+// payload window for its sink (rolling PayloadTail) aliases the pinned slot
+// directly instead of copying, and a consumer that holds leases too long
+// simply extends the same backpressure to producers.
 // The pipeline.slots_leased gauge tracks the outstanding count.
 #pragma once
 
@@ -44,12 +45,14 @@
 #include <vector>
 
 #include "chunking/chunk.h"
+#include "chunking/minmax.h"
 #include "common/annotations.h"
 #include "common/bytes.h"
 #include "common/mutex.h"
 #include "common/queue.h"
 #include "core/kernels.h"
 #include "core/lease.h"
+#include "core/sink.h"
 #include "dedup/digest.h"
 #include "gpusim/device.h"
 #include "gpusim/pinned.h"
@@ -106,8 +109,8 @@ struct StreamBuffer {
 // When the engine fingerprints, chunk_ends/digests carry the stream's
 // *final* chunking (min/max applied on the device side) resolved as far as
 // this buffer allows, with one device-computed SHA-256 per chunk; the eos
-// batch then carries the stream's trailing chunk. Consumers use them
-// directly instead of running their own min/max filter.
+// batch then carries the stream's trailing chunk. StreamStore uses them
+// directly instead of running its own min/max filter.
 struct BoundaryBatch {
   std::uint32_t stream_id = 0;
   std::uint64_t seq = 0;
@@ -142,21 +145,6 @@ double store_stage_seconds(const gpu::DeviceSpec& spec,
                            std::size_t n_boundaries, bool pinned,
                            std::size_t digest_bytes = 0) noexcept;
 
-// Walks a fingerprint-mode batch's (chunk_ends, digests) pairs: rebuilds
-// each chunk from the stream's previous end offset, advances it, and hands
-// (chunk, digest) to `fn` — the one place the pairing/reassembly rule
-// lives, shared by every consumer (Shredder's store loop, the service's
-// per-tenant store path).
-template <typename Fn>
-void for_each_fingerprinted_chunk(const BoundaryBatch& batch,
-                                  std::uint64_t& last_end, Fn&& fn) {
-  for (std::size_t i = 0; i < batch.chunk_ends.size(); ++i) {
-    const chunking::Chunk c{last_end, batch.chunk_ends[i] - last_end};
-    last_end = batch.chunk_ends[i];
-    fn(c, batch.digests[i]);
-  }
-}
-
 struct PipelineEngineConfig {
   GpuMode mode = GpuMode::kStreamsCoalesced;
   std::size_t slot_bytes = 0;  // staging slot size = buffer_bytes + (w-1)
@@ -164,8 +152,8 @@ struct PipelineEngineConfig {
   KernelParams kernel;         // coalesced flag is derived from `mode`
   // Adds the on-device fingerprint stage: after the chunking kernel, a
   // SHA-256 kernel hashes every resolved chunk over the still-resident
-  // buffer and the digests ride back with the batch. Requires producers to
-  // submit an eos StreamBuffer per stream (the trailing chunk closes there).
+  // buffer and the digests ride back with the batch; the trailing chunk
+  // closes on the stream's eos StreamBuffer, which every producer submits.
   bool fingerprint = false;
   // Optional metrics registry (borrowed; must outlive the engine). The
   // engine publishes pipeline.buffers_total / pipeline.bytes_total, the
@@ -211,6 +199,9 @@ class PipelineEngine {
   double init_seconds() const noexcept { return init_seconds_; }
   std::size_t ring_slots() const noexcept { return config_.ring_slots; }
   bool pipelined() const noexcept { return config_.mode != GpuMode::kBasic; }
+  bool fingerprints() const noexcept { return config_.fingerprint; }
+  const gpu::DeviceSpec& device_spec() const noexcept { return device_.spec(); }
+  const chunking::ChunkerConfig& chunker() const noexcept { return chunker_; }
   // Pinned slots currently held by a lease — in-flight pipeline items plus
   // whatever consumers retain. 0 in basic mode and after full drains.
   std::size_t slots_leased() const;
@@ -282,6 +273,71 @@ class PipelineEngine {
   std::exception_ptr error_ GUARDED_BY(error_mutex_);
   std::thread transfer_thread_;
   std::thread kernel_thread_;
+};
+
+// One stream's Store stage (paper §4.2, Figure 8), the single consumer of a
+// stream's BoundaryBatches for both frontends: Shredder::run's one stream
+// and each service::ChunkingService tenant. Fed every batch of the stream in
+// stream order, ending with its eos batch, it
+//  * resolves final chunks: the host MinMaxFilter over raw boundaries, or
+//    the engine's (chunk_ends, digests) pairs when the engine fingerprints;
+//  * keeps the stream's chunks and digests;
+//  * retains each batch's payload lease in a PayloadTail when a streaming
+//    run's sink wants_payload() (an in-memory `whole` span gives views for
+//    free);
+//  * delivers one ChunkBatchView per batch that finalized chunks plus
+//    exactly one eos view, then trims the tail to the open chunk's start;
+//  * prices the batch's D2H readback.
+// Virtual-time composition and reporting stay with the frontend.
+class StreamStore {
+ public:
+  // Reads `engine`'s configuration and borrows its device spec (the device
+  // must outlive the store) and `sink` (may be null: chunks are only
+  // collected). `slot_cap` bounds the pinned slots the payload tail parks
+  // across batches (PayloadTail::set_slot_cap).
+  StreamStore(const PipelineEngine& engine, std::uint32_t stream_id,
+              ChunkSink* sink, std::size_t slot_cap, ByteSpan whole = {});
+
+  StreamStore(const StreamStore&) = delete;
+  StreamStore& operator=(const StreamStore&) = delete;
+
+  // Consumes the stream's next batch and returns the store-stage seconds it
+  // charges, also written to batch.stages.store: the boundary (and digest)
+  // readback for a data batch; at eos, the trailing digest's D2H (0 when
+  // there is none). Moves the batch's payload lease into the tail when
+  // retaining. Aborts on a batch after eos, and when a fingerprinted stream
+  // ends short of its total.
+  double consume(BoundaryBatch& batch);
+
+  const std::vector<chunking::Chunk>& chunks() const noexcept {
+    return chunks_;
+  }
+  // Hand the stream's results over once it has ended.
+  std::vector<chunking::Chunk> take_chunks() noexcept {
+    return std::move(chunks_);
+  }
+  std::vector<dedup::ChunkDigest> take_digests() noexcept {
+    return std::move(digests_);
+  }
+
+ private:
+  void emit_fingerprinted(const BoundaryBatch& batch);
+  void deliver(std::size_t first, bool eos);
+
+  const gpu::DeviceSpec& spec_;
+  const bool pinned_;
+  const std::uint32_t stream_id_;
+  ChunkSink* const sink_;
+  const ByteSpan whole_;
+  const bool retain_;
+  // Host-side chunk resolution; absent when the engine fingerprints.
+  std::optional<chunking::MinMaxFilter> filter_;
+  std::uint64_t last_end_ = 0;
+  std::vector<chunking::Chunk> chunks_;
+  std::vector<dedup::ChunkDigest> digests_;  // fingerprint mode, 1:1 chunks
+  std::uint64_t batch_seq_ = 0;  // delivered-batch ordinal
+  bool ended_ = false;
+  PayloadTail tail_;
 };
 
 }  // namespace shredder::core

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "chunking/minmax.h"
 #include "chunking/parallel.h"
 #include "common/check.h"
 #include "common/timer.h"
@@ -41,10 +40,6 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   const std::size_t carry_bytes = config_.chunker.window - 1;
   const bool pipelined = config_.mode != GpuMode::kBasic;
   const bool fingerprint = config_.fingerprint_on_device;
-  // Streaming sources only retain payload leases when the sink asks; an
-  // in-memory `whole` span provides views for free.
-  const bool rolling =
-      whole.empty() && sink != nullptr && sink->wants_payload();
 
   PipelineEngineConfig engine_cfg;
   engine_cfg.mode = config_.mode;
@@ -59,55 +54,12 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
       config_.registry != nullptr
           ? &config_.registry->timing("core.store_seconds")
           : nullptr;
-
-  // Store-side state: min/max filter resolving final chunks. In fingerprint
-  // mode the chunk ends arrive already resolved (the engine runs the min/max
-  // cut on the device side), paired with their digests.
-  std::uint64_t last_end = 0;
-  std::vector<chunking::Chunk> chunks;
-  std::vector<dedup::ChunkDigest> digests;
-  // Only the non-fingerprint path resolves chunks host-side; in fingerprint
-  // mode the engine is the sole chunk-emission mechanism, so don't even
-  // construct the filter.
-  std::optional<chunking::MinMaxFilter> filter;
-  if (!fingerprint) {
-    filter.emplace(config_.chunker.min_size, config_.chunker.max_size,
-                   [&](std::uint64_t end) {
-                     chunks.push_back({last_end, end - last_end});
-                     last_end = end;
-                   });
-  }
-
-  // Batch delivery to the sink: one ChunkBatchView per buffer that finalized
-  // chunks (spans over the tails of `chunks`/`digests`), plus one eos batch.
-  PayloadTail tail;             // rolling lease window (streaming sinks)
-  // Single consumer draining the engine directly: park up to the
-  // recommended number of slots in the tail for zero-copy views while
-  // always leaving the pipeline a slot to circulate.
-  tail.set_slot_cap(PayloadTail::recommended_slot_cap(config_.ring_slots));
-  std::uint64_t batch_seq = 0;
-  const auto deliver = [&](std::size_t first, bool eos) {
-    if (sink == nullptr) return;
-    if (!eos && chunks.size() == first) return;
-    ChunkBatchView view;
-    view.stream_id = 0;
-    view.stream_seq = batch_seq++;
-    view.eos = eos;
-    view.chunks = std::span<const chunking::Chunk>(chunks).subspan(first);
-    if (fingerprint) {
-      view.digests =
-          std::span<const dedup::ChunkDigest>(digests).subspan(first);
-    }
-    if (!whole.empty()) {
-      view.payload = whole;
-      view.payload_base = 0;
-    } else if (rolling) {
-      view.payload = tail.window();
-      view.payload_base = tail.window_base();
-      view.tail = &tail;
-    }
-    sink->on_batch(view);
-  };
+  // Single consumer draining the engine directly: its tail may park up to
+  // the recommended number of slots for zero-copy views while always
+  // leaving the pipeline a slot to circulate.
+  StreamStore store(engine, /*stream_id=*/0, sink,
+                    PayloadTail::recommended_slot_cap(config_.ring_slots),
+                    whole);
 
   // --- The pipeline ---
   // Reader runs inside AsyncReader's thread; a feeder thread stages its
@@ -136,15 +88,13 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
         next_seq = sb.seq + 1;
         if (!engine.submit(std::move(sb))) return;
       }
-      if (fingerprint) {
-        // The trailing chunk only closes at end of stream; tell the engine.
-        StreamBuffer eos;
-        eos.stream_id = 0;
-        eos.seq = next_seq;
-        eos.eos = true;
-        eos.base_offset = submitted_end;
-        if (!engine.submit(std::move(eos))) return;
-      }
+      // The stream ends on an eos marker, which closes its trailing chunk.
+      StreamBuffer eos;
+      eos.stream_id = 0;
+      eos.seq = next_seq;
+      eos.eos = true;
+      eos.base_offset = submitted_end;
+      if (!engine.submit(std::move(eos))) return;
       engine.close();
     } catch (...) {
       feed_error = std::current_exception();
@@ -156,60 +106,25 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   // rethrow from next_batch(); capture it so the feeder thread can be
   // unblocked and joined before the exception propagates.
   std::exception_ptr store_error;
-  // Emits the batch's finalized chunks with their device digests.
-  const auto emit_fingerprinted = [&](const BoundaryBatch& batch) {
-    for_each_fingerprinted_chunk(
-        batch, last_end, [&](const chunking::Chunk& c,
-                             const dedup::ChunkDigest& d) {
-          chunks.push_back(c);
-          digests.push_back(d);
-        });
-  };
   try {
-  while (auto batch = engine.next_batch()) {
-    total_bytes = batch->payload_end;
-    const std::size_t batch_first = chunks.size();
-    if (batch->eos) {
-      // Fingerprint mode: the stream's trailing chunk closes here. Its
-      // digest still crosses the bus, so account the D2H even though the
-      // eos batch carries no boundaries.
-      if (!batch->digests.empty()) {
-        batch->stages.store = store_stage_seconds(
-            config_.device, 0, pipelined,
-            batch->digests.size() * sizeof(dedup::ChunkDigest));
-        stage_log.push_back(batch->stages);
+    while (auto batch = engine.next_batch()) {
+      total_bytes = batch->payload_end;
+      const double store_seconds = store.consume(*batch);
+      if (batch->eos) {
+        // Only a trailing digest's D2H makes the eos batch a stage entry.
+        if (!batch->digests.empty()) stage_log.push_back(batch->stages);
+        continue;
       }
-      emit_fingerprinted(*batch);
-      deliver(batch_first, /*eos=*/true);
-      continue;
+      if (m_store_s != nullptr) m_store_s->observe(store_seconds);
+      result.raw_boundaries += batch->boundaries.size();
+      ++n_buffers;
+      stage_log.push_back(batch->stages);
+      // Aggregate kernel statistics across buffers.
+      result.kernel_totals += batch->kernel_stats;
+      if (fingerprint) {
+        result.fingerprint_totals += batch->fingerprint_stats;
+      }
     }
-    if (rolling && !batch->payload.empty()) {
-      // Zero-copy retention: the batch's lease moves into the tail, keeping
-      // the pinned slot (or basic-mode vector) alive for payload views.
-      tail.append(std::move(batch->payload), batch->payload_carry);
-    }
-    // Copy boundaries (and digests) back device -> host, then resolve
-    // chunks: min/max filter here, or the engine's pre-cut chunk ends.
-    batch->stages.store = store_stage_seconds(
-        config_.device, batch->boundaries.size(), pipelined,
-        batch->digests.size() * sizeof(dedup::ChunkDigest));
-    if (m_store_s != nullptr) m_store_s->observe(batch->stages.store);
-    if (fingerprint) {
-      emit_fingerprinted(*batch);
-    } else {
-      for (std::uint64_t b : batch->boundaries) filter->push(b);
-    }
-    deliver(batch_first, /*eos=*/false);
-    if (rolling) tail.trim(last_end);
-    result.raw_boundaries += batch->boundaries.size();
-    ++n_buffers;
-    stage_log.push_back(batch->stages);
-    // Aggregate kernel statistics across buffers.
-    result.kernel_totals += batch->kernel_stats;
-    if (fingerprint) {
-      result.fingerprint_totals += batch->fingerprint_stats;
-    }
-  }
   } catch (...) {
     store_error = std::current_exception();
     engine.stop();  // wakes a feeder blocked on a slot lease
@@ -218,15 +133,9 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   if (store_error) std::rethrow_exception(store_error);
   if (feed_error) std::rethrow_exception(feed_error);
 
-  if (!fingerprint) {
-    const std::size_t batch_first = chunks.size();
-    filter->finish(total_bytes);
-    deliver(batch_first, /*eos=*/true);
-  }
-
   // --- Reporting ---
-  result.chunks = std::move(chunks);
-  result.digests = std::move(digests);
+  result.chunks = store.take_chunks();
+  result.digests = store.take_digests();
   result.total_bytes = total_bytes;
   result.n_buffers = n_buffers;
   StageSeconds mean;

@@ -5,8 +5,9 @@
 // input stream into host buffers, a Transfer thread DMAs them into device
 // memory (double-buffered twins), the chunking kernel finds raw content
 // boundaries in parallel on the (simulated) GPU, and a Store thread copies
-// boundaries back, applies min/max sizes and upcalls the application with
-// finished chunks.
+// boundaries back, applies min/max sizes and hands finished chunks to the
+// application's ChunkSink one batch per buffer (core::StreamStore, the
+// Store stage the multi-tenant service runs per tenant too).
 //
 // Three operating modes expose the paper's optimization ladder (Fig 12):
 //   kBasic            serialized stages, pageable host memory, direct

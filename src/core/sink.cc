@@ -38,13 +38,6 @@ void PayloadTail::append(core::SlotLease lease, std::size_t carry) {
   segments_.push_back(std::move(seg));
 }
 
-void PayloadTail::append(ByteSpan staged, std::size_t carry) {
-  SHREDDER_CHECK_MSG(carry <= staged.size(),
-                     "PayloadTail: carry exceeds the staged buffer");
-  append(core::SlotLease::from_owned(ByteVec(staged.begin(), staged.end())),
-         carry);
-}
-
 void PayloadTail::trim(std::uint64_t keep_from) {
   // A segment is droppable when everything at or past keep_from is covered
   // by the segments after it (their overlap makes the front redundant once

@@ -41,10 +41,10 @@ struct ChunkBatchView {
 
   // Stream bytes covering [payload_base, payload_base + payload.size()),
   // when the producer retains them (Shredder::run over an in-memory span
-  // always does; streaming producers when the sink wants_payload() or the
-  // service stores payloads). For streaming runs this is the current
-  // buffer's leased staging bytes — zero-copy — and chunks reaching
-  // further back resolve through `tail`. Empty otherwise.
+  // always does; streaming runs when the sink wants_payload()). For
+  // streaming runs this is the current buffer's leased staging bytes —
+  // zero-copy — and chunks reaching further back resolve through `tail`.
+  // Empty otherwise.
   ByteSpan payload;
   std::uint64_t payload_base = 0;  // absolute stream offset of payload[0]
 
@@ -83,19 +83,19 @@ class ChunkSink {
 // payload-slicing consumers, covering [base(), end()). Zero-copy: the
 // window is a list of leased buffer segments (core/lease.h), each one
 // buffer's staged bytes, adjacent segments overlapping by the carry bytes
-// the producer re-staged. The invariant every frontend shares (Shredder's
-// store loop, the service's per-tenant store path): append one buffer's
-// payload lease per batch, hand window()/window_base() (+ the tail itself)
-// to the ChunkBatchView, then trim to the open chunk's start so retention
-// stays bounded by (open chunk + one buffer).
+// the producer re-staged. Its one owner is the store stage
+// (core::StreamStore, core/pipeline.h), which appends one buffer's payload
+// lease per batch, hands window()/window_base() (+ the tail itself) to the
+// ChunkBatchView, then trims to the open chunk's start so retention stays
+// bounded by (open chunk + one buffer).
 //
 // Slot backpressure: segments holding pinned-slot leases keep ring slots
 // out of circulation. set_slot_cap bounds that: trim() compacts the oldest
 // slot-backed segments beyond the cap into owned copies of just the bytes
-// still retained. Producers whose consumers run on the engine's own
-// drain path (the multi-tenant service) use cap 0 so no session can starve
-// the shared ring; a single-consumer Shredder run keeps
-// recommended_slot_cap(ring_slots) slots parked for zero-copy delivery.
+// still retained. The cap is the StreamStore's constructor argument: the
+// multi-tenant service uses 0 so no session can starve the shared ring; a
+// single-consumer Shredder run keeps recommended_slot_cap(ring_slots) slots
+// parked for zero-copy delivery.
 class PayloadTail {
  public:
   // Appends one buffer's staged bytes (carry prefix ++ payload) as a leased
@@ -103,9 +103,6 @@ class PayloadTail {
   // (the new segment overlaps the previous one by `carry`). Aborts if
   // `carry` exceeds the staged size or the stream position.
   void append(core::SlotLease lease, std::size_t carry);
-  // Convenience for producers without a lease: copies `staged` into an
-  // owned segment.
-  void append(ByteSpan staged, std::size_t carry);
 
   // Drops whole segments no longer needed for offsets >= `keep_from`
   // (typically the open chunk's start), then compacts slot-backed segments

@@ -114,20 +114,13 @@ ChunkingService::StreamId ChunkingService::open(TenantOptions opts) {
     session->report.name = opts.name;
   }
   session->report.weight = opts.weight;
-  session->filter = std::make_unique<chunking::MinMaxFilter>(
-      config_.chunker.min_size, config_.chunker.max_size,
-      [s = session.get()](std::uint64_t end) {
-        s->chunks.push_back({s->last_end, end - s->last_end});
-        s->last_end = end;
-      });
   session->opts = std::move(opts);
   // Every batch carries its staged bytes as a refcounted lease, so honoring
   // wants_payload() is per-session and free — including for tenants opened
-  // mid-run. Cap 0: the store thread never parks pinned slots in a tenant
-  // tail across batches (see Session::retain).
-  session->retain =
-      session->opts.sink != nullptr && session->opts.sink->wants_payload();
-  session->tail.set_slot_cap(0);
+  // mid-run. Slot cap 0: N tenants share one ring, so no tenant may park
+  // pinned slots in its tail across batches — sessions each holding
+  // under-cap leases could otherwise starve the ring.
+  session->store.emplace(*engine_, id, session->opts.sink, /*slot_cap=*/0);
   sessions_.emplace(id, std::move(session));
   ++open_sessions_;
   ++aggregate_.n_tenants;
@@ -236,8 +229,8 @@ TenantResult ChunkingService::wait(StreamId id) {
   }
   TenantResult result;
   result.report = std::move(s->report);
-  result.chunks = std::move(s->chunks);
-  result.digests = std::move(s->digests);
+  result.chunks = s->store->take_chunks();
+  result.digests = s->store->take_digests();
   // Erase by key: a concurrent open() may have rehashed sessions_ while the
   // wait above had mu_ released, invalidating `it`.
   sessions_.erase(id);
@@ -364,59 +357,30 @@ void ChunkingService::store_loop() {
                            "ChunkingService: batch for unknown session");
         s = it->second.get();
       }
-      // Fingerprint mode: chunk ends arrive resolved, paired with device
-      // digests — emit them directly instead of running the host filter.
-      const auto emit_fingerprinted = [&] {
-        core::for_each_fingerprinted_chunk(
-            *batch, s->last_end,
-            [&](const chunking::Chunk& c, const dedup::ChunkDigest& d) {
-              s->chunks.push_back(c);
-              s->digests.push_back(d);
-            });
-      };
-      const std::size_t batch_first = s->chunks.size();
-      // Extend the rolling tail before emitting: chunk payload slices and
-      // sink views read from it. The lease moves in — zero-copy — and
-      // non-retaining sessions drop it with the batch instead.
-      if (s->retain && !batch->payload.empty()) {
-        s->tail.append(std::move(batch->payload), batch->payload_carry);
-      }
+      const double store_seconds = s->store->consume(*batch);
       if (batch->eos) {
         // The trailing chunk's digest still crosses the bus: extend the
         // tenant's timeline with its D2H before closing the session.
         if (!batch->digests.empty() &&
             s->tl_base != static_cast<std::size_t>(-1)) {
-          const double d2h = core::store_stage_seconds(
-              config_.device, 0, engine_->pipelined(),
-              batch->digests.size() * sizeof(dedup::ChunkDigest));
           s->last_finish_v = timeline_.enqueue(
               s->tl_base + static_cast<std::size_t>(batch->seq % 2),
-              gpu::EngineKind::kCopyD2H, d2h);
-          s->report.stage_totals.store += d2h;
+              gpu::EngineKind::kCopyD2H, store_seconds);
+          s->report.stage_totals.store += store_seconds;
           if (tracer_ != nullptr) {
             tracer_->span("engine/d2h", "trailing_digest_d2h",
-                          s->last_finish_v - d2h, s->last_finish_v,
+                          s->last_finish_v - store_seconds, s->last_finish_v,
                           {{"tenant", s->report.name},
                            {"seq", std::to_string(batch->seq)}});
           }
         }
-        emit_fingerprinted();  // the stream's trailing chunk closes here
         if (tracer_ != nullptr) {
           tracer_->instant("tenant/" + s->report.name, "eos",
                            s->last_finish_v);
         }
-        finalize_session(*s, batch->payload_end, batch_first);
+        finalize_session(*s, batch->payload_end);
         continue;
       }
-      batch->stages.store = core::store_stage_seconds(
-          config_.device, batch->boundaries.size(), engine_->pipelined(),
-          batch->digests.size() * sizeof(dedup::ChunkDigest));
-      if (config_.fingerprint_on_device) {
-        emit_fingerprinted();
-      } else {
-        for (std::uint64_t b : batch->boundaries) s->filter->push(b);
-      }
-      deliver_batch(*s, batch_first, /*eos=*/false);
 
       // Virtual-time composition: the tenant's twin timeline streams model
       // per-stream double buffering; the three engines are shared. The hash
@@ -508,45 +472,10 @@ void ChunkingService::trace_batch(const Session& s,
                    static_cast<double>(batch.queue_depth));
 }
 
-// One ChunkBatchView to the session's sink: the chunks appended since
-// `first`, their digests, and — when the service retains payloads — a view
-// of the rolling tail. Skips chunkless non-eos batches; the eos batch is
-// always delivered so sinks have a flush point. Afterwards the tail is
-// trimmed to the open chunk's start, keeping the window bounded.
-void ChunkingService::deliver_batch(Session& s, std::size_t first, bool eos) {
-  if (s.opts.sink != nullptr && (eos || s.chunks.size() > first)) {
-    ChunkBatchView view;
-    view.stream_id = s.id;
-    view.stream_seq = s.batch_seq++;
-    view.eos = eos;
-    view.chunks = std::span<const chunking::Chunk>(s.chunks).subspan(first);
-    if (config_.fingerprint_on_device) {
-      view.digests =
-          std::span<const dedup::ChunkDigest>(s.digests).subspan(first);
-    }
-    if (!s.tail.empty()) {
-      view.payload = s.tail.window();
-      view.payload_base = s.tail.window_base();
-      view.tail = &s.tail;
-    }
-    s.opts.sink->on_batch(view);
-  }
-  s.tail.trim(s.last_end);
-}
-
-void ChunkingService::finalize_session(Session& s, std::uint64_t total_bytes,
-                                       std::size_t batch_first) {
-  if (config_.fingerprint_on_device) {
-    // The engine's device-side cutter already closed the trailing chunk.
-    SHREDDER_CHECK_MSG(s.last_end == total_bytes,
-                       "fingerprint session ended short of the stream total");
-  } else {
-    s.filter->finish(total_bytes);
-  }
-  deliver_batch(s, batch_first, /*eos=*/true);
+void ChunkingService::finalize_session(Session& s, std::uint64_t total_bytes) {
   auto& r = s.report;
   r.total_bytes = total_bytes;
-  r.n_chunks = s.chunks.size();
+  r.n_chunks = s.store->chunks().size();
   r.max_queue_depth = s.max_depth.load(std::memory_order_relaxed);
   r.virtual_start_seconds = s.first_start_v;
   r.virtual_finish_seconds = s.last_finish_v;

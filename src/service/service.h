@@ -13,15 +13,16 @@
 //        scheduler thread: weighted-fair pick ──► engine.submit()
 //                                  (pinned-slot lease = backpressure #2)
 //        engine: transfer thread ─► kernel thread  (tagged BoundaryBatches)
-//        store thread: per-tenant min/max splice, chunk upcalls, stats
+//        store thread: one core::StreamStore per tenant (chunk resolution,
+//          sink batches), virtual-time composition, stats
 //
-// Per-tenant session state (Rabin carry across buffers, min/max filter,
-// sequence numbers) keeps every stream's output bit-identical to a dedicated
-// core::Shredder::run over the same bytes — the service equivalence suite in
-// tests/service_test.cc asserts exactly that. With fingerprint_on_device the
-// engine also SHA-256-hashes every chunk on the device and tenants receive
-// chunk+digest pairs (tests/fingerprint_test.cc holds the digests
-// bit-identical to host dedup::Sha256).
+// Per-tenant session state (Rabin carry across buffers, the same StreamStore
+// a Shredder run drives, sequence numbers) keeps every stream's output
+// bit-identical to a dedicated core::Shredder::run over the same bytes — the
+// service equivalence suite in tests/service_test.cc asserts exactly that.
+// With fingerprint_on_device the engine also SHA-256-hashes every chunk on
+// the device and tenants receive chunk+digest pairs (tests/fingerprint_test.cc
+// holds the digests bit-identical to host dedup::Sha256).
 //
 // Virtual-time model: every tenant gets a twin pair of GpuTimeline streams
 // (double buffering); H2D/compute/D2H ops of all tenants compete for the
@@ -35,13 +36,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "chunking/chunk.h"
-#include "chunking/minmax.h"
 #include "common/annotations.h"
 #include "common/bytes.h"
 #include "common/mutex.h"
@@ -222,20 +223,9 @@ class ChunkingService {
     double credit = 0;  // dispatches weighted by 1/weight; min credit wins
     bool eos_sent = false;  // guarded by mu_
 
-    // Store side.
-    std::unique_ptr<chunking::MinMaxFilter> filter;
-    std::uint64_t last_end = 0;
-    std::vector<chunking::Chunk> chunks;
-    std::vector<dedup::ChunkDigest> digests;  // fingerprint mode, 1:1 chunks
-    // Batch delivery to opts.sink: the delivered-batch ordinal, and — when
-    // the session retains payloads — the rolling lease window from which
-    // chunk payloads are sliced. `retain` is fixed at open(): the sink
-    // wants_payload(). The tail runs with slot cap 0 so no tenant parks
-    // pinned slots across batches — N sessions each holding under-cap
-    // leases could otherwise starve the shared ring.
-    std::uint64_t batch_seq = 0;
-    bool retain = false;
-    PayloadTail tail;
+    // Store side: chunk resolution, chunks/digests, payload tail and batch
+    // delivery to opts.sink (emplaced at open()).
+    std::optional<core::StreamStore> store;
     TenantReport report;
     double ready_v = 0;         // cumulative modelled client-produce time
     double first_start_v = 0;   // start of the first H2D on the timeline
@@ -258,9 +248,7 @@ class ChunkingService {
   void trace_batch(const Session& s, const core::BoundaryBatch& batch,
                    double h2d_finish, double kernel_finish, double fp_finish,
                    double d2h_finish);
-  void deliver_batch(Session& s, std::size_t first, bool eos);
-  void finalize_session(Session& s, std::uint64_t total_bytes,
-                        std::size_t batch_first);
+  void finalize_session(Session& s, std::uint64_t total_bytes);
 
   ServiceConfig config_;
   rabin::RabinTables tables_;

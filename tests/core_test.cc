@@ -708,5 +708,35 @@ TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
   EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 0.0);
 }
 
+// --- Store stage ---
+
+TEST(StreamStoreDeathTest, RejectsBatchesPastTheStreamEnd) {
+  const auto chunker = small_chunker();
+  const rabin::RabinTables tables(chunker.window);
+  gpu::Device device(gpu::DeviceSpec{}, 1);
+  for (const bool fingerprint : {false, true}) {
+    PipelineEngineConfig cfg;
+    cfg.mode = GpuMode::kBasic;
+    cfg.slot_bytes = 4096;
+    cfg.kernel.blocks = 4;
+    cfg.kernel.threads_per_block = 16;
+    cfg.fingerprint = fingerprint;
+    PipelineEngine engine(cfg, device, tables, chunker);
+    engine.stop();  // the batches below are hand-made
+    StreamStore store(engine, /*stream_id=*/0, /*sink=*/nullptr,
+                      /*slot_cap=*/0);
+    BoundaryBatch eos;
+    eos.eos = true;
+    if (fingerprint) {
+      // The engine's cutter closed no chunk, yet the stream claims bytes.
+      eos.payload_end = 100;
+      EXPECT_DEATH(store.consume(eos), "ended short of the stream total");
+    } else {
+      EXPECT_EQ(store.consume(eos), 0.0);  // no digest, no D2H
+      EXPECT_DEATH(store.consume(eos), "batch after end of stream");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace shredder::core

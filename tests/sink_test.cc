@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "backup/backup_server.h"
@@ -84,6 +85,12 @@ core::ShredderConfig small_shredder_config(bool fingerprint) {
 
 // --- ChunkBatchView / PayloadTail units ------------------------------------
 
+// An owned-vector segment holding a copy of `staged`, the lease a
+// producer without a pinned ring (basic mode) hands the tail.
+core::SlotLease owned_lease(ByteSpan staged) {
+  return core::SlotLease::from_owned(ByteVec(staged.begin(), staged.end()));
+}
+
 TEST(ChunkBatchView, ChunkBytesSlicesAndBoundsChecks) {
   const ByteVec data = random_bytes(256, 1);
   ChunkBatchView view;
@@ -108,8 +115,8 @@ TEST(ChunkBatchView, ChunkBytesResolvesThroughTheTail) {
   // contiguous payload is the newest one.
   const ByteVec data = random_bytes(300, 41);
   PayloadTail tail;
-  tail.append(ByteSpan{data.data(), 200}, 0);
-  tail.append(ByteSpan{data.data() + 190, 110}, 10);
+  tail.append(owned_lease({data.data(), 200}), 0);
+  tail.append(owned_lease({data.data() + 190, 110}), 10);
   ChunkBatchView view;
   const std::vector<chunking::Chunk> chunks = {
       {190, 50},   // exactly flush with payload_base: direct subspan
@@ -150,7 +157,7 @@ TEST(PayloadTail, AppendAndTrimKeepTheWindowBoundedAndOrdered) {
   std::uint64_t prev_base = 0;
   for (std::size_t pos = 0; pos < data.size(); pos += kBuf) {
     const std::size_t carry = pos == 0 ? 0 : kCarry;
-    tail.append(ByteSpan{data.data() + pos - carry, carry + kBuf}, carry);
+    tail.append(owned_lease({data.data() + pos - carry, carry + kBuf}), carry);
     // end tracks the stream; base never moves backwards.
     EXPECT_EQ(tail.end(), pos + kBuf);
     EXPECT_GE(tail.base(), prev_base);
@@ -217,10 +224,10 @@ TEST(PayloadTailDeathTest, RejectsCarryBeyondTheStagedBuffer) {
   // a carry past the staged size walked off the buffer.
   const ByteVec staged = random_bytes(16, 3);
   PayloadTail tail;
-  EXPECT_DEATH(tail.append(as_bytes(staged), staged.size() + 1),
+  EXPECT_DEATH(tail.append(owned_lease(as_bytes(staged)), staged.size() + 1),
                "carry exceeds the staged buffer");
   // A carry reaching before the stream start is equally out of protocol.
-  EXPECT_DEATH(tail.append(as_bytes(staged), 1),
+  EXPECT_DEATH(tail.append(owned_lease(as_bytes(staged)), 1),
                "carry reaches before the stream start");
 }
 
@@ -378,6 +385,87 @@ TEST(ServiceSink, PayloadWantingSinkGetsViewsWithoutStoreRetention) {
   check(sink_a, res_a, data_a);
   check(sink_b, res_b, data_b);
 }
+
+// --- Both frontends: one store stage ---------------------------------------
+
+// The same stream through Shredder::run(DataSource&, sink) and a one-tenant
+// ChunkingService with the same chunker and buffer size. Both frontends run
+// each stream through one core::StreamStore, so the delivered batches must
+// match exactly: chunks, batch bounds (the backup wire ships one batch per
+// delivered batch), digests and payload bytes, with one eos batch each.
+class FrontendBatches
+    : public ::testing::TestWithParam<
+          std::tuple<bool, core::GpuMode, std::uint64_t>> {};
+
+TEST_P(FrontendBatches, ShredderAndServiceDeliverIdenticalBatches) {
+  const auto [fingerprint, mode, max_size] = GetParam();
+  core::ShredderConfig cfg = small_shredder_config(fingerprint);
+  cfg.mode = mode;
+  cfg.chunker.max_size = max_size;
+  // A zero run has no content boundary, so across the 64 KiB buffer seams
+  // it forces max-size cuts; at 96 KiB its chunks span buffers and resolve
+  // through the payload tail.
+  ByteVec data = random_bytes(300000, 61);
+  std::fill(data.begin() + 60000, data.begin() + 190000, std::uint8_t{0});
+
+  core::Shredder shredder(cfg);
+  core::MemorySource shredder_source(as_bytes(data),
+                                     shredder.config().host.reader_bw);
+  RecordingSink shredder_sink(/*want_payload=*/true);
+  const auto shredder_result = shredder.run(shredder_source, shredder_sink);
+
+  service::ServiceConfig svc_cfg;
+  svc_cfg.chunker = cfg.chunker;
+  svc_cfg.buffer_bytes = cfg.buffer_bytes;
+  svc_cfg.mode = cfg.mode;
+  svc_cfg.kernel = cfg.kernel;
+  svc_cfg.ring_slots = cfg.ring_slots;
+  svc_cfg.sim_threads = cfg.sim_threads;
+  svc_cfg.fingerprint_on_device = fingerprint;
+  service::ChunkingService svc(svc_cfg);
+  core::MemorySource service_source(as_bytes(data), svc_cfg.host.reader_bw);
+  RecordingSink service_sink(/*want_payload=*/true);
+  service::TenantOptions opts;
+  opts.sink = &service_sink;
+  const auto service_result = svc.chunk_stream(service_source, std::move(opts));
+  svc.shutdown();
+
+  EXPECT_EQ(shredder_result.chunks, service_result.chunks);
+  EXPECT_EQ(shredder_sink.chunks(), shredder_result.chunks);
+  EXPECT_EQ(service_sink.chunks(), service_result.chunks);
+  EXPECT_EQ(shredder_sink.batch_ends(), service_sink.batch_ends());
+  EXPECT_GT(shredder_sink.batch_ends().size(), 2u);
+  EXPECT_EQ(shredder_sink.digests(), service_sink.digests());
+  EXPECT_EQ(shredder_sink.digests().empty(), !fingerprint);
+  EXPECT_EQ(shredder_sink.payloads(), service_sink.payloads());
+  EXPECT_EQ(shredder_sink.eos_batches(), 1u);
+  EXPECT_EQ(service_sink.eos_batches(), 1u);
+  // Only the 96 KiB cap lets the zero run form chunks wider than a buffer.
+  std::uint64_t widest = 0;
+  for (const auto& c : shredder_result.chunks) {
+    widest = std::max(widest, c.size);
+  }
+  EXPECT_EQ(widest > cfg.buffer_bytes, max_size > cfg.buffer_bytes);
+  // The payload views are the stream's real bytes.
+  ASSERT_EQ(shredder_sink.payloads().size(), shredder_result.chunks.size());
+  for (std::size_t i = 0; i < shredder_result.chunks.size(); ++i) {
+    const auto& c = shredder_result.chunks[i];
+    EXPECT_EQ(std::memcmp(shredder_sink.payloads()[i].data(),
+                          data.data() + static_cast<std::size_t>(c.offset),
+                          static_cast<std::size_t>(c.size)),
+              0)
+        << "chunk " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoreStage, FrontendBatches,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(core::GpuMode::kBasic,
+                                         core::GpuMode::kStreams,
+                                         core::GpuMode::kStreamsCoalesced),
+                       ::testing::Values(std::uint64_t{2 * 1024},
+                                         std::uint64_t{96 * 1024})));
 
 // --- Backup: extent-coalesced wire batches ---------------------------------
 
