@@ -30,9 +30,8 @@ compile time is spent. Two invariant families:
    high_resolution_clock, clock_gettime, gettimeofday, and word-boundary
    `time(` (so gpusim's stream_time(...) does not trip it). The only code
    allowed to touch the host clock is common/timer (the Stopwatch used for
-   wall_seconds reporting) and common/logging (log line timestamps) — both
-   outside the scanned directories, listed here as an explicit allowlist so
-   moving them would still pass.
+   wall_seconds reporting) — outside the scanned directories, listed here as
+   an explicit allowlist so moving it would still pass.
 
 3. Retention isolation. src/retention/ is the storage control plane: it may
    see chunk stores and indexes (dedup) but never the layers that drive it.
@@ -86,7 +85,6 @@ VIRTUAL_TIME_MODULES = ("core", "gpusim", "backup", "service", "obs",
 WALL_CLOCK_ALLOWLIST = (
     "common/timer.h",
     "common/timer.cc",
-    "common/logging.cc",
 )
 
 WALL_CLOCK_PATTERNS = [

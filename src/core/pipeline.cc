@@ -160,48 +160,80 @@ void PipelineEngine::record_error_and_unblock() {
   to_store_.close();
 }
 
-bool PipelineEngine::submit(StreamBuffer buf) {
-  SHREDDER_CHECK_MSG(!buf.eos || buf.data.empty(),
+bool PipelineEngine::submit(const StreamBuffer& buf) {
+  SHREDDER_CHECK_MSG(!buf.eos || buf.payload.empty(),
                      "PipelineEngine: eos buffers must carry no data");
   StagedItem item;
-  item.data_len = buf.carry_prefix.size() + buf.data.size();
-  if (m_buffers_ != nullptr && !buf.eos) {
-    m_buffers_->add(1);
-    m_bytes_->add(buf.data.size());  // payload only; carry bytes are repeats
-  }
-  if (pipelined() && !buf.eos) {
-    const auto slot = pool_->acquire();
-    if (!slot.has_value()) return false;
-    auto span = pool_->slot_span(*slot);
-    SHREDDER_CHECK(item.data_len <= span.size());
-    if (!buf.carry_prefix.empty()) {
-      std::memcpy(span.data(), buf.carry_prefix.data(),
-                  buf.carry_prefix.size());
+  item.stream_id = buf.stream_id;
+  item.eos = buf.eos;
+  item.reader_seconds = buf.reader_seconds;
+  item.sched_credit = buf.sched_credit;
+  item.queue_depth = buf.queue_depth;
+  if (buf.eos) {
+    // A stream that never staged a byte has no cursor: seq 0, total 0.
+    MutexLock lock(cursors_mutex_);
+    const auto it = cursors_.find(buf.stream_id);
+    if (it != cursors_.end()) {
+      item.seq = it->second.next_seq;
+      item.base_offset = it->second.offset;
+      cursors_.erase(it);
     }
-    if (!buf.data.empty()) {
-      std::memcpy(span.data() + buf.carry_prefix.size(), buf.data.data(),
-                  buf.data.size());
+  } else {
+    if (m_buffers_ != nullptr) {
+      m_buffers_->add(1);
+      m_bytes_->add(buf.payload.size());  // payload only; carry repeats
     }
-    // The staged bytes live in the pinned slot now; the lease is the ONLY
-    // host copy, travelling with the item all the way to the consumer as
-    // BoundaryBatch::payload. No second splice, no return_payload copy.
-    item.lease = SlotLease::from_slot(pool_, *slot, item.data_len);
-    buf.carry += buf.carry_prefix.size();
-    buf.data = ByteVec{};
-    buf.carry_prefix = ByteVec{};
-  } else if (!buf.eos && !buf.carry_prefix.empty()) {
-    // Basic (pageable) mode DMAs straight from host memory, which must be
-    // one contiguous span: splice prefix + payload here.
-    ByteVec staged;
-    staged.reserve(item.data_len);
-    staged.insert(staged.end(), buf.carry_prefix.begin(),
-                  buf.carry_prefix.end());
-    staged.insert(staged.end(), buf.data.begin(), buf.data.end());
-    buf.carry += buf.carry_prefix.size();
-    buf.carry_prefix = ByteVec{};
-    buf.data = std::move(staged);
+    // Lease the slot before taking the cursor lock: acquire() blocks on
+    // backpressure, and other streams' submitters must not wait behind it.
+    std::optional<std::size_t> slot;
+    if (pipelined()) {
+      slot = pool_->acquire();
+      if (!slot.has_value()) return false;
+    }
+    MutableByteSpan staged;
+    ByteVec owned;  // basic mode: pageable DMA source, one contiguous span
+    {
+      MutexLock lock(cursors_mutex_);
+      StreamCursor& c = cursors_[buf.stream_id];
+      item.seq = c.next_seq++;
+      item.carry = c.carry.size();
+      item.base_offset = c.offset - item.carry;
+      const std::size_t len = item.carry + buf.payload.size();
+      SHREDDER_CHECK_MSG(len <= config_.slot_bytes,
+                         "PipelineEngine: buffer exceeds the staging slot");
+      if (slot.has_value()) {
+        staged = pool_->slot_span(*slot).first(len);
+      } else {
+        owned.resize(len);
+        staged = owned;
+      }
+      if (item.carry > 0) {
+        std::memcpy(staged.data(), c.carry.data(), item.carry);
+      }
+      c.offset += buf.payload.size();
+      // The next buffer's window context: the last w-1 bytes staged so far.
+      const std::size_t cap = chunker_.window - 1;
+      if (buf.payload.size() >= cap) {
+        c.carry.assign(buf.payload.end() - static_cast<std::ptrdiff_t>(cap),
+                       buf.payload.end());
+      } else {
+        c.carry.insert(c.carry.end(), buf.payload.begin(), buf.payload.end());
+        if (c.carry.size() > cap) {
+          c.carry.erase(c.carry.begin(),
+                        c.carry.end() - static_cast<std::ptrdiff_t>(cap));
+        }
+      }
+    }
+    if (!buf.payload.empty()) {
+      std::memcpy(staged.data() + item.carry, buf.payload.data(),
+                  buf.payload.size());
+    }
+    // The staged bytes are the ONLY host copy from here on, travelling with
+    // the item all the way to the consumer as BoundaryBatch::payload.
+    item.lease = slot.has_value()
+                     ? SlotLease::from_slot(pool_, *slot, staged.size())
+                     : SlotLease::from_owned(std::move(owned));
   }
-  item.meta = std::move(buf);
   // On push failure the moved-from item is destroyed inside push(); its
   // lease drops and the slot recycles automatically.
   return to_transfer_.push(std::move(item));
@@ -213,19 +245,15 @@ void PipelineEngine::transfer_loop() {
   try {
     std::size_t next_twin = 0;
     while (auto item = to_transfer_.pop()) {
-      if (item->meta.eos) {
+      if (item->eos) {
         if (!to_kernel_.push(std::move(*item))) return;
         continue;
       }
-      const ByteSpan dma_src = item->lease
-                                   ? item->lease.bytes()
-                                   : ByteSpan{item->meta.data.data(),
-                                              item->data_len};
       if (!acquire_twin()) return;
       item->dev_slot = next_twin;
       next_twin = (next_twin + 1) % twins_.size();
-      item->transfer_seconds =
-          device_.memcpy_h2d(twins_[item->dev_slot], 0, dma_src, host_kind_);
+      item->transfer_seconds = device_.memcpy_h2d(
+          twins_[item->dev_slot], 0, item->lease.bytes(), host_kind_);
       // The slot is NOT released here: the lease rides to the kernel stage
       // and out with the batch, recycling when its last holder drops it.
       if (!to_kernel_.push(std::move(*item))) return;
@@ -252,13 +280,13 @@ PipelineEngine::FingerprintSession& PipelineEngine::fp_session(
 // this buffer makes final, hash them over the resident device twin, and
 // attach (ends, digests, stage seconds) to the batch.
 void PipelineEngine::fingerprint_batch(StagedItem& item, BoundaryBatch& batch) {
-  FingerprintSession& s = fp_session(item.meta.stream_id);
+  FingerprintSession& s = fp_session(item.stream_id);
   s.pending.clear();
   for (const std::uint64_t b : batch.boundaries) s.cutter.push(b);
   s.cutter.drain_forced(batch.payload_end);
   GpuFingerprintResult fr = fingerprint_on_gpu(
-      device_, twins_[item.dev_slot], item.data_len, item.meta.carry,
-      item.meta.base_offset, s.pending, s.ctx, kparams_);
+      device_, twins_[item.dev_slot], item.lease.size(), item.carry,
+      item.base_offset, s.pending, s.ctx, kparams_);
   batch.stages.fingerprint = fr.stats.virtual_seconds;
   batch.fingerprint_stats = fr.stats;
   batch.chunk_ends = std::move(s.pending);
@@ -290,13 +318,13 @@ void PipelineEngine::kernel_loop() {
   try {
     while (auto item = to_kernel_.pop()) {
       BoundaryBatch batch;
-      batch.stream_id = item->meta.stream_id;
-      batch.seq = item->meta.seq;
-      if (item->meta.eos) {
+      batch.stream_id = item->stream_id;
+      batch.seq = item->seq;
+      if (item->eos) {
         batch.eos = true;
         // For eos markers base_offset carries the stream's total byte count
         // so the consumer can finalize without extra synchronization.
-        batch.payload_end = item->meta.base_offset;
+        batch.payload_end = item->base_offset;
         if (config_.fingerprint) {
           finish_fingerprint(batch.stream_id, batch.payload_end, batch);
         }
@@ -304,16 +332,16 @@ void PipelineEngine::kernel_loop() {
         continue;
       }
       GpuChunkResult kr = chunk_on_gpu(
-          device_, twins_[item->dev_slot], item->data_len, item->meta.carry,
-          item->meta.base_offset, tables_, chunker_, kparams_);
-      batch.stages.reader = item->meta.reader_seconds;
+          device_, twins_[item->dev_slot], item->lease.size(), item->carry,
+          item->base_offset, tables_, chunker_, kparams_);
+      batch.stages.reader = item->reader_seconds;
       batch.stages.transfer = item->transfer_seconds;
       batch.stages.kernel = kr.stats.virtual_seconds;
       batch.kernel_stats = kr.stats;
       batch.boundaries = std::move(kr.boundaries);
-      batch.payload_end = item->meta.base_offset + item->data_len;
-      batch.sched_credit = item->meta.sched_credit;
-      batch.queue_depth = item->meta.queue_depth;
+      batch.payload_end = item->base_offset + item->lease.size();
+      batch.sched_credit = item->sched_credit;
+      batch.queue_depth = item->queue_depth;
       if (m_reader_s_ != nullptr) {
         m_reader_s_->observe(batch.stages.reader);
         m_h2d_s_->observe(batch.stages.transfer);
@@ -329,12 +357,10 @@ void PipelineEngine::kernel_loop() {
         }
       }
       // The staged bytes always ride back with the batch: slot-backed lease
-      // in streams modes, the already-spliced host vector in basic mode.
+      // in streams modes, the owned host vector in basic mode.
       // Non-retaining consumers drop the batch and the storage frees itself.
-      batch.payload = item->lease
-                          ? std::move(item->lease)
-                          : SlotLease::from_owned(std::move(item->meta.data));
-      batch.payload_carry = item->meta.carry;
+      batch.payload = std::move(item->lease);
+      batch.payload_carry = item->carry;
       release_twin();
       if (!to_store_.push(std::move(batch))) return;
     }

@@ -8,11 +8,13 @@
 // the same tag. Single-stream Shredder::run and the multi-tenant
 // service::ChunkingService are both thin shells around this engine, and
 // both run each stream's Store stage through one StreamStore (below).
+// Producers hand in only new payload bytes; the engine owns each stream's
+// staging state — its window carry, offset and sequence number.
 //
 // Stage layout (each arrow is a bounded queue; depth bounds the buffers in
 // flight, exactly like Figure 8's ring):
 //
-//   submit() ──copy into leased pinned slot──► transfer thread
+//   submit() ──copy carry ++ payload into leased pinned slot──► transfer thread
 //     (H2D DMA into a free device twin)
 //   ──► kernel thread (chunk_on_gpu [+ fingerprint_on_gpu]) ──►
 //       next_batch() on the caller (batch carries the slot's SlotLease)
@@ -80,21 +82,16 @@ struct StageSeconds {
   }
 };
 
-// A unit of pipeline work tagged with the client stream that produced it.
-// The staged bytes are carry_prefix ++ data: producers that already hold
-// carry and payload contiguously (AsyncReader) put everything in `data` and
-// set `carry`; producers with a separate window-context tail (the service
-// scheduler) pass it via `carry_prefix` and the engine splices the two
-// directly into the pinned slot — no concatenation copy on the hot path.
+// One producer submission: the next payload bytes of one client stream.
+// Producers send only new bytes. The engine keeps each stream's window
+// carry (its last w-1 staged bytes), offset and sequence number, and stages
+// every buffer as carry ++ payload so no Rabin window is lost at a seam.
 struct StreamBuffer {
   std::uint32_t stream_id = 0;
-  std::uint64_t seq = 0;          // per-stream buffer sequence number
-  std::size_t carry = 0;          // leading window-context bytes in `data`
-  ByteVec carry_prefix;           // window-context bytes staged before `data`
-  std::uint64_t base_offset = 0;  // absolute offset of the first staged byte
-  ByteVec data;                   // (carry +) payload
+  // Borrowed: submit() copies it into the staging slot before returning.
+  ByteSpan payload;
   double reader_seconds = 0;      // modelled producer time for the payload
-  bool eos = false;               // end-of-stream marker; data must be empty
+  bool eos = false;               // end-of-stream marker; payload is empty
   // Scheduler context stamped by the producer (the service's dispatch path)
   // and echoed back on the BoundaryBatch, so the store thread can emit
   // credit/queue-depth trace points at the batch's virtual completion time.
@@ -102,9 +99,10 @@ struct StreamBuffer {
   std::uint32_t queue_depth = 0;
 };
 
-// Raw content boundaries of one buffer, tagged like the StreamBuffer that
-// produced them. eos batches carry no boundaries and mark that every
-// preceding buffer of that stream has been delivered.
+// Raw content boundaries of one buffer, tagged with its stream and its
+// per-stream sequence number (0, 1, ..., with the eos batch last). eos
+// batches carry no boundaries and mark that every preceding buffer of that
+// stream has been delivered.
 //
 // When the engine fingerprints, chunk_ends/digests carry the stream's
 // *final* chunking (min/max applied on the device side) resolved as far as
@@ -176,11 +174,14 @@ class PipelineEngine {
   PipelineEngine(const PipelineEngine&) = delete;
   PipelineEngine& operator=(const PipelineEngine&) = delete;
 
-  // Moves `buf` into the pipeline: leases a pinned slot (blocking while all
-  // slots are in flight — this is the backpressure point), stages the bytes
-  // and hands them to the transfer thread. Returns false if the engine was
-  // shut down. Buffers of one stream must be submitted in stream order.
-  bool submit(StreamBuffer buf);
+  // Stages `buf` behind its stream's window carry and hands it to the
+  // transfer thread: leases a pinned slot (blocking while all slots are in
+  // flight — this is the backpressure point) and copies carry ++ payload
+  // into it, or into one owned vector in basic mode. An eos buffer closes
+  // the stream and drops its staging state. Returns false if the engine was
+  // shut down. Each stream has one submitting thread, which submits its
+  // buffers in stream order; different streams may submit concurrently.
+  bool submit(const StreamBuffer& buf);
 
   // Signals end of all submissions; next_batch() drains and then returns
   // nullopt.
@@ -207,15 +208,32 @@ class PipelineEngine {
   std::size_t slots_leased() const;
 
  private:
-  // A StreamBuffer whose payload has been staged into a leased pinned slot
-  // (streams modes; `lease` keeps the slot alive through DMA and beyond) or
-  // left in `meta.data` (basic mode).
+  // A submitted buffer on its way through the stages. `lease` holds the
+  // staged bytes (carry ++ payload): a leased pinned slot in streams modes,
+  // kept alive through DMA and beyond, or an owned vector in basic mode.
   struct StagedItem {
-    StreamBuffer meta;
+    std::uint32_t stream_id = 0;
+    std::uint64_t seq = 0;
+    bool eos = false;
+    // Absolute stream offset of the first staged byte; on eos, the stream's
+    // total byte count.
+    std::uint64_t base_offset = 0;
+    std::size_t carry = 0;  // leading window-context bytes of `lease`
     SlotLease lease;
-    std::size_t data_len = 0;
+    double reader_seconds = 0;
+    double sched_credit = 0;
+    std::uint32_t queue_depth = 0;
     std::size_t dev_slot = 0;
     double transfer_seconds = 0;
+  };
+
+  // One open stream's staging state: the last w-1 staged bytes (fewer at
+  // the stream's start), the payload bytes staged so far and the next
+  // sequence number.
+  struct StreamCursor {
+    ByteVec carry;
+    std::uint64_t offset = 0;
+    std::uint64_t next_seq = 0;
   };
 
   // Per-stream device-resident fingerprint state (kernel thread only):
@@ -255,6 +273,12 @@ class PipelineEngine {
   // mode (no ring; payloads travel as owned vectors).
   std::shared_ptr<detail::SlotPool> pool_;
   std::atomic<bool> stopping_{false};  // wakes twin waiters at shutdown
+
+  // Staging state of every stream that has submitted data and not yet its
+  // eos, keyed by stream id.
+  Mutex cursors_mutex_;
+  std::unordered_map<std::uint32_t, StreamCursor> cursors_
+      GUARDED_BY(cursors_mutex_);
 
   std::vector<gpu::DeviceBuffer> twins_;
   Mutex twin_mutex_;

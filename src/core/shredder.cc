@@ -37,13 +37,12 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
                                   ByteSpan whole) {
   const Stopwatch wall;
   ShredderResult result;
-  const std::size_t carry_bytes = config_.chunker.window - 1;
   const bool pipelined = config_.mode != GpuMode::kBasic;
   const bool fingerprint = config_.fingerprint_on_device;
 
   PipelineEngineConfig engine_cfg;
   engine_cfg.mode = config_.mode;
-  engine_cfg.slot_bytes = config_.buffer_bytes + carry_bytes;
+  engine_cfg.slot_bytes = config_.buffer_bytes + config_.chunker.window - 1;
   engine_cfg.ring_slots = config_.ring_slots;
   engine_cfg.kernel = config_.kernel;
   engine_cfg.fingerprint = fingerprint;
@@ -62,48 +61,39 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
                     whole);
 
   // --- The pipeline ---
-  // Reader runs inside AsyncReader's thread; a feeder thread stages its
-  // buffers into the engine (transfer + kernel threads live inside it);
+  // The Reader stage runs on one thread: it reads each buffer into one
+  // reused host buffer and submits it, and submit() copies it into the
+  // pinned ring. The transfer and kernel threads live inside the engine;
   // the Store stage runs on this thread, matching Figure 8's four stages.
   std::vector<StageSeconds> stage_log;
   std::uint64_t total_bytes = 0;
   std::uint64_t n_buffers = 0;
 
-  std::exception_ptr feed_error;
-  std::thread feeder([&] {
+  std::exception_ptr read_error;
+  std::thread reader([&] {
     try {
-      AsyncReader reader(source, config_.buffer_bytes, carry_bytes,
-                         /*queue_depth=*/pipelined ? config_.ring_slots : 1);
-      std::uint64_t submitted_end = 0;
-      std::uint64_t next_seq = 0;
-      while (auto buf = reader.next()) {
-        StreamBuffer sb;
-        sb.stream_id = 0;
-        sb.seq = buf->index;
-        sb.carry = buf->carry;
-        sb.base_offset = buf->stream_offset - buf->carry;
-        sb.reader_seconds = buf->read_seconds;
-        sb.data = std::move(buf->data);
-        submitted_end = sb.base_offset + sb.data.size();
-        next_seq = sb.seq + 1;
-        if (!engine.submit(std::move(sb))) return;
+      ByteVec read_buf(config_.buffer_bytes);
+      StreamBuffer sb;
+      for (;;) {
+        const std::size_t got = source.read(read_buf);
+        if (got == 0) break;
+        sb.payload = ByteSpan{read_buf.data(), got};
+        sb.reader_seconds = source.read_seconds(got);
+        if (!engine.submit(sb)) return;
       }
       // The stream ends on an eos marker, which closes its trailing chunk.
       StreamBuffer eos;
-      eos.stream_id = 0;
-      eos.seq = next_seq;
       eos.eos = true;
-      eos.base_offset = submitted_end;
-      if (!engine.submit(std::move(eos))) return;
+      if (!engine.submit(eos)) return;
       engine.close();
     } catch (...) {
-      feed_error = std::current_exception();
+      read_error = std::current_exception();
       engine.close();
     }
   });
 
   // Store stage runs on this thread. A pipeline-stage failure surfaces as a
-  // rethrow from next_batch(); capture it so the feeder thread can be
+  // rethrow from next_batch(); capture it so the reader thread can be
   // unblocked and joined before the exception propagates.
   std::exception_ptr store_error;
   try {
@@ -127,11 +117,11 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
     }
   } catch (...) {
     store_error = std::current_exception();
-    engine.stop();  // wakes a feeder blocked on a slot lease
+    engine.stop();  // wakes a reader blocked on a slot lease
   }
-  feeder.join();
+  reader.join();
   if (store_error) std::rethrow_exception(store_error);
-  if (feed_error) std::rethrow_exception(feed_error);
+  if (read_error) std::rethrow_exception(read_error);
 
   // --- Reporting ---
   result.chunks = store.take_chunks();

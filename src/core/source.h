@@ -2,22 +2,14 @@
 //
 // The paper's Reader consumes a SAN stream at ~2 GB/s via asynchronous I/O.
 // Here a DataSource hands out sequential buffers and reports the *modelled*
-// read time per buffer; AsyncReader runs a background thread that prefetches
-// buffers ahead of the consumer, which is the lio_listio-style overlap of
-// §5.2.1.
+// read time per buffer. Shredder::run's Reader thread reads one buffer at a
+// time and submits it into the pinned ring, so the ring's free slots are
+// the read-ahead depth: the lio_listio-style overlap of §5.2.1.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <functional>
-#include <memory>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/queue.h"
-#include "gpusim/spec.h"
 
 namespace shredder::core {
 
@@ -25,10 +17,6 @@ namespace shredder::core {
 class DataSource {
  public:
   virtual ~DataSource() = default;
-
-  // Total bytes this source will deliver (known up front for all our
-  // sources; a live SAN stream would return a running estimate).
-  virtual std::uint64_t total_bytes() const = 0;
 
   // Reads up to dst.size() bytes into dst; returns bytes read (0 = EOF).
   virtual std::size_t read(MutableByteSpan dst) = 0;
@@ -43,7 +31,6 @@ class MemorySource final : public DataSource {
  public:
   MemorySource(ByteSpan data, double channel_bw);
 
-  std::uint64_t total_bytes() const override { return data_.size(); }
   std::size_t read(MutableByteSpan dst) override;
   double read_seconds(std::uint64_t bytes) const override;
 
@@ -53,33 +40,12 @@ class MemorySource final : public DataSource {
   double channel_bw_;
 };
 
-// Reads a file from the local filesystem at a modelled channel bandwidth.
-// Throws std::runtime_error if the file cannot be opened.
-class FileSource final : public DataSource {
- public:
-  FileSource(const std::string& path, double channel_bw);
-  ~FileSource() override;
-
-  FileSource(const FileSource&) = delete;
-  FileSource& operator=(const FileSource&) = delete;
-
-  std::uint64_t total_bytes() const override { return total_; }
-  std::size_t read(MutableByteSpan dst) override;
-  double read_seconds(std::uint64_t bytes) const override;
-
- private:
-  std::FILE* file_ = nullptr;
-  std::uint64_t total_ = 0;
-  double channel_bw_;
-};
-
 // Deterministic synthetic stream (seeded) without materialising the whole
 // payload: useful for multi-GB runs.
 class SyntheticSource final : public DataSource {
  public:
   SyntheticSource(std::uint64_t total, std::uint64_t seed, double channel_bw);
 
-  std::uint64_t total_bytes() const override { return total_; }
   std::size_t read(MutableByteSpan dst) override;
   double read_seconds(std::uint64_t bytes) const override;
 
@@ -88,38 +54,6 @@ class SyntheticSource final : public DataSource {
   std::uint64_t produced_ = 0;
   std::uint64_t seed_;
   double channel_bw_;
-};
-
-// A buffer handed from the reader to the rest of the pipeline.
-struct ReadBuffer {
-  std::uint64_t index = 0;        // sequence number
-  std::uint64_t stream_offset = 0;  // absolute offset of payload[carry..]
-  std::size_t carry = 0;          // leading window-context bytes (w-1)
-  ByteVec data;                   // carry + payload
-  double read_seconds = 0;        // modelled reader time for the payload
-};
-
-// Background prefetching reader: fills ReadBuffers of `payload_bytes` each,
-// prefixing every buffer with the last `carry_bytes` of the previous one so
-// chunk windows spanning buffer seams are never lost.
-class AsyncReader {
- public:
-  AsyncReader(DataSource& source, std::size_t payload_bytes,
-              std::size_t carry_bytes, std::size_t queue_depth = 4);
-  ~AsyncReader();
-
-  AsyncReader(const AsyncReader&) = delete;
-  AsyncReader& operator=(const AsyncReader&) = delete;
-
-  // Next buffer in stream order; nullopt at end of stream.
-  std::optional<ReadBuffer> next();
-
- private:
-  void run(DataSource& source, std::size_t payload_bytes,
-           std::size_t carry_bytes);
-
-  BoundedQueue<ReadBuffer> queue_;
-  std::thread thread_;
 };
 
 }  // namespace shredder::core

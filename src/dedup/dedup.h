@@ -2,10 +2,6 @@
 // (paper §2.1): chunking (done by the caller — Shredder or a baseline
 // chunker), hashing (SHA-256 per chunk, or precomputed digests from the GPU
 // fingerprint stage) and matching (ChunkIndex + ChunkStore).
-//
-// Also provides dedup_efficiency(), the measurement used to compare chunking
-// schemes: given two versions of a payload, how many bytes of the second
-// version are found in the store populated by the first.
 #pragma once
 
 #include <cstdint>

@@ -280,18 +280,15 @@ ChunkingService::Session* ChunkingService::pick_locked(bool* send_eos) {
 void ChunkingService::dispatch(Session& s, bool send_eos) {
   core::StreamBuffer sb;
   sb.stream_id = s.id;
-  sb.seq = s.seq++;
   if (send_eos) {
     sb.eos = true;
-    sb.base_offset = s.dispatched_bytes;
-    engine_->submit(std::move(sb));
+    engine_->submit(sb);
     return;
   }
   auto pending = s.queue->try_pop();
   SHREDDER_CHECK_MSG(pending.has_value(),
                      "ChunkingService: scheduler raced an empty queue");
-  ByteVec& payload = pending->payload;
-  sb.base_offset = s.dispatched_bytes - s.carry.size();
+  sb.payload = pending->payload;
   sb.reader_seconds = pending->reader_seconds;
   // Scheduler context rides with the buffer so the store thread can stamp
   // credit/queue-depth trace points at the buffer's virtual time. Both are
@@ -300,27 +297,7 @@ void ChunkingService::dispatch(Session& s, bool send_eos) {
   sb.sched_credit = s.credit;
   sb.queue_depth = static_cast<std::uint32_t>(s.queue->size());
   m_buffers_dispatched_->add(1);
-  // Next buffer's window context: the last w-1 staged bytes, computed
-  // before carry and payload are moved into the work item.
-  const std::size_t keep = std::min(config_.chunker.window - 1,
-                                    s.carry.size() + payload.size());
-  ByteVec next_carry;
-  if (payload.size() >= keep) {
-    next_carry.assign(payload.end() - static_cast<std::ptrdiff_t>(keep),
-                      payload.end());
-  } else {
-    const std::size_t from_carry = keep - payload.size();
-    next_carry.assign(s.carry.end() - static_cast<std::ptrdiff_t>(from_carry),
-                      s.carry.end());
-    next_carry.insert(next_carry.end(), payload.begin(), payload.end());
-  }
-  s.dispatched_bytes += payload.size();
-  // Carry travels as a separate prefix: the engine splices it directly into
-  // the pinned slot, so no payload-sized concatenation happens here.
-  sb.carry_prefix = std::move(s.carry);
-  sb.data = std::move(payload);
-  s.carry = std::move(next_carry);
-  engine_->submit(std::move(sb));
+  engine_->submit(sb);
 }
 
 void ChunkingService::scheduler_loop() {

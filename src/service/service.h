@@ -16,10 +16,11 @@
 //        store thread: one core::StreamStore per tenant (chunk resolution,
 //          sink batches), virtual-time composition, stats
 //
-// Per-tenant session state (Rabin carry across buffers, the same StreamStore
-// a Shredder run drives, sequence numbers) keeps every stream's output
-// bit-identical to a dedicated core::Shredder::run over the same bytes — the
-// service equivalence suite in tests/service_test.cc asserts exactly that.
+// Each tenant is one engine stream (the engine keeps its Rabin carry across
+// buffers, offset and sequence numbers) drained by the same StreamStore a
+// Shredder run drives, which keeps every stream's output bit-identical to a
+// dedicated core::Shredder::run over the same bytes — the service
+// equivalence suite in tests/service_test.cc asserts exactly that.
 // With fingerprint_on_device the engine also SHA-256-hashes every chunk on
 // the device and tenants receive chunk+digest pairs (tests/fingerprint_test.cc
 // holds the digests bit-identical to host dedup::Sha256).
@@ -217,9 +218,6 @@ class ChunkingService {
     bool finishing = false;  // guarded by mu_
 
     // Scheduler side.
-    ByteVec carry;  // last w-1 payload bytes, window context for next buffer
-    std::uint64_t dispatched_bytes = 0;
-    std::uint64_t seq = 0;
     double credit = 0;  // dispatches weighted by 1/weight; min credit wins
     bool eos_sent = false;  // guarded by mu_
 

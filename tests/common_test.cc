@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <limits>
-#include <set>
 #include <thread>
 
 #include "common/bytes.h"
-#include "common/logging.h"
 #include "common/queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -460,150 +458,6 @@ TEST(ThreadPool, ForEachIndexRunsAll) {
   std::atomic<int> count{0};
   pool.for_each_index(57, [&](std::size_t) { count++; });
   EXPECT_EQ(count.load(), 57);
-}
-
-// RAII capture of log output through the sink seam; restores stderr and the
-// previous threshold on destruction so tests don't leak global state.
-class LogCapture {
- public:
-  explicit LogCapture(LogLevel threshold) : saved_threshold_(log_threshold()) {
-    set_log_threshold(threshold);
-    set_log_sink([this](LogLevel level, std::string_view tag,
-                        const std::string& body) {
-      // Called with the logging mutex held: appends are serialized.
-      lines_.push_back({level, std::string(tag), body});
-    });
-  }
-  ~LogCapture() {
-    set_log_sink(nullptr);
-    set_log_threshold(saved_threshold_);
-  }
-
-  struct Line {
-    LogLevel level;
-    std::string tag;
-    std::string body;
-  };
-  const std::vector<Line>& lines() const { return lines_; }
-
- private:
-  LogLevel saved_threshold_;
-  std::vector<Line> lines_;
-};
-
-TEST(Logging, ThresholdFilters) {
-  LogCapture cap(LogLevel::kWarn);
-  log(LogLevel::kDebug, "t", "dropped");
-  log(LogLevel::kInfo, "t", "dropped");
-  log(LogLevel::kWarn, "t", "kept {}", 1);
-  log(LogLevel::kError, "t", "kept {}", 2);
-  ASSERT_EQ(cap.lines().size(), 2u);
-  EXPECT_EQ(cap.lines()[0].body, "kept 1");
-  EXPECT_EQ(cap.lines()[1].body, "kept 2");
-  EXPECT_EQ(cap.lines()[1].level, LogLevel::kError);
-}
-
-TEST(Logging, ThresholdIsAdjustableAtRuntime) {
-  LogCapture cap(LogLevel::kError);
-  log(LogLevel::kInfo, "t", "dropped");
-  set_log_threshold(LogLevel::kDebug);
-  log(LogLevel::kDebug, "t", "kept");
-  ASSERT_EQ(cap.lines().size(), 1u);
-  EXPECT_EQ(cap.lines()[0].body, "kept");
-}
-
-TEST(Logging, FormatLineCarriesTimestampLevelAndTag) {
-  const auto line =
-      detail::format_line(LogLevel::kWarn, "pipeline", "hello", 12.25);
-  EXPECT_EQ(line, "[   12.250000] [WARN] pipeline: hello");
-  const auto line2 =
-      detail::format_line(LogLevel::kError, "svc", "x", 0.0);
-  EXPECT_EQ(line2, "[    0.000000] [ERROR] svc: x");
-}
-
-TEST(Logging, FormatSubstitutesPlaceholders) {
-  LogCapture cap(LogLevel::kDebug);
-  log(LogLevel::kInfo, "t", "{} + {} = {}", 1, 2, 3);
-  log(LogLevel::kInfo, "t", "trailing {} ignored-extra", 9);
-  log(LogLevel::kInfo, "t", "no placeholders");
-  ASSERT_EQ(cap.lines().size(), 3u);
-  EXPECT_EQ(cap.lines()[0].body, "1 + 2 = 3");
-  EXPECT_EQ(cap.lines()[1].body, "trailing 9 ignored-extra");
-  EXPECT_EQ(cap.lines()[2].body, "no placeholders");
-}
-
-TEST(Logging, RateLimiterPassesThenSuppresses) {
-  // Drive the clock explicitly: first call emits, calls inside the interval
-  // suppress and count, the first call past the interval emits with the
-  // suppressed tally.
-  const std::string key = "test\x1f rate-limit-key-A";
-  std::uint64_t suppressed = 0;
-  EXPECT_TRUE(detail::rate_limit_pass(key, 1.0, 10.0, &suppressed));
-  EXPECT_EQ(suppressed, 0u);
-  EXPECT_FALSE(detail::rate_limit_pass(key, 1.0, 10.2, &suppressed));
-  EXPECT_FALSE(detail::rate_limit_pass(key, 1.0, 10.9, &suppressed));
-  EXPECT_TRUE(detail::rate_limit_pass(key, 1.0, 11.5, &suppressed));
-  EXPECT_EQ(suppressed, 2u);
-  // The tally reset on emission.
-  EXPECT_TRUE(detail::rate_limit_pass(key, 1.0, 13.0, &suppressed));
-  EXPECT_EQ(suppressed, 0u);
-}
-
-TEST(Logging, RateLimiterKeysAreIndependent) {
-  std::uint64_t suppressed = 0;
-  EXPECT_TRUE(detail::rate_limit_pass("k1", 5.0, 100.0, &suppressed));
-  EXPECT_TRUE(detail::rate_limit_pass("k2", 5.0, 100.0, &suppressed));
-  EXPECT_FALSE(detail::rate_limit_pass("k1", 5.0, 100.1, &suppressed));
-}
-
-TEST(Logging, LogEveryEmitsSuppressedSuffix) {
-  LogCapture cap(LogLevel::kDebug);
-  // A zero interval always passes; distinct fmt strings are distinct keys,
-  // so this emits regardless of earlier tests touching the limiter.
-  log_every(LogLevel::kInfo, "pump", 0.0, "queue depth {}", 4);
-  ASSERT_EQ(cap.lines().size(), 1u);
-  EXPECT_EQ(cap.lines()[0].body, "queue depth 4");
-  // Below threshold: filtered before the limiter, no suppressed counting.
-  log_every(LogLevel::kDebug, "pump", 0.0, "queue depth {}", 5);
-  set_log_threshold(LogLevel::kError);
-  log_every(LogLevel::kInfo, "pump", 0.0, "queue depth {}", 6);
-  set_log_threshold(LogLevel::kDebug);
-  log_every(LogLevel::kInfo, "pump", 0.0, "queue depth {}", 7);
-  ASSERT_EQ(cap.lines().size(), 3u);
-  EXPECT_EQ(cap.lines()[2].body, "queue depth 7");  // no "(N suppressed)"
-}
-
-TEST(Logging, ConcurrentWritersStaySerialized) {
-  LogCapture cap(LogLevel::kDebug);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        log(LogLevel::kInfo, "race", "writer {} line {}", t, i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Every line arrived exactly once and intact (the sink runs under the
-  // logging mutex, so a torn/interleaved body would show up here).
-  ASSERT_EQ(cap.lines().size(),
-            static_cast<std::size_t>(kThreads * kPerThread));
-  std::set<std::string> seen;
-  for (const auto& line : cap.lines()) {
-    EXPECT_EQ(line.tag, "race");
-    EXPECT_EQ(line.body.rfind("writer ", 0), 0u);
-    seen.insert(line.body);
-  }
-  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads * kPerThread));
-}
-
-TEST(Logging, UptimeClockIsMonotonic) {
-  const double a = log_uptime_seconds();
-  const double b = log_uptime_seconds();
-  EXPECT_GE(a, 0.0);
-  EXPECT_GE(b, a);
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 // with the serial reference), and the end-to-end pipeline in all modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "chunking/cdc.h"
@@ -78,94 +83,12 @@ TEST(SyntheticSource, DeterministicAcrossGranularities) {
   EXPECT_EQ(va, vb);
 }
 
-TEST(FileSource, ReadsRealFile) {
-  const auto data = random_bytes(50000, 2);
-  const std::string path = ::testing::TempDir() + "/shredder_filesource_test";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
-  }
-  FileSource src(path, 2e9);
-  EXPECT_EQ(src.total_bytes(), data.size());
-  ByteVec out(data.size());
-  std::size_t total = 0;
-  while (total < out.size()) {
-    const auto n = src.read({out.data() + total, 7777});
-    if (n == 0) break;
-    total += n;
-  }
-  EXPECT_EQ(out, data);
-  std::remove(path.c_str());
-}
-
-TEST(FileSource, MissingFileThrows) {
-  EXPECT_THROW(FileSource("/no/such/file/exists", 2e9), std::runtime_error);
-}
-
-TEST(FileSource, EndToEndThroughShredder) {
-  const auto data = random_bytes(150000, 3);
-  const std::string path = ::testing::TempDir() + "/shredder_filesource_e2e";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(data.data(), 1, data.size(), f);
-    std::fclose(f);
-  }
-  ShredderConfig cfg = small_config();
-  Shredder shredder(cfg);
-  FileSource src(path, cfg.host.reader_bw);
-  const auto result = shredder.run(src);
-  EXPECT_EQ(result.chunks, chunking::chunk_serial(shredder.tables(),
-                                                  cfg.chunker, as_bytes(data)));
-  std::remove(path.c_str());
-}
-
 TEST(SyntheticSource, DifferentSeedsDiffer) {
   SyntheticSource a(1000, 1, 2e9), b(1000, 2, 2e9);
   ByteVec va(1000), vb(1000);
   a.read({va.data(), va.size()});
   b.read({vb.data(), vb.size()});
   EXPECT_NE(va, vb);
-}
-
-TEST(AsyncReader, ReassemblesStreamWithCarry) {
-  const auto data = random_bytes(100000, 5);
-  MemorySource src(as_bytes(data), 2e9);
-  AsyncReader reader(src, 8192, 15);
-  ByteVec reassembled;
-  std::uint64_t expect_offset = 0;
-  std::uint64_t index = 0;
-  while (auto buf = reader.next()) {
-    EXPECT_EQ(buf->index, index++);
-    EXPECT_EQ(buf->stream_offset, expect_offset);
-    if (buf->index == 0) {
-      EXPECT_EQ(buf->carry, 0u);
-    } else {
-      EXPECT_EQ(buf->carry, 15u);
-    }
-    // Carry must equal the previous payload's tail.
-    const ByteSpan payload{buf->data.data() + buf->carry,
-                           buf->data.size() - buf->carry};
-    reassembled.insert(reassembled.end(), payload.begin(), payload.end());
-    if (buf->carry > 0) {
-      EXPECT_TRUE(std::equal(
-          buf->data.begin(),
-          buf->data.begin() + static_cast<std::ptrdiff_t>(buf->carry),
-          data.begin() +
-              static_cast<std::ptrdiff_t>(buf->stream_offset - buf->carry)));
-    }
-    expect_offset += payload.size();
-  }
-  EXPECT_EQ(reassembled, data);
-}
-
-TEST(AsyncReader, RejectsBadGeometry) {
-  const auto data = random_bytes(100, 1);
-  MemorySource src(as_bytes(data), 2e9);
-  EXPECT_THROW(AsyncReader(src, 0, 0), std::invalid_argument);
-  EXPECT_THROW(AsyncReader(src, 100, 100), std::invalid_argument);
 }
 
 // --- GPU kernels: functional equivalence with serial scan ---
@@ -284,6 +207,42 @@ TEST_P(ShredderModes, MatchesSerialChunking) {
   EXPECT_GT(result.n_buffers, 1u);
   EXPECT_GT(result.virtual_seconds, 0.0);
   EXPECT_GT(result.virtual_throughput_bps, 0.0);
+}
+
+// Serves `data` like a MemorySource but throws on its third read.
+class FailingSource final : public DataSource {
+ public:
+  explicit FailingSource(ByteSpan data) : inner_(data, 2e9) {}
+
+  std::size_t read(MutableByteSpan dst) override {
+    if (++reads_ == 3) throw std::runtime_error("source read failed");
+    return inner_.read(dst);
+  }
+  double read_seconds(std::uint64_t bytes) const override {
+    return inner_.read_seconds(bytes);
+  }
+
+ private:
+  MemorySource inner_;
+  int reads_ = 0;
+};
+
+TEST_P(ShredderModes, SourceReadErrorSurfacesFromRun) {
+  ShredderConfig cfg = small_config();
+  cfg.mode = GetParam();
+  Shredder shredder(cfg);
+  const auto data = random_bytes(5 * cfg.buffer_bytes, 17);
+  FailingSource source(as_bytes(data));
+  try {
+    shredder.run(source);
+    ADD_FAILURE() << "run returned despite the failing read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "source read failed");
+  }
+  // Every thread of the failed run was joined; the Shredder runs again.
+  const auto result = shredder.run(as_bytes(data));
+  EXPECT_EQ(result.chunks, chunking::chunk_serial(shredder.tables(),
+                                                  cfg.chunker, as_bytes(data)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ShredderModes,
@@ -582,78 +541,136 @@ TEST(SlotPool, StopWakesWaitersAndRefusesNewLeases) {
   EXPECT_FALSE(pool->acquire().has_value());  // but nothing new is handed out
 }
 
-// Engine-level regression for the double-splice bug: every batch's payload
-// must be byte-identical to carry_prefix ++ data as submitted, in both the
-// slot-backed (streams) and owned (basic) representations.
-class PipelinePayloadModes : public ::testing::TestWithParam<GpuMode> {};
+// The engine owns every stream's window carry, offset and sequence: each
+// batch stages the stream's bytes over [payload_end - payload.size(),
+// payload_end), led by min(w-1, bytes before the buffer) bytes of repeated
+// context, whatever the payload sizes (including ones shorter than the
+// carry) and however streams interleave — in the slot-backed (streams) and
+// owned (basic) representations alike.
+class PipelineCarry : public ::testing::TestWithParam<GpuMode> {};
 
-TEST_P(PipelinePayloadModes, BatchPayloadIsCarryPrefixPlusData) {
-  const auto chunker = small_chunker();
+TEST_P(PipelineCarry, EngineStagesEachStreamBehindItsOwnCarry) {
+  chunking::ChunkerConfig chunker = small_chunker();
+  chunker.window = 48;
+  const std::size_t carry = chunker.window - 1;
   const rabin::RabinTables tables(chunker.window);
   gpu::Device device(gpu::DeviceSpec{}, 2);
   PipelineEngineConfig cfg;
   cfg.mode = GetParam();
-  cfg.slot_bytes = 8192;
+  cfg.slot_bytes = 4096 + carry;
   cfg.ring_slots = 3;
   cfg.kernel.blocks = 4;
   cfg.kernel.threads_per_block = 16;
   PipelineEngine engine(cfg, device, tables, chunker);
 
-  const auto data = random_bytes(3 * 4096, 91);
-  const std::size_t carry = chunker.window - 1;
-  std::vector<ByteVec> expect_staged;
-  std::vector<std::size_t> expect_carry;
-  for (std::size_t i = 0; i < 3; ++i) {
-    StreamBuffer buf;
-    buf.seq = i;
-    const std::size_t pos = i * 4096;
-    buf.base_offset = i == 0 ? 0 : pos - carry;
-    if (i == 1) {
-      // Carry staged inside `data`, the AsyncReader shape.
-      buf.carry = carry;
-      buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(pos - carry),
-                      data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
-    } else {
-      // Carry as a separate prefix, the service-scheduler shape — the
-      // layout the double host splice corrupted-by-copy.
-      if (i > 0) {
-        buf.carry_prefix.assign(
-            data.begin() + static_cast<std::ptrdiff_t>(pos - carry),
-            data.begin() + static_cast<std::ptrdiff_t>(pos));
-      }
-      buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
-                      data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
+  // Stream 1 has two payloads shorter than the carry, stream 2 is empty,
+  // and streams 3 and 4 are submitted concurrently from two threads.
+  struct Stream {
+    std::vector<std::size_t> sizes;
+    std::vector<std::uint64_t> starts;  // stream offset of each payload
+    ByteVec bytes;
+    ByteVec rebuilt;  // non-carry bytes of every batch, in arrival order
+    std::uint64_t next_seq = 0;
+    bool ended = false;
+  };
+  std::map<std::uint32_t, Stream> streams;
+  streams[1].sizes = {5, 30, 4096, 4096, 1};
+  streams[2].sizes = {};
+  streams[3].sizes = {4096, 12, 4096, 47, 3000};
+  streams[4].sizes = {46, 4096, 4096, 1, 2500};
+  for (auto& [id, st] : streams) {
+    std::uint64_t total = 0;
+    for (const std::size_t n : st.sizes) {
+      st.starts.push_back(total);
+      total += n;
     }
-    expect_staged.emplace_back(
-        data.begin() + static_cast<std::ptrdiff_t>(buf.base_offset),
-        data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
-    expect_carry.push_back(i == 0 ? 0 : carry);
-    ASSERT_TRUE(engine.submit(std::move(buf)));
+    st.bytes = random_bytes(total, 100 + id);
   }
-  StreamBuffer eos;
-  eos.seq = 3;
-  eos.eos = true;
-  ASSERT_TRUE(engine.submit(std::move(eos)));
-  engine.close();
 
-  std::size_t i = 0;
+  const auto submit_stream = [&engine](std::uint32_t id, const Stream& st,
+                                       const auto& before) {
+    for (std::size_t i = 0; i < st.sizes.size(); ++i) {
+      before();
+      StreamBuffer buf;
+      buf.stream_id = id;
+      buf.payload = ByteSpan(st.bytes).subspan(st.starts[i], st.sizes[i]);
+      EXPECT_TRUE(engine.submit(buf));
+    }
+    StreamBuffer eos;
+    eos.stream_id = id;
+    eos.eos = true;
+    EXPECT_TRUE(engine.submit(eos));
+  };
+  // Streams 3 and 4 take turns entering submit(), buffer by buffer; a turn
+  // passes on as soon as it is taken, so the two submits overlap.
+  std::mutex turn_mu;
+  std::condition_variable turn_cv;
+  std::size_t turn = 0;
+  const auto take_turn = [&](std::size_t parity) {
+    return [&, parity] {
+      std::unique_lock<std::mutex> lock(turn_mu);
+      turn_cv.wait(lock, [&] { return turn % 2 == parity; });
+      ++turn;
+      turn_cv.notify_all();
+    };
+  };
+  std::thread first([&] {
+    submit_stream(1, streams.at(1), [] {});
+    submit_stream(2, streams.at(2), [] {});
+    std::thread other([&] { submit_stream(4, streams.at(4), take_turn(1)); });
+    submit_stream(3, streams.at(3), take_turn(0));
+    other.join();
+    engine.close();
+  });
+
+  std::size_t batches = 0;
   while (auto batch = engine.next_batch()) {
-    if (batch->eos) continue;
-    ASSERT_LT(i, expect_staged.size());
+    ++batches;
+    Stream& st = streams.at(batch->stream_id);
+    EXPECT_FALSE(st.ended) << "batch after eos on stream " << batch->stream_id;
+    EXPECT_EQ(batch->seq, st.next_seq);
+    const std::uint64_t seq = st.next_seq++;
+    if (batch->eos) {
+      st.ended = true;
+      EXPECT_EQ(seq, st.sizes.size());
+      EXPECT_EQ(batch->payload_end, st.bytes.size());
+      continue;
+    }
+    if (seq >= st.sizes.size()) continue;  // reported by the seq check
     EXPECT_EQ(batch->payload.slot_backed(), engine.pipelined());
-    ASSERT_EQ(batch->payload.size(), expect_staged[i].size());
-    EXPECT_EQ(std::memcmp(batch->payload.bytes().data(),
-                          expect_staged[i].data(), expect_staged[i].size()),
-              0)
-        << "buffer " << i;
-    EXPECT_EQ(batch->payload_carry, expect_carry[i]);
-    ++i;
+    const std::uint64_t before = st.starts[seq];
+    const std::size_t expect_carry =
+        static_cast<std::size_t>(std::min<std::uint64_t>(carry, before));
+    EXPECT_EQ(batch->payload_carry, expect_carry);
+    EXPECT_EQ(batch->payload_end, before + st.sizes[seq]);
+    const ByteSpan staged = batch->payload.bytes();
+    // No ASSERT while the producers run: a failed one would return past
+    // the join.
+    const bool in_range = staged.size() >= batch->payload_carry &&
+                          staged.size() <= batch->payload_end &&
+                          batch->payload_end <= st.bytes.size();
+    EXPECT_TRUE(in_range) << "stream " << batch->stream_id << " buffer " << seq;
+    if (!in_range) continue;
+    EXPECT_TRUE(std::equal(
+        staged.begin(), staged.end(),
+        st.bytes.begin() +
+            static_cast<std::ptrdiff_t>(batch->payload_end - staged.size())))
+        << "stream " << batch->stream_id << " buffer " << seq;
+    st.rebuilt.insert(st.rebuilt.end(),
+                      staged.begin() +
+                          static_cast<std::ptrdiff_t>(batch->payload_carry),
+                      staged.end());
   }
-  EXPECT_EQ(i, 3u);
+  first.join();
+  EXPECT_EQ(batches, 6u + 1u + 6u + 6u);
+  for (const auto& [id, st] : streams) {
+    EXPECT_TRUE(st.ended) << "stream " << id;
+    EXPECT_EQ(st.rebuilt, st.bytes) << "stream " << id;
+  }
   EXPECT_EQ(engine.slots_leased(), 0u);  // every lease dropped with its batch
 }
 
-INSTANTIATE_TEST_SUITE_P(BasicAndStreams, PipelinePayloadModes,
+INSTANTIATE_TEST_SUITE_P(AllModes, PipelineCarry,
                          ::testing::Values(GpuMode::kBasic, GpuMode::kStreams,
                                            GpuMode::kStreamsCoalesced));
 
@@ -679,11 +696,8 @@ TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
   std::thread producer([&] {
     for (std::size_t i = 0; i < 3; ++i) {
       StreamBuffer buf;
-      buf.seq = i;
-      buf.base_offset = i * 2048;
-      buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(i * 2048),
-                      data.begin() + static_cast<std::ptrdiff_t>((i + 1) * 2048));
-      if (!engine.submit(std::move(buf))) break;
+      buf.payload = ByteSpan(data).subspan(i * 2048, 2048);
+      if (!engine.submit(buf)) break;
       submitted.fetch_add(1);
     }
     engine.close();
