@@ -17,15 +17,6 @@
 // baseline (the device no longer idles between one stream's buffers).
 // `--service_smoke_json[=PATH]` is the small-N variant scripts/ci.sh runs.
 //
-// Zero-copy sink tracking: `microbench --sink_zero_copy_json[=PATH]` runs a
-// payload-consuming sink at the 2 KB small-chunk operating point over the
-// in-memory ByteSpan path and the streaming DataSource path (refcounted slot
-// leases end to end, docs/zero_copy.md) and writes both wall throughputs to
-// BENCH_sink.json. The acceptance bar is streaming >= 0.95x in-memory — the
-// lease plumbing must make streaming retention copy-free, not merely
-// correct. `--sink_zero_copy_smoke_json[=PATH]` is the small-input variant
-// scripts/ci.sh runs (bar 0.9x).
-//
 // Fingerprint-stage tracking: `microbench --fingerprint_json[=PATH]` backs a
 // VM snapshot up twice — once hashing chunks on the host store thread, once
 // with the on-device SHA-256 fingerprint stage — and writes end-to-end
@@ -52,8 +43,9 @@
 // is the small-image variant scripts/ci.sh runs.
 //
 // Observability tracking: `microbench --obs_json[=PATH]` exercises the obs
-// layer end to end (docs/observability.md) — measures the wall-time overhead
-// of a pipeline with a disabled metrics registry attached (bar: <= 2%), runs
+// layer end to end (docs/observability.md) — measures the CPU-time overhead
+// of a pipeline with a disabled metrics registry attached (median of paired
+// runs; bar: <= 2%), runs
 // a 16-tenant service and a 1%-loss backup transport with metrics + tracing
 // on, exports both as Perfetto-loadable Chrome trace JSON
 // (TRACE_obs_service.json, TRACE_obs_transport.json), and cross-checks the
@@ -73,6 +65,7 @@
 // after compaction (dead unshared digests must miss). `--retention_smoke_
 // json[=PATH]` is the small-image variant scripts/ci.sh runs.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -452,129 +445,6 @@ int run_service_json(const std::string& path, bool smoke) {
                 p.device_occupancy * 100, p.h2d_busy_fraction * 100);
   }
   std::printf("-> %s\n", path.c_str());
-  return 0;
-}
-
-// --- --sink_zero_copy_json mode -------------------------------------------
-
-// Payload-consuming sink for the zero-copy bench: touches every chunk's
-// bytes (head + tail, the shape of a header-sniffing consumer) so the
-// payload path is really exercised, and folds them into a checksum used to
-// cross-check the streaming and in-memory runs deliver identical bytes.
-class PayloadProbeSink final : public ChunkSink {
- public:
-  void on_batch(const ChunkBatchView& batch) override {
-    for (std::size_t i = 0; i < batch.chunks.size(); ++i) {
-      const ByteSpan bytes = batch.chunk_bytes(i);
-      std::uint64_t h = 1469598103934665603ull ^ bytes.size();
-      const std::size_t probe = std::min<std::size_t>(32, bytes.size());
-      for (std::size_t k = 0; k < probe; ++k) {
-        h = (h ^ bytes[k]) * 1099511628211ull;
-        h = (h ^ bytes[bytes.size() - 1 - k]) * 1099511628211ull;
-      }
-      checksum_ ^= h;
-    }
-  }
-  bool wants_payload() const noexcept override { return true; }
-  std::uint64_t checksum() const noexcept { return checksum_; }
-
- private:
-  std::uint64_t checksum_ = 0;
-};
-
-int run_sink_zero_copy_json(const std::string& path, bool smoke) {
-  // The 2 KB small-chunk operating point (the backup wire's regression
-  // point): payload-per-chunk is small, so per-stage copies used to dominate
-  // the streaming path. With refcounted slot leases the streaming (DataSource)
-  // run must hold the in-memory ByteSpan run's wall throughput.
-  const std::size_t input_bytes = smoke ? (8u << 20) : (32u << 20);
-  const double bar = smoke ? 0.90 : 0.95;
-  const ByteVec data = random_bytes(input_bytes, 4242);
-
-  core::ShredderConfig cfg;
-  cfg.chunker.window = 32;
-  cfg.chunker.mask_bits = 11;
-  cfg.chunker.marker = 0x42;
-  cfg.chunker.min_size = 512;
-  cfg.chunker.max_size = 8 * 1024;
-  cfg.buffer_bytes = 512u << 10;
-
-  std::vector<chunking::Chunk> span_chunks, stream_chunks;
-  std::uint64_t span_sum = 0, stream_sum = 0;
-  double best_span = 1e300, best_stream = 1e300;
-  // Best-of-N wall time, paths alternating; rep 0 warms allocators/caches
-  // for both and is the run whose streams are cross-checked.
-  const int reps = smoke ? 3 : 4;
-  for (int r = 0; r < reps; ++r) {
-    {
-      core::Shredder shredder(cfg);
-      PayloadProbeSink sink;
-      Stopwatch w;
-      const auto res = shredder.run(as_bytes(data), sink);
-      best_span = std::min(best_span, w.elapsed_seconds());
-      if (r == 0) {
-        span_chunks = res.chunks;
-        span_sum = sink.checksum();
-      }
-    }
-    {
-      core::Shredder shredder(cfg);
-      core::MemorySource source(as_bytes(data),
-                                shredder.config().host.reader_bw);
-      PayloadProbeSink sink;
-      Stopwatch w;
-      const auto res = shredder.run(source, sink);
-      best_stream = std::min(best_stream, w.elapsed_seconds());
-      if (r == 0) {
-        stream_chunks = res.chunks;
-        stream_sum = sink.checksum();
-      }
-    }
-  }
-  const bool identical = span_chunks == stream_chunks && span_sum == stream_sum;
-  const double span_bps = static_cast<double>(input_bytes) / best_span;
-  const double stream_bps = static_cast<double>(input_bytes) / best_stream;
-  const double ratio = stream_bps / span_bps;
-  const bool pass = identical && ratio >= bar;
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"input_bytes\": %llu,\n",
-               static_cast<unsigned long long>(input_bytes));
-  std::fprintf(f, "  \"buffer_bytes\": %llu,\n",
-               static_cast<unsigned long long>(cfg.buffer_bytes));
-  std::fprintf(f, "  \"chunks\": %zu,\n", span_chunks.size());
-  std::fprintf(f, "  \"streams_identical\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(f, "  \"bar\": %.2f,\n", bar);
-  std::fprintf(f, "  \"results\": [\n");
-  std::fprintf(f,
-               "    {\"path\": \"bytespan\", \"wall_seconds\": %.6f, "
-               "\"wall_bps\": %.0f},\n",
-               best_span, span_bps);
-  std::fprintf(f,
-               "    {\"path\": \"streaming\", \"wall_seconds\": %.6f, "
-               "\"wall_bps\": %.0f, \"ratio_vs_bytespan\": %.3f}\n",
-               best_stream, stream_bps, ratio);
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-
-  std::printf("in-memory ByteSpan path: %8.1f MB/s wall\n", span_bps / 1e6);
-  std::printf("streaming (DataSource):  %8.1f MB/s wall  (%.3fx, bar %.2fx, "
-              "streams %s)\n",
-              stream_bps / 1e6, ratio, bar,
-              identical ? "identical" : "DIVERGED");
-  std::printf("-> %s\n", path.c_str());
-  if (!pass) {
-    std::fprintf(stderr, "sink_zero_copy: FAILED (%s)\n",
-                 identical ? "ratio below bar" : "stream mismatch");
-    return 1;
-  }
   return 0;
 }
 
@@ -1213,6 +1083,15 @@ int run_retention_json(const std::string& path, bool smoke) {
 
 // --- --obs_json mode --------------------------------------------------------
 
+// CPU seconds (user + system) this process has spent so far, over all of
+// its threads.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
 // Relative disagreement of a traced busy time vs the timeline's own
 // accounting; exact-zero pairs agree perfectly.
 double busy_rel_err(double traced, double reference) {
@@ -1224,11 +1103,17 @@ int run_obs_json(const std::string& path, bool smoke) {
   using namespace shredder::backup;
 
   // Part 1 — the "compiled in but disabled" bar: the same pipeline, once
-  // with no registry and once with a disabled one attached, best-of-N wall
-  // time each (interleaved so drift hits both alike). The hooks are per
-  // buffer, so the honest expectation is noise-level overhead; the bar
-  // catches anyone moving them into a per-byte loop.
-  const std::size_t overhead_bytes = smoke ? (8u << 20) : (16u << 20);
+  // with no registry and once with a disabled one attached. The hooks are
+  // per buffer, so the honest expectation is noise-level overhead; the bar
+  // catches anyone moving them into a per-byte loop. Each run is charged
+  // the CPU seconds the whole process spent in it (every pipeline and sim
+  // thread), which a host scheduler stalling one thread does not inflate
+  // the way it inflates wall time. Runs come in pairs whose order flips
+  // each pair, and the bar reads the median of the per-pair ratios, so
+  // drift across the measurement hits both sides alike. Single runs still
+  // vary by up to ±10% on a shared 4-vCPU host, so it takes about 80 pairs
+  // for the median to tell a 2% overhead from noise.
+  const std::size_t overhead_bytes = smoke ? (32u << 20) : (64u << 20);
   const ByteVec overhead_input = random_bytes(overhead_bytes, 1234);
   core::ShredderConfig scfg;
   scfg.chunker = default_config();
@@ -1241,19 +1126,29 @@ int run_obs_json(const std::string& path, bool smoke) {
   core::Shredder instrumented(instr_cfg);
   plain.run(as_bytes(overhead_input));  // warmup both
   instrumented.run(as_bytes(overhead_input));
-  // Best-of-N with the two variants alternating (and the starting side
-  // flipping each round) so scheduler drift and cache state hit both alike;
-  // the minimum is the least-perturbed run of each.
-  const int reps = smoke ? 7 : 9;
-  double best_plain = 1e300, best_instr = 1e300;
-  for (int r = 0; r < 2 * reps; ++r) {
-    const bool instr_turn = (r % 4 == 1) || (r % 4 == 2);
-    Stopwatch w;
-    (instr_turn ? instrumented : plain).run(as_bytes(overhead_input));
-    double& best = instr_turn ? best_instr : best_plain;
-    best = std::min(best, w.elapsed_seconds());
+  const auto cpu_seconds_of = [&](core::Shredder& shredder) {
+    const double before = process_cpu_seconds();
+    shredder.run(as_bytes(overhead_input));
+    return process_cpu_seconds() - before;
+  };
+  const int pairs = smoke ? 81 : 101;
+  std::vector<double> ratios;
+  double plain_total = 0, instr_total = 0;
+  for (int p = 0; p < pairs; ++p) {
+    double plain_s = 0, instr_s = 0;
+    if (p % 2 == 0) {
+      plain_s = cpu_seconds_of(plain);
+      instr_s = cpu_seconds_of(instrumented);
+    } else {
+      instr_s = cpu_seconds_of(instrumented);
+      plain_s = cpu_seconds_of(plain);
+    }
+    ratios.push_back(instr_s / plain_s);
+    plain_total += plain_s;
+    instr_total += instr_s;
   }
-  const double overhead_pct = (best_instr / best_plain - 1.0) * 100.0;
+  std::nth_element(ratios.begin(), ratios.begin() + pairs / 2, ratios.end());
+  const double overhead_pct = (ratios[pairs / 2] - 1.0) * 100.0;
 
   // Part 2 — multi-tenant service run with metrics + tracing on: N tenant
   // streams through one device, trace exported for Perfetto, and the
@@ -1394,8 +1289,10 @@ int run_obs_json(const std::string& path, bool smoke) {
   std::fclose(f);
 
   std::printf("obs overhead (registry disabled): %+.2f%%  "
-              "(plain %.3f ms vs instrumented %.3f ms, best of %d)\n",
-              overhead_pct, best_plain * 1e3, best_instr * 1e3, reps);
+              "(median of %d paired runs; mean CPU plain %.1f ms vs "
+              "instrumented %.1f ms)\n",
+              overhead_pct, pairs, plain_total / pairs * 1e3,
+              instr_total / pairs * 1e3);
   std::printf("service run:   %zu tenants, %llu buffers, %zu trace events, "
               "engine-busy err %.4f%% -> %s\n",
               n_tenants, static_cast<unsigned long long>(svc_report.n_buffers),
@@ -1458,18 +1355,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--service_smoke_json=", 21) == 0) {
       return run_service_json(argv[i] + 21, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--sink_zero_copy_json") == 0) {
-      return run_sink_zero_copy_json("BENCH_sink.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--sink_zero_copy_json=", 22) == 0) {
-      return run_sink_zero_copy_json(argv[i] + 22, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--sink_zero_copy_smoke_json") == 0) {
-      return run_sink_zero_copy_json("BENCH_sink_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--sink_zero_copy_smoke_json=", 28) == 0) {
-      return run_sink_zero_copy_json(argv[i] + 28, /*smoke=*/true);
     }
     if (std::strcmp(argv[i], "--fingerprint_json") == 0) {
       return run_fingerprint_json("BENCH_fingerprint.json", /*smoke=*/false);

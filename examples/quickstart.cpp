@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
       for (const auto& c : batch.chunks) {
         sizes.add(static_cast<double>(c.size));
       }
-      // batch.chunk_bytes(i) would hand us the chunk's payload here: runs
-      // over an in-memory span always carry payload views.
+      // A chunk's bytes are data[c.offset, c.offset + c.size): the batch
+      // carries chunks (and digests) only, and the bytes stay with us.
     }
   } sink;
   const auto data = random_bytes(megabytes << 20, /*seed=*/1);

@@ -41,13 +41,14 @@ compile time is spent. Two invariant families:
    or GC sweep calling back up into a session or wire protocol inverts the
    subsystem's whole dependency story (docs/retention.md).
 
-4. Sink isolation. src/core/sink.{h,cc} define the payload-view layer every
-   consumer (service store threads, backup framing, user sinks) builds on;
-   the zero-copy contract (docs/zero_copy.md) only holds if the sink layer
-   never reaches up into its consumers. Any `#include "service/..."` or
+4. Sink isolation. src/core/sink.h defines the batch consumer API every
+   consumer (service store threads, the backup server's chunking stage,
+   user sinks) builds on, and it only holds if the sink layer never reaches
+   up into its consumers. Any `#include "service/..."` or
    `#include "backup/..."` there is flagged, even though the module-DAG
    check would also reject it — this names the specific file and contract
-   so the failure reads as a design violation, not a build-graph typo.
+   so the failure reads as a design violation, not a build-graph typo. The
+   rule also covers a sink.cc beside it; missing files are skipped.
 
 Exit status: 0 = clean, 1 = violations (one line each on stderr),
 2 = usage/internal error. `--self-test` runs the checker over the fixture
@@ -232,8 +233,8 @@ def check_sink_isolation(src: Path) -> list[str]:
             if target in SINK_FORBIDDEN_MODULES:
                 rel = path.relative_to(src.parent)
                 errors.append(
-                    f"{rel}:{lineno}: sink isolation violation: the payload "
-                    f"view layer may not include \"{m.group(1)}\" — sink.h/cc "
+                    f"{rel}:{lineno}: sink isolation violation: the batch "
+                    f"consumer API may not include \"{m.group(1)}\" — sink.h/cc "
                     f"must stay independent of its consumers "
                     f"({', '.join(SINK_FORBIDDEN_MODULES)})")
     return errors

@@ -6,7 +6,7 @@
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
 #   4. microbench smokes (fails when microbench was not built)
 #   5. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
-#      service's per-tenant payload leases)
+#      engine's pinned-slot leases and per-stream carries)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      obs registry/tracer, multi-tenant service, transport, hashing,
 #      backup server)
@@ -30,8 +30,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 echo "=== clang-tidy (best-effort; skips when the binary is absent) ==="
 scripts/run_clang_tidy.sh "$BUILD_DIR"
 
-# The smokes below are the only wall-clock bars on Shredder::run's host
-# path; a build without them must fail, not pass with no bar checked.
+# The obs smoke below holds the only host-time bar on Shredder::run's host
+# path; a build without the smokes must fail, not pass with no bar checked.
 if [ ! -x "$BUILD_DIR/microbench" ]; then
   echo "microbench not built (google-benchmark missing): cannot run the smokes" >&2
   exit 1
@@ -64,12 +64,6 @@ python3 -m json.tool "$BUILD_DIR/TRACE_obs_service.json" >/dev/null
 python3 -m json.tool "$BUILD_DIR/TRACE_obs_transport.json" >/dev/null
 echo "trace exports are well-formed JSON"
 
-echo "=== zero-copy sink smoke (streaming-vs-ByteSpan BENCH_sink) ==="
-# Enforces the streaming >= 0.9x in-memory wall-throughput bar (0.95x at
-# the full scale the committed BENCH_sink.json documents): the slot-lease
-# payload path must keep streaming retention copy-free (docs/zero_copy.md).
-"$BUILD_DIR/microbench" --sink_zero_copy_smoke_json="$BUILD_DIR/BENCH_sink_smoke.json"
-
 echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
 # Enforces the same bars the committed BENCH_retention.json documents at
 # full scale (docs/retention.md): >= 80% of dead bytes reclaimed by GC,
@@ -81,8 +75,9 @@ echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
 echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs stack) ==="
 # backup_test joins because the agent's frame validation is the backup
 # protocol's trust boundary and every agent test goes through receive_batch.
-# service_test joins because every tenant's payload leases and rolling tail
-# live in the store stage (core::StreamStore) the service drives per session.
+# service_test joins because every tenant's buffers are staged into leased
+# pinned slots and resolved by the store stage (core::StreamStore) the
+# service drives per session.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=address
 cmake --build "$SAN_DIR" -j "$JOBS" \
@@ -95,9 +90,10 @@ ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
 echo "=== TSan build (queues, thread pool, obs, service, transport, hashing, backup) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +
 # ThreadPool stress), obs_test (registry shards racing snapshot, tracer),
-# service_test (N producer threads over one engine), core_test (slot-lease
-# backpressure across producer/consumer threads, concurrent submitters of
-# different engine streams), transport_test and
+# service_test (N producer threads over one engine), core_test (slots leased
+# on producer threads and released on the kernel thread, in-engine
+# backpressure from a stalled consumer, concurrent submitters of different
+# engine streams), transport_test and
 # sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
 # the shared store), dedup_test and fingerprint_test (the device hash kernel
 # runs on many sim_threads workers, so the first SHA-256 calls race through

@@ -8,8 +8,8 @@ namespace shredder::core {
 namespace detail {
 
 SlotPool::SlotPool(const gpu::DeviceSpec& spec, std::size_t slots,
-                   std::size_t slot_size)
-    : ring_(spec, slots, slot_size) {
+                   std::size_t slot_size, obs::Gauge* gauge)
+    : ring_(spec, slots, slot_size), gauge_(gauge) {
   free_.reserve(slots);
   for (std::size_t i = 0; i < slots; ++i) free_.push_back(i);
 }
@@ -44,12 +44,6 @@ void SlotPool::stop() {
   cv_.notify_all();
 }
 
-void SlotPool::set_gauge(obs::Gauge* gauge) {
-  MutexLock lock(mu_);
-  gauge_ = gauge;
-  if (gauge_ != nullptr) gauge_->set(static_cast<double>(leased_));
-}
-
 std::size_t SlotPool::leased() const {
   MutexLock lock(mu_);
   return leased_;
@@ -57,42 +51,46 @@ std::size_t SlotPool::leased() const {
 
 }  // namespace detail
 
-struct SlotLease::Rep {
-  ByteVec owned;
-  std::shared_ptr<detail::SlotPool> pool;
-  std::size_t slot = 0;
-  bool slot_backed = false;
+SlotLease::SlotLease(SlotLease&& other) noexcept
+    : pool_(std::exchange(other.pool_, nullptr)),
+      slot_(other.slot_),
+      owned_(std::move(other.owned_)),
+      span_(std::exchange(other.span_, {})) {}
 
-  Rep() = default;
-  Rep(const Rep&) = delete;
-  Rep& operator=(const Rep&) = delete;
-  ~Rep() {
-    if (slot_backed) pool->release(slot);
+SlotLease& SlotLease::operator=(SlotLease&& other) noexcept {
+  if (this != &other) {
+    reset();
+    pool_ = std::exchange(other.pool_, nullptr);
+    slot_ = other.slot_;
+    owned_ = std::move(other.owned_);
+    span_ = std::exchange(other.span_, {});
   }
-};
+  return *this;
+}
 
 SlotLease SlotLease::from_owned(ByteVec bytes) {
-  auto rep = std::make_shared<Rep>();
-  rep->owned = std::move(bytes);
-  const ByteSpan span{rep->owned.data(), rep->owned.size()};
-  return SlotLease(std::move(rep), span);
+  SlotLease lease;
+  lease.owned_ = std::move(bytes);
+  lease.span_ = lease.owned_;
+  return lease;
 }
 
-SlotLease SlotLease::from_slot(std::shared_ptr<detail::SlotPool> pool,
-                               std::size_t slot, std::size_t len) {
-  SHREDDER_CHECK_MSG(pool != nullptr, "SlotLease: null pool");
-  auto rep = std::make_shared<Rep>();
-  rep->pool = std::move(pool);
-  rep->slot = slot;
-  rep->slot_backed = true;
-  const MutableByteSpan storage = rep->pool->slot_span(slot);
+SlotLease SlotLease::from_slot(detail::SlotPool& pool, std::size_t slot,
+                               std::size_t len) {
+  const MutableByteSpan storage = pool.slot_span(slot);
   SHREDDER_CHECK_MSG(len <= storage.size(),
                      "SlotLease: length exceeds the slot");
-  return SlotLease(std::move(rep), ByteSpan{storage.data(), len});
+  SlotLease lease;
+  lease.pool_ = &pool;
+  lease.slot_ = slot;
+  lease.span_ = ByteSpan{storage.data(), len};
+  return lease;
 }
 
-bool SlotLease::slot_backed() const noexcept {
-  return rep_ != nullptr && rep_->slot_backed;
+void SlotLease::reset() noexcept {
+  if (pool_ != nullptr) std::exchange(pool_, nullptr)->release(slot_);
+  owned_ = {};
+  span_ = {};
 }
 
 }  // namespace shredder::core

@@ -1,21 +1,17 @@
-// Refcounted payload leases: the zero-copy hand-off between the pipeline's
-// pinned staging ring and downstream consumers (docs/zero_copy.md).
+// Pinned-slot leases: the pipeline engine's ownership of one staged buffer
+// (docs/zero_copy.md).
 //
-// A SlotLease is a shared, immutable view of one buffer's staged bytes.
-// Slot-backed leases alias a pinned ring slot directly: the slot returns to
-// the free list when the LAST lease referencing it drops — not when the H2D
-// DMA completes — so the store stage, a payload-slicing ChunkSink and the
-// service's dedup store thread can all read the staged bytes without a host
-// copy. Ring backpressure extends naturally to slow consumers: submit()
-// blocks while they hold slots, and the pipeline.slots_leased gauge tracks
-// the outstanding count. Owned leases wrap a plain ByteVec for producers
-// without a ring (basic/pageable mode) and for PayloadTail compaction.
+// Every submitted buffer is staged once, carry ++ payload, into a leased
+// pinned ring slot (or, in basic/pageable mode, into one owned vector). The
+// lease travels inside the engine with its work item through the H2D DMA
+// and the chunking kernel, and ends when the kernel stage finishes with the
+// item: no lease leaves the engine, so none outlives it. submit() blocks
+// while every slot is leased, which is the engine-level backpressure point;
+// the pipeline.slots_leased gauge tracks the slots in flight.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -27,16 +23,15 @@
 namespace shredder::core {
 namespace detail {
 
-// Owns the pinned staging ring plus its free-slot accounting. Held by
-// shared_ptr from the engine AND from every slot-backed lease, so leases
-// stay valid after the engine dies. acquire() is the engine-level
-// backpressure point: it blocks while every slot is leased and returns
-// nullopt once stop() has run — even when slots are free, because a
-// stopping engine must not hand out new work.
+// Owns the pinned staging ring plus its free-slot accounting. acquire() is
+// the engine-level backpressure point: it blocks while every slot is leased
+// and returns nullopt once stop() has run — even when slots are free,
+// because a stopping engine must not hand out new work.
 class SlotPool {
  public:
+  // `gauge` (may be null; must outlive the pool) receives the leased count.
   SlotPool(const gpu::DeviceSpec& spec, std::size_t slots,
-           std::size_t slot_size);
+           std::size_t slot_size, obs::Gauge* gauge = nullptr);
 
   SlotPool(const SlotPool&) = delete;
   SlotPool& operator=(const SlotPool&) = delete;
@@ -48,78 +43,57 @@ class SlotPool {
   // valid and still release into the free list.
   void stop();
 
-  // Publishes the outstanding-lease count into `gauge`; nullptr detaches.
-  // The engine detaches before its registry can die, because leases held by
-  // consumers may outlive both.
-  void set_gauge(obs::Gauge* gauge);
-
   MutableByteSpan slot_span(std::size_t index) noexcept {
     return ring_.slot_span(index);
   }
   double construction_cost_seconds() const noexcept {
     return ring_.construction_cost_seconds();
   }
-  std::size_t slots() const noexcept { return ring_.slots(); }
   // Leases currently outstanding (slot-leak checks in tests).
   std::size_t leased() const;
 
  private:
   gpu::PinnedRing ring_;
+  obs::Gauge* const gauge_;
   mutable Mutex mu_;
   CondVar cv_;
   std::vector<std::size_t> free_ GUARDED_BY(mu_);
   std::size_t leased_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
-  obs::Gauge* gauge_ GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace detail
 
-// Shared immutable view of one staged buffer (see file comment). Copies
-// share the underlying storage — pinned slot or owned vector — which is
-// released when the last copy drops.
+// Move-only ownership of one staged buffer's bytes: a leased pinned slot,
+// released back to its pool at destruction, reset() or move-assignment, or
+// an owned vector (basic mode). The pool must outlive the lease.
 class SlotLease {
  public:
   SlotLease() = default;
+  ~SlotLease() { reset(); }
 
-  SlotLease(const SlotLease&) = default;
-  SlotLease& operator=(const SlotLease&) = default;
-  SlotLease(SlotLease&& other) noexcept
-      : rep_(std::move(other.rep_)), span_(other.span_) {
-    other.span_ = {};
-  }
-  SlotLease& operator=(SlotLease&& other) noexcept {
-    rep_ = std::move(other.rep_);
-    span_ = other.span_;
-    other.span_ = {};
-    return *this;
-  }
+  SlotLease(const SlotLease&) = delete;
+  SlotLease& operator=(const SlotLease&) = delete;
+  SlotLease(SlotLease&& other) noexcept;
+  SlotLease& operator=(SlotLease&& other) noexcept;
 
-  // Wraps bytes the lease owns outright (pageable-mode staging, tail
-  // compaction copies).
+  // Wraps bytes the lease owns outright (pageable-mode staging).
   static SlotLease from_owned(ByteVec bytes);
 
-  // Aliases `len` bytes of `pool`'s slot `slot`; the slot is released back
-  // to the pool when the last lease drops.
-  static SlotLease from_slot(std::shared_ptr<detail::SlotPool> pool,
-                             std::size_t slot, std::size_t len);
+  // Takes `pool`'s already-acquired slot `slot`, viewing its first `len`
+  // bytes.
+  static SlotLease from_slot(detail::SlotPool& pool, std::size_t slot,
+                             std::size_t len);
 
   ByteSpan bytes() const noexcept { return span_; }
   std::size_t size() const noexcept { return span_.size(); }
   bool empty() const noexcept { return span_.empty(); }
-  bool slot_backed() const noexcept;
-  explicit operator bool() const noexcept { return rep_ != nullptr; }
-  void reset() noexcept {
-    rep_.reset();
-    span_ = {};
-  }
+  void reset() noexcept;
 
  private:
-  struct Rep;
-  SlotLease(std::shared_ptr<const Rep> rep, ByteSpan span)
-      : rep_(std::move(rep)), span_(span) {}
-
-  std::shared_ptr<const Rep> rep_;
+  detail::SlotPool* pool_ = nullptr;  // non-null while holding a slot
+  std::size_t slot_ = 0;
+  ByteVec owned_;
   ByteSpan span_;
 };
 

@@ -82,12 +82,12 @@ PipelineEngine::PipelineEngine(const PipelineEngineConfig& config,
         &reg.timing("pipeline.stage_seconds", {{"stage", "fingerprint"}});
   }
   if (pipelined()) {
-    pool_ = std::make_shared<detail::SlotPool>(
-        device_.spec(), config_.ring_slots, config_.slot_bytes);
+    pool_ = std::make_unique<detail::SlotPool>(
+        device_.spec(), config_.ring_slots, config_.slot_bytes,
+        config_.registry != nullptr
+            ? &config_.registry->gauge("pipeline.slots_leased")
+            : nullptr);
     init_seconds_ = pool_->construction_cost_seconds();
-    if (config_.registry != nullptr) {
-      pool_->set_gauge(&config_.registry->gauge("pipeline.slots_leased"));
-    }
   }
   // Device twin buffers (double buffering, §4.1.1).
   const std::size_t n_twins = pipelined() ? 2 : 1;
@@ -99,13 +99,7 @@ PipelineEngine::PipelineEngine(const PipelineEngineConfig& config,
   kernel_thread_ = std::thread([this] { kernel_loop(); });
 }
 
-PipelineEngine::~PipelineEngine() {
-  stop();
-  // Consumer-held leases may outlive the engine AND its registry: detach
-  // the gauge so their releases stop touching it. After the joins above no
-  // engine thread can race this.
-  if (pool_ != nullptr) pool_->set_gauge(nullptr);
-}
+PipelineEngine::~PipelineEngine() { stop(); }
 
 void PipelineEngine::stop() {
   stopping_.store(true);
@@ -228,10 +222,10 @@ bool PipelineEngine::submit(const StreamBuffer& buf) {
       std::memcpy(staged.data() + item.carry, buf.payload.data(),
                   buf.payload.size());
     }
-    // The staged bytes are the ONLY host copy from here on, travelling with
-    // the item all the way to the consumer as BoundaryBatch::payload.
+    // The staged bytes are the engine's only host copy; the lease travels
+    // with the item until the kernel stage is done with it.
     item.lease = slot.has_value()
-                     ? SlotLease::from_slot(pool_, *slot, staged.size())
+                     ? SlotLease::from_slot(*pool_, *slot, staged.size())
                      : SlotLease::from_owned(std::move(owned));
   }
   // On push failure the moved-from item is destroyed inside push(); its
@@ -254,8 +248,7 @@ void PipelineEngine::transfer_loop() {
       next_twin = (next_twin + 1) % twins_.size();
       item->transfer_seconds = device_.memcpy_h2d(
           twins_[item->dev_slot], 0, item->lease.bytes(), host_kind_);
-      // The slot is NOT released here: the lease rides to the kernel stage
-      // and out with the batch, recycling when its last holder drops it.
+      // The slot is NOT released here: the lease rides to the kernel stage.
       if (!to_kernel_.push(std::move(*item))) return;
     }
     to_kernel_.close();
@@ -356,12 +349,9 @@ void PipelineEngine::kernel_loop() {
           m_fingerprint_s_->observe(batch.stages.fingerprint);
         }
       }
-      // The staged bytes always ride back with the batch: slot-backed lease
-      // in streams modes, the owned host vector in basic mode.
-      // Non-retaining consumers drop the batch and the storage frees itself.
-      batch.payload = std::move(item->lease);
-      batch.payload_carry = item->carry;
       release_twin();
+      // The item, and with it the slot's lease, ends after the push: while
+      // a stalled consumer keeps to_store_ full, this thread holds the slot.
       if (!to_store_.push(std::move(batch))) return;
     }
     to_store_.close();
@@ -384,13 +374,11 @@ std::optional<BoundaryBatch> PipelineEngine::next_batch() {
 }
 
 StreamStore::StreamStore(const PipelineEngine& engine, std::uint32_t stream_id,
-                         ChunkSink* sink, std::size_t slot_cap, ByteSpan whole)
+                         ChunkSink* sink)
     : spec_(engine.device_spec()),
       pinned_(engine.pipelined()),
       stream_id_(stream_id),
-      sink_(sink),
-      whole_(whole),
-      retain_(whole.empty() && sink != nullptr && sink->wants_payload()) {
+      sink_(sink) {
   // In fingerprint mode the engine is the sole chunk-emission mechanism, so
   // the host filter is not even constructed.
   if (!engine.fingerprints()) {
@@ -400,7 +388,6 @@ StreamStore::StreamStore(const PipelineEngine& engine, std::uint32_t stream_id,
                       last_end_ = end;
                     });
   }
-  tail_.set_slot_cap(slot_cap);
 }
 
 double StreamStore::consume(BoundaryBatch& batch) {
@@ -426,11 +413,6 @@ double StreamStore::consume(BoundaryBatch& batch) {
     deliver(first, /*eos=*/true);
     return batch.stages.store;
   }
-  if (retain_ && !batch.payload.empty()) {
-    // Zero-copy retention: the lease moves into the tail, keeping the pinned
-    // slot (or basic-mode vector) alive for payload views.
-    tail_.append(std::move(batch.payload), batch.payload_carry);
-  }
   // Copy boundaries (and digests) back device -> host, then resolve chunks.
   batch.stages.store = store_stage_seconds(spec_, batch.boundaries.size(),
                                            pinned_, digest_bytes);
@@ -455,29 +437,17 @@ void StreamStore::emit_fingerprinted(const BoundaryBatch& batch) {
 
 // One ChunkBatchView over the chunks appended since `first`: skipped for
 // chunkless data batches, always sent at eos so sinks have a flush point.
-// Afterwards the tail is trimmed to the open chunk's start, keeping the
-// window bounded by (open chunk + one buffer).
 void StreamStore::deliver(std::size_t first, bool eos) {
-  if (sink_ != nullptr && (eos || chunks_.size() > first)) {
-    ChunkBatchView view;
-    view.stream_id = stream_id_;
-    view.stream_seq = batch_seq_++;
-    view.eos = eos;
-    view.chunks = std::span<const chunking::Chunk>(chunks_).subspan(first);
-    if (!filter_.has_value()) {
-      view.digests =
-          std::span<const dedup::ChunkDigest>(digests_).subspan(first);
-    }
-    if (!whole_.empty()) {
-      view.payload = whole_;
-    } else if (!tail_.empty()) {
-      view.payload = tail_.window();
-      view.payload_base = tail_.window_base();
-      view.tail = &tail_;
-    }
-    sink_->on_batch(view);
+  if (sink_ == nullptr || (!eos && chunks_.size() == first)) return;
+  ChunkBatchView view;
+  view.stream_id = stream_id_;
+  view.stream_seq = batch_seq_++;
+  view.eos = eos;
+  view.chunks = std::span<const chunking::Chunk>(chunks_).subspan(first);
+  if (!filter_.has_value()) {
+    view.digests = std::span<const dedup::ChunkDigest>(digests_).subspan(first);
   }
-  tail_.trim(last_end_);
+  sink_->on_batch(view);
 }
 
 }  // namespace shredder::core

@@ -16,8 +16,8 @@
 //
 //   submit() ──copy carry ++ payload into leased pinned slot──► transfer thread
 //     (H2D DMA into a free device twin)
-//   ──► kernel thread (chunk_on_gpu [+ fingerprint_on_gpu]) ──►
-//       next_batch() on the caller (batch carries the slot's SlotLease)
+//   ──► kernel thread (chunk_on_gpu [+ fingerprint_on_gpu]; the slot's
+//       lease ends here) ──► next_batch() on the caller
 //
 // With config.fingerprint set, the kernel thread runs a second device
 // kernel per buffer: it resolves the final (min/max-filtered) chunk ends on
@@ -26,15 +26,15 @@
 // rehashes. The hash kernel of buffer i overlaps the H2D of buffer i+1 on
 // the other twin (docs/fingerprint.md has the timeline).
 //
-// Pinned-ring slots are *leased*: submit() blocks while every slot is in
-// flight, which is the engine-level backpressure the service relies on when
-// clients outrun the device. A slot stays leased until the LAST SlotLease
-// referencing it drops (core/lease.h) — every BoundaryBatch carries its
-// buffer's staged bytes as a refcounted lease, so a StreamStore retaining a
-// payload window for its sink (rolling PayloadTail) aliases the pinned slot
-// directly instead of copying, and a consumer that holds leases too long
-// simply extends the same backpressure to producers.
-// The pipeline.slots_leased gauge tracks the outstanding count.
+// Staged bytes never leave the engine. Each buffer's pinned-ring slot is
+// leased (core/lease.h) from submit() until the kernel stage finishes with
+// it; a BoundaryBatch carries boundaries, digests and stage timings only.
+// submit() blocks while every slot is in flight, which is the engine-level
+// backpressure the service relies on when clients outrun the device. A
+// stalled consumer reaches producers the same way: it fills the to-store
+// queue, the kernel thread then waits holding its item's slot, and the
+// ring runs out of free slots. The pipeline.slots_leased gauge tracks the
+// slots in flight.
 #pragma once
 
 #include <atomic>
@@ -119,16 +119,9 @@ struct BoundaryBatch {
   StageSeconds stages;
   gpu::KernelRunStats kernel_stats;
   gpu::KernelRunStats fingerprint_stats;
-  std::uint64_t payload_end = 0;  // absolute end offset covered so far
-  // The buffer's staged bytes, riding back with the batch as a refcounted
-  // lease: payload covers [payload_end - payload.size(), payload_end), and
-  // its first payload_carry bytes are window context repeated from the
-  // previous buffer. Slot-backed in streams modes (zero-copy view of the
-  // pinned slot; the slot recycles when the last lease drops), an owned
-  // vector in basic mode. Consumers that don't retain payloads just drop
-  // the batch and the storage frees itself. Empty on eos batches.
-  SlotLease payload;
-  std::size_t payload_carry = 0;
+  // Absolute end offset of the stream bytes staged so far; on eos, the
+  // stream's total byte count.
+  std::uint64_t payload_end = 0;
   // Scheduler context echoed from the StreamBuffer (see StreamBuffer).
   double sched_credit = 0;
   std::uint32_t queue_depth = 0;
@@ -203,14 +196,15 @@ class PipelineEngine {
   bool fingerprints() const noexcept { return config_.fingerprint; }
   const gpu::DeviceSpec& device_spec() const noexcept { return device_.spec(); }
   const chunking::ChunkerConfig& chunker() const noexcept { return chunker_; }
-  // Pinned slots currently held by a lease — in-flight pipeline items plus
-  // whatever consumers retain. 0 in basic mode and after full drains.
+  // Pinned slots currently leased: buffers between submit() and the end of
+  // their kernel stage. 0 in basic mode and after full drains.
   std::size_t slots_leased() const;
 
  private:
   // A submitted buffer on its way through the stages. `lease` holds the
   // staged bytes (carry ++ payload): a leased pinned slot in streams modes,
-  // kept alive through DMA and beyond, or an owned vector in basic mode.
+  // or an owned vector in basic mode. It ends with the item, when the
+  // kernel stage has handed the item's batch on.
   struct StagedItem {
     std::uint32_t stream_id = 0;
     std::uint64_t seq = 0;
@@ -268,10 +262,10 @@ class PipelineEngine {
   gpu::HostMemKind host_kind_;
   double init_seconds_ = 0;
 
-  // The pinned ring + free-slot accounting, shared with every slot-backed
-  // lease so consumer-held leases outlive the engine safely. Null in basic
-  // mode (no ring; payloads travel as owned vectors).
-  std::shared_ptr<detail::SlotPool> pool_;
+  // The pinned ring + free-slot accounting. Declared before the queues and
+  // threads, so every lease an item still holds returns to it before it
+  // dies. Null in basic mode (no ring; payloads stage into owned vectors).
+  std::unique_ptr<detail::SlotPool> pool_;
   std::atomic<bool> stopping_{false};  // wakes twin waiters at shutdown
 
   // Staging state of every stream that has submitted data and not yet its
@@ -306,21 +300,17 @@ class PipelineEngine {
 //  * resolves final chunks: the host MinMaxFilter over raw boundaries, or
 //    the engine's (chunk_ends, digests) pairs when the engine fingerprints;
 //  * keeps the stream's chunks and digests;
-//  * retains each batch's payload lease in a PayloadTail when a streaming
-//    run's sink wants_payload() (an in-memory `whole` span gives views for
-//    free);
 //  * delivers one ChunkBatchView per batch that finalized chunks plus
-//    exactly one eos view, then trims the tail to the open chunk's start;
+//    exactly one eos view;
 //  * prices the batch's D2H readback.
 // Virtual-time composition and reporting stay with the frontend.
 class StreamStore {
  public:
   // Reads `engine`'s configuration and borrows its device spec (the device
   // must outlive the store) and `sink` (may be null: chunks are only
-  // collected). `slot_cap` bounds the pinned slots the payload tail parks
-  // across batches (PayloadTail::set_slot_cap).
+  // collected).
   StreamStore(const PipelineEngine& engine, std::uint32_t stream_id,
-              ChunkSink* sink, std::size_t slot_cap, ByteSpan whole = {});
+              ChunkSink* sink);
 
   StreamStore(const StreamStore&) = delete;
   StreamStore& operator=(const StreamStore&) = delete;
@@ -328,9 +318,8 @@ class StreamStore {
   // Consumes the stream's next batch and returns the store-stage seconds it
   // charges, also written to batch.stages.store: the boundary (and digest)
   // readback for a data batch; at eos, the trailing digest's D2H (0 when
-  // there is none). Moves the batch's payload lease into the tail when
-  // retaining. Aborts on a batch after eos, and when a fingerprinted stream
-  // ends short of its total.
+  // there is none). Aborts on a batch after eos, and when a fingerprinted
+  // stream ends short of its total.
   double consume(BoundaryBatch& batch);
 
   const std::vector<chunking::Chunk>& chunks() const noexcept {
@@ -352,8 +341,6 @@ class StreamStore {
   const bool pinned_;
   const std::uint32_t stream_id_;
   ChunkSink* const sink_;
-  const ByteSpan whole_;
-  const bool retain_;
   // Host-side chunk resolution; absent when the engine fingerprints.
   std::optional<chunking::MinMaxFilter> filter_;
   std::uint64_t last_end_ = 0;
@@ -361,7 +348,6 @@ class StreamStore {
   std::vector<dedup::ChunkDigest> digests_;  // fingerprint mode, 1:1 chunks
   std::uint64_t batch_seq_ = 0;  // delivered-batch ordinal
   bool ended_ = false;
-  PayloadTail tail_;
 };
 
 }  // namespace shredder::core

@@ -33,8 +33,7 @@ Shredder::Shredder(ShredderConfig config)
   device_ = std::make_unique<gpu::Device>(config_.device, config_.sim_threads);
 }
 
-ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
-                                  ByteSpan whole) {
+ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
   const Stopwatch wall;
   ShredderResult result;
   const bool pipelined = config_.mode != GpuMode::kBasic;
@@ -53,12 +52,7 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
       config_.registry != nullptr
           ? &config_.registry->timing("core.store_seconds")
           : nullptr;
-  // Single consumer draining the engine directly: its tail may park up to
-  // the recommended number of slots for zero-copy views while always
-  // leaving the pipeline a slot to circulate.
-  StreamStore store(engine, /*stream_id=*/0, sink,
-                    PayloadTail::recommended_slot_cap(config_.ring_slots),
-                    whole);
+  StreamStore store(engine, /*stream_id=*/0, sink);
 
   // --- The pipeline ---
   // The Reader stage runs on one thread: it reads each buffer into one
@@ -166,21 +160,21 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
 }
 
 ShredderResult Shredder::run(DataSource& source, ChunkSink& sink) {
-  return run_impl(source, &sink, {});
+  return run_impl(source, &sink);
 }
 
 ShredderResult Shredder::run(ByteSpan data, ChunkSink& sink) {
   MemorySource source(data, config_.host.reader_bw);
-  return run_impl(source, &sink, data);
+  return run_impl(source, &sink);
 }
 
 ShredderResult Shredder::run(DataSource& source) {
-  return run_impl(source, nullptr, {});
+  return run_impl(source, nullptr);
 }
 
 ShredderResult Shredder::run(ByteSpan data) {
   MemorySource source(data, config_.host.reader_bw);
-  return run_impl(source, nullptr, data);
+  return run_impl(source, nullptr);
 }
 
 HostChunkResult chunk_on_host(ByteSpan data,

@@ -100,11 +100,11 @@ class Shredder {
   // Throws std::invalid_argument on bad configuration.
   explicit Shredder(ShredderConfig config);
 
-  // Streaming consumption: `sink` receives one ChunkBatchView per drained
-  // pipeline buffer that finalized chunks, in stream order, plus exactly one
-  // eos batch — no per-chunk dispatch on the store path. The ByteSpan
-  // overload always provides payload views into `data`; the DataSource
-  // overload retains buffer bytes for them only when sink.wants_payload().
+  // Streaming consumption: `sink` receives one ChunkBatchView (chunks and
+  // digests) per drained pipeline buffer that finalized chunks, in stream
+  // order, plus exactly one eos batch — no per-chunk dispatch on the store
+  // path. The ByteSpan overload reads `data` through a MemorySource, so both
+  // overloads run one code path and deliver identical batches.
   ShredderResult run(DataSource& source, ChunkSink& sink);
   ShredderResult run(ByteSpan data, ChunkSink& sink);
 
@@ -119,9 +119,7 @@ class Shredder {
   gpu::Device& device() noexcept { return *device_; }
 
  private:
-  // `whole` is the full stream bytes when the caller holds them in memory
-  // (payload views come for free); empty for true streaming sources.
-  ShredderResult run_impl(DataSource& source, ChunkSink* sink, ByteSpan whole);
+  ShredderResult run_impl(DataSource& source, ChunkSink* sink);
 
   ShredderConfig config_;
   rabin::RabinTables tables_;

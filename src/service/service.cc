@@ -115,12 +115,7 @@ ChunkingService::StreamId ChunkingService::open(TenantOptions opts) {
   }
   session->report.weight = opts.weight;
   session->opts = std::move(opts);
-  // Every batch carries its staged bytes as a refcounted lease, so honoring
-  // wants_payload() is per-session and free — including for tenants opened
-  // mid-run. Slot cap 0: N tenants share one ring, so no tenant may park
-  // pinned slots in its tail across batches — sessions each holding
-  // under-cap leases could otherwise starve the ring.
-  session->store.emplace(*engine_, id, session->opts.sink, /*slot_cap=*/0);
+  session->store.emplace(*engine_, id, session->opts.sink);
   sessions_.emplace(id, std::move(session));
   ++open_sessions_;
   ++aggregate_.n_tenants;
@@ -178,24 +173,6 @@ void ChunkingService::submit(StreamId id, ByteSpan data) {
       enqueue_payload(s, std::move(payload));
     }
   }
-}
-
-bool ChunkingService::try_submit(StreamId id, ByteSpan data) {
-  Session& s = *find_session(id);
-  {
-    MutexLock lock(mu_);
-    if (s.finishing) {
-      throw std::logic_error("ChunkingService: submit after finish");
-    }
-  }
-  // Each stream has a single producer and only the scheduler pops, so a
-  // capacity check now cannot be invalidated by another producer later.
-  const std::size_t buffers_needed =
-      (s.staging.size() + data.size()) / config_.buffer_bytes;
-  const std::size_t queued = s.queue->size();
-  if (buffers_needed > s.queue->capacity() - queued) return false;
-  submit(id, data);
-  return true;
 }
 
 void ChunkingService::finish(StreamId id) {

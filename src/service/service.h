@@ -97,13 +97,10 @@ struct TenantOptions {
   std::string name;          // label for reports; defaults to "tenant-<id>"
   std::uint32_t weight = 1;  // weighted-fair share of device dispatches
   double channel_bw = 0;     // modelled client channel, B/s; 0 = reader_bw
-  // Streaming consumer: one ChunkBatchView per drained buffer that
-  // finalized chunks plus an eos batch, delivered on the store thread in
-  // stream order. Not owned; must outlive the session. Payload views ride
-  // whenever the sink wants_payload() (per-session retention is a
-  // refcounted slot lease, core/lease.h — no copy, so any tenant may ask,
-  // including ones opened mid-run). Null = no streaming consumer; the
-  // chunks still arrive in the TenantResult.
+  // Streaming consumer: one ChunkBatchView (chunks and digests) per drained
+  // buffer that finalized chunks plus an eos batch, delivered on the store
+  // thread in stream order. Not owned; must outlive the session. Null = no
+  // streaming consumer; the chunks still arrive in the TenantResult.
   ChunkSink* sink = nullptr;
 };
 
@@ -172,10 +169,6 @@ class ChunkingService {
   // reader would exert on its producer.
   void submit(StreamId id, ByteSpan data);
 
-  // Non-blocking submit: returns false (consuming nothing) if the bytes
-  // would have to wait on a full dispatch queue.
-  bool try_submit(StreamId id, ByteSpan data);
-
   // Marks the stream complete; no further submits are allowed.
   void finish(StreamId id);
 
@@ -221,8 +214,8 @@ class ChunkingService {
     double credit = 0;  // dispatches weighted by 1/weight; min credit wins
     bool eos_sent = false;  // guarded by mu_
 
-    // Store side: chunk resolution, chunks/digests, payload tail and batch
-    // delivery to opts.sink (emplaced at open()).
+    // Store side: chunk resolution, chunks/digests and batch delivery to
+    // opts.sink (emplaced at open()).
     std::optional<core::StreamStore> store;
     TenantReport report;
     double ready_v = 0;         // cumulative modelled client-produce time

@@ -7,11 +7,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "chunking/cdc.h"
 #include "core/kernels.h"
@@ -495,189 +496,261 @@ TEST(Pipeline, BatchedDigestReadbackLeavesDigestsUnchanged) {
   EXPECT_GT(result.mean_stage_seconds.store, 0.0);
 }
 
-// --- Zero-copy slot leases ---
+// --- Pinned-slot leases ---
 
-TEST(SlotLease, SharesSlotUntilLastReferenceDrops) {
-  auto pool = std::make_shared<detail::SlotPool>(gpu::DeviceSpec{},
-                                                 /*slots=*/2, /*slot_size=*/64);
-  EXPECT_EQ(pool->leased(), 0u);
-  const auto slot = pool->acquire();
-  ASSERT_TRUE(slot.has_value());
-  std::memset(pool->slot_span(*slot).data(), 7, 64);
+TEST(SlotLease, MoveOnlyLeaseReturnsSlotAtDestructionAndMoveAssignment) {
+  static_assert(!std::is_copy_constructible_v<SlotLease>);
+  static_assert(!std::is_copy_assignable_v<SlotLease>);
+  detail::SlotPool pool(gpu::DeviceSpec{}, /*slots=*/2, /*slot_size=*/64);
+  const auto a = pool.acquire();
+  const auto b = pool.acquire();
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  std::memset(pool.slot_span(*a).data(), 7, 64);
   {
-    SlotLease lease = SlotLease::from_slot(pool, *slot, 16);
-    EXPECT_TRUE(lease.slot_backed());
+    SlotLease lease = SlotLease::from_slot(pool, *a, 16);
     EXPECT_EQ(lease.size(), 16u);
-    EXPECT_EQ(pool->leased(), 1u);
-    SlotLease copy = lease;  // shares the slot, no second lease charge
-    const SlotLease moved = std::move(lease);
+    SlotLease moved = std::move(lease);
     EXPECT_TRUE(lease.empty());  // moved-from holds no stale view
-    EXPECT_EQ(pool->leased(), 1u);
     EXPECT_EQ(moved.bytes()[0], 7);
-    EXPECT_EQ(copy.bytes().data(), moved.bytes().data());
+    EXPECT_EQ(pool.leased(), 2u);  // a move hands the slot over, no release
+    moved = SlotLease::from_slot(pool, *b, 8);
+    EXPECT_EQ(pool.leased(), 1u);  // move-assignment returned slot a
+    EXPECT_EQ(moved.size(), 8u);
   }
-  EXPECT_EQ(pool->leased(), 0u);  // last reference dropped -> slot recycled
-  ASSERT_TRUE(pool->acquire().has_value());  // and acquirable again
+  EXPECT_EQ(pool.leased(), 0u);  // destruction returned slot b
+  ASSERT_TRUE(pool.acquire().has_value());  // both acquirable again
+  ASSERT_TRUE(pool.acquire().has_value());
 
   const SlotLease owned = SlotLease::from_owned(ByteVec{1, 2, 3});
-  EXPECT_FALSE(owned.slot_backed());
   EXPECT_EQ(owned.size(), 3u);
-  EXPECT_FALSE(SlotLease{}.slot_backed());
+  EXPECT_EQ(owned.bytes()[2], 3);
 }
 
 TEST(SlotPool, StopWakesWaitersAndRefusesNewLeases) {
-  auto pool = std::make_shared<detail::SlotPool>(gpu::DeviceSpec{}, 1, 64);
-  const auto slot = pool->acquire();
+  detail::SlotPool pool(gpu::DeviceSpec{}, 1, 64);
+  const auto slot = pool.acquire();
   ASSERT_TRUE(slot.has_value());
   std::atomic<bool> woke{false};
   std::thread waiter([&] {
-    EXPECT_FALSE(pool->acquire().has_value());  // blocked, then stopped
+    EXPECT_FALSE(pool.acquire().has_value());  // blocked, then stopped
     woke.store(true);
   });
-  pool->stop();
+  pool.stop();
   waiter.join();
   EXPECT_TRUE(woke.load());
-  pool->release(*slot);                       // outstanding slots still return
-  EXPECT_FALSE(pool->acquire().has_value());  // but nothing new is handed out
+  pool.release(*slot);                       // outstanding slots still return
+  EXPECT_FALSE(pool.acquire().has_value());  // but nothing new is handed out
 }
 
-// The engine owns every stream's window carry, offset and sequence: each
-// batch stages the stream's bytes over [payload_end - payload.size(),
-// payload_end), led by min(w-1, bytes before the buffer) bytes of repeated
-// context, whatever the payload sizes (including ones shorter than the
-// carry) and however streams interleave — in the slot-backed (streams) and
-// owned (basic) representations alike.
+// The engine owns every stream's window carry, offset and sequence: it
+// stages each buffer behind min(w-1, bytes before it) bytes of its own
+// stream, whatever the payload sizes (including ones shorter than the
+// carry) and however streams interleave. Batches carry no staged bytes, so
+// staging is observed through what the engine computes from it. The mask
+// is dense enough that raw boundaries end within a few bytes of almost
+// every seam: each stream's boundaries must equal StreamScanner's over the
+// stream, and with the fingerprint stage on, its chunks and digests must
+// equal chunk_serial's chunks hashed on the host.
 class PipelineCarry : public ::testing::TestWithParam<GpuMode> {};
 
 TEST_P(PipelineCarry, EngineStagesEachStreamBehindItsOwnCarry) {
-  chunking::ChunkerConfig chunker = small_chunker();
+  chunking::ChunkerConfig chunker;
   chunker.window = 48;
-  const std::size_t carry = chunker.window - 1;
+  chunker.mask_bits = 2;  // a raw boundary every ~4 bytes
+  chunker.marker = 1;
+  chunker.min_size = 32;
+  chunker.max_size = 256;
   const rabin::RabinTables tables(chunker.window);
   gpu::Device device(gpu::DeviceSpec{}, 2);
-  PipelineEngineConfig cfg;
-  cfg.mode = GetParam();
-  cfg.slot_bytes = 4096 + carry;
-  cfg.ring_slots = 3;
-  cfg.kernel.blocks = 4;
-  cfg.kernel.threads_per_block = 16;
-  PipelineEngine engine(cfg, device, tables, chunker);
 
-  // Stream 1 has two payloads shorter than the carry, stream 2 is empty,
-  // and streams 3 and 4 are submitted concurrently from two threads.
-  struct Stream {
-    std::vector<std::size_t> sizes;
-    std::vector<std::uint64_t> starts;  // stream offset of each payload
-    ByteVec bytes;
-    ByteVec rebuilt;  // non-carry bytes of every batch, in arrival order
-    std::uint64_t next_seq = 0;
-    bool ended = false;
-  };
-  std::map<std::uint32_t, Stream> streams;
-  streams[1].sizes = {5, 30, 4096, 4096, 1};
-  streams[2].sizes = {};
-  streams[3].sizes = {4096, 12, 4096, 47, 3000};
-  streams[4].sizes = {46, 4096, 4096, 1, 2500};
-  for (auto& [id, st] : streams) {
-    std::uint64_t total = 0;
-    for (const std::size_t n : st.sizes) {
-      st.starts.push_back(total);
-      total += n;
-    }
-    st.bytes = random_bytes(total, 100 + id);
-  }
+  for (const bool fingerprint : {false, true}) {
+    SCOPED_TRACE(fingerprint ? "fingerprint on" : "fingerprint off");
+    PipelineEngineConfig cfg;
+    cfg.mode = GetParam();
+    cfg.slot_bytes = 4096 + chunker.window - 1;
+    cfg.ring_slots = 3;
+    cfg.kernel.blocks = 4;
+    cfg.kernel.threads_per_block = 16;
+    cfg.fingerprint = fingerprint;
+    PipelineEngine engine(cfg, device, tables, chunker);
 
-  const auto submit_stream = [&engine](std::uint32_t id, const Stream& st,
-                                       const auto& before) {
-    for (std::size_t i = 0; i < st.sizes.size(); ++i) {
-      before();
-      StreamBuffer buf;
-      buf.stream_id = id;
-      buf.payload = ByteSpan(st.bytes).subspan(st.starts[i], st.sizes[i]);
-      EXPECT_TRUE(engine.submit(buf));
-    }
-    StreamBuffer eos;
-    eos.stream_id = id;
-    eos.eos = true;
-    EXPECT_TRUE(engine.submit(eos));
-  };
-  // Streams 3 and 4 take turns entering submit(), buffer by buffer; a turn
-  // passes on as soon as it is taken, so the two submits overlap.
-  std::mutex turn_mu;
-  std::condition_variable turn_cv;
-  std::size_t turn = 0;
-  const auto take_turn = [&](std::size_t parity) {
-    return [&, parity] {
-      std::unique_lock<std::mutex> lock(turn_mu);
-      turn_cv.wait(lock, [&] { return turn % 2 == parity; });
-      ++turn;
-      turn_cv.notify_all();
+    // Stream 1 has two payloads shorter than the carry, stream 2 is empty,
+    // and streams 3 and 4 are submitted concurrently from two threads.
+    struct Stream {
+      std::vector<std::size_t> sizes;
+      std::vector<std::uint64_t> starts;  // stream offset of each payload
+      ByteVec bytes;
+      // What the engine computed, concatenated in arrival order.
+      std::vector<std::uint64_t> boundaries;
+      std::vector<std::uint64_t> chunk_ends;
+      std::vector<dedup::ChunkDigest> digests;
+      std::uint64_t next_seq = 0;
+      bool ended = false;
     };
-  };
-  std::thread first([&] {
-    submit_stream(1, streams.at(1), [] {});
-    submit_stream(2, streams.at(2), [] {});
-    std::thread other([&] { submit_stream(4, streams.at(4), take_turn(1)); });
-    submit_stream(3, streams.at(3), take_turn(0));
-    other.join();
-    engine.close();
-  });
-
-  std::size_t batches = 0;
-  while (auto batch = engine.next_batch()) {
-    ++batches;
-    Stream& st = streams.at(batch->stream_id);
-    EXPECT_FALSE(st.ended) << "batch after eos on stream " << batch->stream_id;
-    EXPECT_EQ(batch->seq, st.next_seq);
-    const std::uint64_t seq = st.next_seq++;
-    if (batch->eos) {
-      st.ended = true;
-      EXPECT_EQ(seq, st.sizes.size());
-      EXPECT_EQ(batch->payload_end, st.bytes.size());
-      continue;
+    std::map<std::uint32_t, Stream> streams;
+    streams[1].sizes = {5, 30, 4096, 4096, 1};
+    streams[2].sizes = {};
+    streams[3].sizes = {4096, 12, 4096, 47, 3000};
+    streams[4].sizes = {46, 4096, 4096, 1, 2500};
+    for (auto& [id, st] : streams) {
+      std::uint64_t total = 0;
+      for (const std::size_t n : st.sizes) {
+        st.starts.push_back(total);
+        total += n;
+      }
+      st.bytes = random_bytes(total, 100 + id);
     }
-    if (seq >= st.sizes.size()) continue;  // reported by the seq check
-    EXPECT_EQ(batch->payload.slot_backed(), engine.pipelined());
-    const std::uint64_t before = st.starts[seq];
-    const std::size_t expect_carry =
-        static_cast<std::size_t>(std::min<std::uint64_t>(carry, before));
-    EXPECT_EQ(batch->payload_carry, expect_carry);
-    EXPECT_EQ(batch->payload_end, before + st.sizes[seq]);
-    const ByteSpan staged = batch->payload.bytes();
-    // No ASSERT while the producers run: a failed one would return past
-    // the join.
-    const bool in_range = staged.size() >= batch->payload_carry &&
-                          staged.size() <= batch->payload_end &&
-                          batch->payload_end <= st.bytes.size();
-    EXPECT_TRUE(in_range) << "stream " << batch->stream_id << " buffer " << seq;
-    if (!in_range) continue;
-    EXPECT_TRUE(std::equal(
-        staged.begin(), staged.end(),
-        st.bytes.begin() +
-            static_cast<std::ptrdiff_t>(batch->payload_end - staged.size())))
-        << "stream " << batch->stream_id << " buffer " << seq;
-    st.rebuilt.insert(st.rebuilt.end(),
-                      staged.begin() +
-                          static_cast<std::ptrdiff_t>(batch->payload_carry),
-                      staged.end());
+
+    const auto submit_stream = [&engine](std::uint32_t id, const Stream& st,
+                                         const auto& before) {
+      for (std::size_t i = 0; i < st.sizes.size(); ++i) {
+        before();
+        StreamBuffer buf;
+        buf.stream_id = id;
+        buf.payload = ByteSpan(st.bytes).subspan(st.starts[i], st.sizes[i]);
+        EXPECT_TRUE(engine.submit(buf));
+      }
+      StreamBuffer eos;
+      eos.stream_id = id;
+      eos.eos = true;
+      EXPECT_TRUE(engine.submit(eos));
+    };
+    // Streams 3 and 4 take turns entering submit(), buffer by buffer; a
+    // turn passes on as soon as it is taken, so the two submits overlap.
+    std::mutex turn_mu;
+    std::condition_variable turn_cv;
+    std::size_t turn = 0;
+    const auto take_turn = [&](std::size_t parity) {
+      return [&, parity] {
+        std::unique_lock<std::mutex> lock(turn_mu);
+        turn_cv.wait(lock, [&] { return turn % 2 == parity; });
+        ++turn;
+        turn_cv.notify_all();
+      };
+    };
+    std::thread first([&] {
+      submit_stream(1, streams.at(1), [] {});
+      submit_stream(2, streams.at(2), [] {});
+      std::thread other([&] { submit_stream(4, streams.at(4), take_turn(1)); });
+      submit_stream(3, streams.at(3), take_turn(0));
+      other.join();
+      engine.close();
+    });
+
+    std::size_t batches = 0;
+    while (auto batch = engine.next_batch()) {
+      ++batches;
+      Stream& st = streams.at(batch->stream_id);
+      EXPECT_FALSE(st.ended) << "batch after eos on stream "
+                             << batch->stream_id;
+      EXPECT_EQ(batch->seq, st.next_seq);
+      const std::uint64_t seq = st.next_seq++;
+      st.boundaries.insert(st.boundaries.end(), batch->boundaries.begin(),
+                           batch->boundaries.end());
+      st.chunk_ends.insert(st.chunk_ends.end(), batch->chunk_ends.begin(),
+                           batch->chunk_ends.end());
+      st.digests.insert(st.digests.end(), batch->digests.begin(),
+                        batch->digests.end());
+      if (batch->eos) {
+        st.ended = true;
+        EXPECT_EQ(seq, st.sizes.size());
+        EXPECT_EQ(batch->payload_end, st.bytes.size());
+      } else if (seq < st.sizes.size()) {
+        EXPECT_EQ(batch->payload_end, st.starts[seq] + st.sizes[seq]);
+      }
+    }
+    first.join();
+    EXPECT_EQ(batches, 6u + 1u + 6u + 6u);
+    for (const auto& [id, st] : streams) {
+      EXPECT_TRUE(st.ended) << "stream " << id;
+      std::vector<std::uint64_t> raw;
+      chunking::StreamScanner scanner(tables, chunker);
+      scanner.feed(st.bytes, [&raw](std::uint64_t end, std::uint64_t) {
+        raw.push_back(end);
+      });
+      EXPECT_EQ(st.boundaries, raw) << "stream " << id;
+      if (!fingerprint) {
+        EXPECT_TRUE(st.chunk_ends.empty()) << "stream " << id;
+        continue;
+      }
+      const auto chunks = chunking::chunk_serial(tables, chunker, st.bytes);
+      std::vector<std::uint64_t> ends;
+      std::vector<dedup::ChunkDigest> digests;
+      for (const auto& c : chunks) {
+        ends.push_back(c.offset + c.size);
+        digests.push_back(dedup::ChunkHasher::hash(ByteSpan(st.bytes).subspan(
+            static_cast<std::size_t>(c.offset),
+            static_cast<std::size_t>(c.size))));
+      }
+      EXPECT_EQ(st.chunk_ends, ends) << "stream " << id;
+      EXPECT_TRUE(st.digests == digests)
+          << "stream " << id << ": digests differ from host SHA-256";
+    }
+    EXPECT_EQ(engine.slots_leased(), 0u);
   }
-  first.join();
-  EXPECT_EQ(batches, 6u + 1u + 6u + 6u);
-  for (const auto& [id, st] : streams) {
-    EXPECT_TRUE(st.ended) << "stream " << id;
-    EXPECT_EQ(st.rebuilt, st.bytes) << "stream " << id;
-  }
-  EXPECT_EQ(engine.slots_leased(), 0u);  // every lease dropped with its batch
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, PipelineCarry,
                          ::testing::Values(GpuMode::kBasic, GpuMode::kStreams,
                                            GpuMode::kStreamsCoalesced));
 
-TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
-  // A consumer sitting on a batch's lease keeps the slot out of circulation:
-  // with a 1-slot ring the producer cannot stage buffer i+1 until batch i's
-  // lease drops. The slots_leased gauge tracks the outstanding count.
+// Batches carry no staged bytes, so a consumer that keeps every batch holds
+// no slot: an 8-buffer stream passes a 2-slot ring while every batch stays
+// held, and the ring is empty after the drain.
+TEST(Pipeline, HeldBatchesHoldNoSlots) {
+  const auto chunker = small_chunker();
+  const rabin::RabinTables tables(chunker.window);
+  gpu::Device device(gpu::DeviceSpec{}, 2);
+  PipelineEngineConfig cfg;
+  cfg.mode = GpuMode::kStreams;
+  cfg.slot_bytes = 4096;
+  cfg.ring_slots = 2;
+  cfg.kernel.blocks = 4;
+  cfg.kernel.threads_per_block = 16;
+  PipelineEngine engine(cfg, device, tables, chunker);
+
+  const std::size_t kBuffers = 8;
+  const auto data = random_bytes(kBuffers * 2048, 95);
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < kBuffers; ++i) {
+      StreamBuffer buf;
+      buf.payload = ByteSpan(data).subspan(i * 2048, 2048);
+      if (!engine.submit(buf)) break;
+    }
+    StreamBuffer eos;
+    eos.eos = true;
+    engine.submit(eos);
+    engine.close();
+  });
+  // If held batches kept their slots, the producer would stall after
+  // ring_slots buffers and next_batch() would block for good; the watchdog
+  // then stops the engine, so the case fails instead of hanging.
+  std::promise<void> drained;
+  std::thread watchdog([&engine, done = drained.get_future()] {
+    if (done.wait_for(std::chrono::seconds(10)) ==
+        std::future_status::timeout) {
+      engine.stop();
+    }
+  });
+  std::vector<BoundaryBatch> held;
+  while (auto batch = engine.next_batch()) held.push_back(std::move(*batch));
+  drained.set_value();
+  watchdog.join();
+  producer.join();
+
+  ASSERT_EQ(held.size(), kBuffers + 1);
+  for (std::size_t i = 0; i < held.size(); ++i) EXPECT_EQ(held[i].seq, i);
+  EXPECT_TRUE(held.back().eos);
+  EXPECT_EQ(held.back().payload_end, data.size());
+  EXPECT_EQ(engine.slots_leased(), 0u);  // with every batch still held
+}
+
+TEST(Pipeline, StalledConsumerBackpressuresInsideTheEngineWithoutLeaking) {
+  // A consumer that stops calling next_batch() fills the to-store queue
+  // (2 batches); the kernel thread then waits holding its item's slot, so
+  // with a 1-slot ring the producer stalls after exactly 3 submits. The
+  // slots_leased gauge tracks the slot in flight.
   const auto chunker = small_chunker();
   const rabin::RabinTables tables(chunker.window);
   gpu::Device device(gpu::DeviceSpec{}, 2);
@@ -691,10 +764,11 @@ TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
   cfg.registry = &registry;
   PipelineEngine engine(cfg, device, tables, chunker);
 
-  const auto data = random_bytes(3 * 2048, 93);
+  const std::size_t kBuffers = 6;
+  const auto data = random_bytes(kBuffers * 2048, 93);
   std::atomic<std::size_t> submitted{0};
   std::thread producer([&] {
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < kBuffers; ++i) {
       StreamBuffer buf;
       buf.payload = ByteSpan(data).subspan(i * 2048, 2048);
       if (!engine.submit(buf)) break;
@@ -703,21 +777,22 @@ TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
     engine.close();
   });
 
-  auto first = engine.next_batch();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_FALSE(first->eos);
-  // While we hold the only slot's lease, the producer is stuck staging
-  // buffer 1 (buffer 0's submit was the one that went through).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(submitted.load(), 1u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (submitted.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Time enough to run past the stall point if backpressure leaked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(submitted.load(), 3u);
   EXPECT_EQ(engine.slots_leased(), 1u);
   EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 1.0);
 
-  first.reset();  // drop the lease: the ring slot recycles, the producer runs
-  while (auto batch = engine.next_batch()) {
-  }
+  std::size_t batches = 0;
+  while (auto batch = engine.next_batch()) ++batches;
   producer.join();
-  EXPECT_EQ(submitted.load(), 3u);
+  EXPECT_EQ(batches, kBuffers);
+  EXPECT_EQ(submitted.load(), kBuffers);
   EXPECT_EQ(engine.slots_leased(), 0u);
   EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 0.0);
 }
@@ -737,8 +812,7 @@ TEST(StreamStoreDeathTest, RejectsBatchesPastTheStreamEnd) {
     cfg.fingerprint = fingerprint;
     PipelineEngine engine(cfg, device, tables, chunker);
     engine.stop();  // the batches below are hand-made
-    StreamStore store(engine, /*stream_id=*/0, /*sink=*/nullptr,
-                      /*slot_cap=*/0);
+    StreamStore store(engine, /*stream_id=*/0, /*sink=*/nullptr);
     BoundaryBatch eos;
     eos.eos = true;
     if (fingerprint) {

@@ -274,39 +274,6 @@ TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   EXPECT_EQ(result.report.max_queue_depth, cfg.tenant_queue_depth);
 }
 
-TEST(ChunkingService, TrySubmitShedsLoadInsteadOfBlocking) {
-  ServiceConfig cfg = small_service_config();
-  cfg.buffer_bytes = 4096;
-  cfg.ring_slots = 2;
-  cfg.tenant_queue_depth = 1;
-
-  // Stall the store thread on its first batch so the pipeline stays full.
-  std::promise<void> release;
-  GatedSink sink(release.get_future().share());
-  ChunkingService svc(cfg);
-  TenantOptions opts;
-  opts.sink = &sink;
-  const auto id = svc.open(std::move(opts));
-
-  const auto buffer = random_bytes(cfg.buffer_bytes, 31);
-  // The pipeline holds a bounded number of buffers; with the store stalled,
-  // try_submit must start returning false after finitely many successes.
-  bool saw_false = false;
-  std::size_t accepted = 0;
-  for (int i = 0; i < 64 && !saw_false; ++i) {
-    if (svc.try_submit(id, as_bytes(buffer))) {
-      ++accepted;
-    } else {
-      saw_false = true;  // refused without blocking or consuming anything
-    }
-  }
-  EXPECT_TRUE(saw_false) << "pipeline accepted unbounded buffers";
-  release.set_value();
-  svc.finish(id);
-  const auto result = svc.wait(id);
-  EXPECT_EQ(result.report.total_bytes, accepted * cfg.buffer_bytes);
-}
-
 // --- Fairness and reports ---------------------------------------------------
 
 TEST(ChunkingService, WeightedTenantFinishesFirstInVirtualTime) {
