@@ -48,10 +48,12 @@
 // runs; bar: <= 2%), runs
 // a 16-tenant service and a 1%-loss backup transport with metrics + tracing
 // on, exports both as Perfetto-loadable Chrome trace JSON
-// (TRACE_obs_service.json, TRACE_obs_transport.json), and cross-checks the
-// traced per-engine busy time against GpuTimeline::engine_busy (bar: within
-// 1%). Writes BENCH_obs.json. `--obs_smoke_json[=PATH]` is the small variant
-// scripts/ci.sh runs.
+// (TRACE_obs_service.json, TRACE_obs_transport.json, in PATH's directory),
+// and cross-checks the traced per-engine busy time against
+// GpuTimeline::engine_busy (bar: within 1%). Writes BENCH_obs.json.
+// `--obs_smoke_json[=PATH]` is the small variant scripts/ci.sh runs
+// (default BENCH_obs_smoke.json); its traces carry a _smoke suffix, so it
+// never overwrites the full-scale JSON or traces.
 //
 // Retention churn tracking: `microbench --retention_json[=PATH]` backs up N
 // high-churn snapshots through a BackupServer, deletes half of them on both
@@ -1101,6 +1103,12 @@ double busy_rel_err(double traced, double reference) {
 
 int run_obs_json(const std::string& path, bool smoke) {
   using namespace shredder::backup;
+  // The Chrome traces go beside the JSON.
+  const std::size_t slash = path.find_last_of('/');
+  const std::string trace_prefix =
+      (slash == std::string::npos ? "" : path.substr(0, slash + 1)) +
+      "TRACE_obs_";
+  const std::string trace_suffix = smoke ? "_smoke.json" : ".json";
 
   // Part 1 — the "compiled in but disabled" bar: the same pipeline, once
   // with no registry and once with a disabled one attached. The hooks are
@@ -1190,7 +1198,8 @@ int run_obs_json(const std::string& path, bool smoke) {
                     svc_report.compute_busy_seconds),
        busy_rel_err(svc_tracer.track_busy("engine/d2h"),
                     svc_report.d2h_busy_seconds)});
-  const std::string svc_trace_path = "TRACE_obs_service.json";
+  const std::string svc_trace_path =
+      trace_prefix + "service" + trace_suffix;
   svc_tracer.write_json(svc_trace_path);
 
   // Part 3 — backup over a 1%-loss transport, chunked through a shared
@@ -1253,7 +1262,8 @@ int run_obs_json(const std::string& path, bool smoke) {
                     wire_report.compute_busy_seconds),
        busy_rel_err(wire_tracer.track_busy("engine/d2h"),
                     wire_report.d2h_busy_seconds)});
-  const std::string wire_trace_path = "TRACE_obs_transport.json";
+  const std::string wire_trace_path =
+      trace_prefix + "transport" + trace_suffix;
   wire_tracer.write_json(wire_trace_path);
   const std::uint64_t wire_recoveries =
       wire_stats.transport.retransmits + wire_stats.transport.repair_frames;
@@ -1400,7 +1410,7 @@ int main(int argc, char** argv) {
       return run_obs_json(argv[i] + 11, /*smoke=*/false);
     }
     if (std::strcmp(argv[i], "--obs_smoke_json") == 0) {
-      return run_obs_json("BENCH_obs.json", /*smoke=*/true);
+      return run_obs_json("BENCH_obs_smoke.json", /*smoke=*/true);
     }
     if (std::strncmp(argv[i], "--obs_smoke_json=", 17) == 0) {
       return run_obs_json(argv[i] + 17, /*smoke=*/true);

@@ -66,11 +66,10 @@ int main(int argc, char** argv) {
     producers.emplace_back([&, k] {
       core::SyntheticSource source(megabytes << 20, /*seed=*/1000 + k,
                                    config.host.reader_bw);
-      ByteVec buf(1 << 20);
       for (;;) {
-        const std::size_t n = source.read({buf.data(), buf.size()});
-        if (n == 0) break;
-        svc.submit(ids[k], ByteSpan{buf.data(), n});
+        const ByteSpan view = source.next(1 << 20);
+        if (view.empty()) break;
+        svc.submit(ids[k], view);
       }
       svc.finish(ids[k]);
     });

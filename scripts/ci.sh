@@ -6,10 +6,10 @@
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
 #   4. microbench smokes (fails when microbench was not built)
 #   5. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
-#      engine's pinned-slot leases and per-stream carries)
+#      engine's pinned-slot leases and per-stream carries, kernel launches)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
-#      obs registry/tracer, multi-tenant service, transport, hashing,
-#      backup server)
+#      simulated device, obs registry/tracer, multi-tenant service,
+#      transport, hashing, backup server)
 #
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
@@ -58,10 +58,10 @@ echo "=== observability smoke (BENCH_obs + Perfetto trace export) ==="
 # engine-busy vs GpuTimeline::engine_busy agreement the committed
 # BENCH_obs.json documents at full scale (docs/observability.md), and
 # checks the exported Chrome trace-event files are well-formed JSON.
-(cd "$BUILD_DIR" && ./microbench --obs_smoke_json="BENCH_obs_smoke.json")
+"$BUILD_DIR/microbench" --obs_smoke_json="$BUILD_DIR/BENCH_obs_smoke.json"
 python3 -m json.tool "$BUILD_DIR/BENCH_obs_smoke.json" >/dev/null
-python3 -m json.tool "$BUILD_DIR/TRACE_obs_service.json" >/dev/null
-python3 -m json.tool "$BUILD_DIR/TRACE_obs_transport.json" >/dev/null
+python3 -m json.tool "$BUILD_DIR/TRACE_obs_service_smoke.json" >/dev/null
+python3 -m json.tool "$BUILD_DIR/TRACE_obs_transport_smoke.json" >/dev/null
 echo "trace exports are well-formed JSON"
 
 echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
@@ -72,28 +72,31 @@ echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
 # probe decisions are bit-identical across entry-log compaction.
 "$BUILD_DIR/microbench" --retention_smoke_json="$BUILD_DIR/BENCH_retention_smoke.json"
 
-echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs stack) ==="
+echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs + device stack) ==="
 # backup_test joins because the agent's frame validation is the backup
 # protocol's trust boundary and every agent test goes through receive_batch.
 # service_test joins because every tenant's buffers are staged into leased
 # pinned slots and resolved by the store stage (core::StreamStore) the
-# service drives per session.
+# service drives per session. gpusim_test joins because kernel launches
+# keep per-block tallies and exact-DRAM traces and no longer allocate
+# per-block shared memory, so kernels index the resident device buffer.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=address
 cmake --build "$SAN_DIR" -j "$JOBS" \
   --target chunking_test rabin_test minmax_test fingerprint_test \
   index_test dedup_test retention_test core_test sink_test service_test \
-  transport_test backup_test obs_test common_test
+  transport_test backup_test obs_test common_test gpusim_test
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|service_test|transport_test|backup_test|obs_test|common_test'
+  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|service_test|transport_test|backup_test|obs_test|common_test|gpusim_test'
 
-echo "=== TSan build (queues, thread pool, obs, service, transport, hashing, backup) ==="
+echo "=== TSan build (queues, thread pool, device, obs, service, transport, hashing, backup) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +
-# ThreadPool stress), obs_test (registry shards racing snapshot, tracer),
-# service_test (N producer threads over one engine), core_test (slots leased
-# on producer threads and released on the kernel thread, in-engine
-# backpressure from a stalled consumer, concurrent submitters of different
-# engine streams), transport_test and
+# ThreadPool stress), gpusim_test (sim pool threads flush their blocks'
+# tallies into one launch's totals), obs_test (registry shards racing
+# snapshot, tracer), service_test (N producer threads over one engine),
+# core_test (slots leased on producer threads and released on the kernel
+# thread, in-engine backpressure from a stalled consumer, concurrent
+# submitters of different engine streams), transport_test and
 # sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
 # the shared store), dedup_test and fingerprint_test (the device hash kernel
 # runs on many sim_threads workers, so the first SHA-256 calls race through
@@ -104,10 +107,11 @@ echo "=== TSan build (queues, thread pool, obs, service, transport, hashing, bac
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target common_test obs_test service_test core_test transport_test \
-  sink_test retention_test dedup_test fingerprint_test backup_test
+  --target common_test gpusim_test obs_test service_test core_test \
+  transport_test sink_test retention_test dedup_test fingerprint_test \
+  backup_test
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'common_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|dedup_test|fingerprint_test|backup_test'
+  -R 'common_test|gpusim_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|dedup_test|fingerprint_test|backup_test'
 
 echo "=== ci OK ==="

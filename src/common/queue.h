@@ -40,17 +40,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking push: false when full or closed (the item is untouched on
-  // failure, so the caller can retry or shed load).
-  bool try_push(T& item) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
   // Blocks while empty and not closed. nullopt == closed and drained.
   std::optional<T> pop() EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -92,8 +81,6 @@ class BoundedQueue {
     MutexLock lock(mutex_);
     return items_.size();
   }
-
-  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   const std::size_t capacity_;

@@ -1,7 +1,6 @@
 #include "core/kernels.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "chunking/cdc.h"
@@ -67,74 +66,67 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
     launch.concurrent_streams = static_cast<std::uint64_t>(total_threads);
   }
 
-  // Per-thread boundary outputs (flattened in thread order afterwards; the
-  // ranges are disjoint and ordered so the result is ascending).
+  // One boundary vector per block (concatenated in block order afterwards;
+  // the block ranges are disjoint and ordered, so the result is ascending).
   std::vector<std::vector<std::uint64_t>> out(
-      static_cast<std::size_t>(total_threads));
+      static_cast<std::size_t>(params.blocks));
 
   const auto kernel = [&](gpu::BlockCtx& ctx) {
     const std::size_t tpb = static_cast<std::size_t>(ctx.threads_per_block());
+    const int first = ctx.block_idx() * ctx.threads_per_block();
+    const std::uint64_t dev_base = buf.device_addr();
+    // Accounting: each thread's sub-stream, walked the way the modelled
+    // kernel reads it. The record calls (and so exact_dram traces) follow
+    // the per-thread, per-tile order of the device.
     for (std::size_t t = 0; t < tpb; ++t) {
-      const int g = ctx.block_idx() * ctx.threads_per_block() +
-                    static_cast<int>(t);
-      const ThreadRange r =
-          thread_range(carry, data_len, total_threads, g, w);
+      const ThreadRange r = thread_range(carry, data_len, total_threads,
+                                         first + static_cast<int>(t), w);
       if (r.emit_begin >= r.emit_end) continue;
-      auto& boundaries = out[static_cast<std::size_t>(g)];
-      const std::uint64_t dev_base = buf.device_addr();
-      auto emit = [&](std::uint64_t end, std::uint64_t) {
-        boundaries.push_back(end);
-      };
       if (!params.coalesced) {
-        // Direct global-memory walk, one 16 B segment per thread at a time.
-        // One contiguous span per thread: straight through the batched
-        // buffer fast path.
+        // Direct global-memory walk, one 16 B segment per thread at a time,
+        // warm-up bytes included.
         ctx.record_global_read(dev_base + r.scan_begin,
                                r.emit_end - r.scan_begin);
         ctx.record_processed(r.emit_end - r.scan_begin);
-        chunking::scan_buffer(
-            tables, config,
-            data.subspan(r.scan_begin, r.emit_end - r.scan_begin),
-            r.emit_begin - r.scan_begin, base_offset + r.scan_begin, emit);
-      } else {
-        // Cooperative staging: the thread's sub-stream is consumed in tiles
-        // sized to this thread's slice of the block's shared memory, each
-        // staged with coalesced transactions before being fingerprinted.
-        // Every tile restages the w-1 bytes preceding its payload (the
-        // halo), so each tile is a self-contained scan_buffer call — the
-        // fast path needs no scanner state carried across tiles.
-        const std::size_t slice = ctx.shared().size() / tpb;
-        MutableByteSpan stage = ctx.shared().subspan(t * slice, slice);
-        std::size_t pos = r.emit_begin;  // next emit position to cover
-        while (pos < r.emit_end) {
-          const std::size_t halo = std::min(w - 1, pos);
-          // Payload that fits beside the halo in the stage slice, but at
-          // least 64 bytes per tile (tiny slices overflow to global memory).
-          const std::size_t fit = stage.size() > halo ? stage.size() - halo : 0;
-          const std::size_t payload =
-              std::min(r.emit_end - pos, std::max<std::size_t>(64, fit));
-          const std::size_t len = halo + payload;
-          ctx.record_global_read(dev_base + (pos - halo), len);
-          ctx.record_processed(len);
-          if (len <= stage.size()) {
-            // Real staging copy (device "global" -> on-chip buffer), then
-            // the scan runs out of shared memory, proving the restructured
-            // data path preserves the output.
-            std::memcpy(stage.data(), data.data() + (pos - halo), len);
-            ctx.record_shared_stage(len);
-            chunking::scan_buffer(tables, config, ByteSpan{stage.data(), len},
-                                  halo, base_offset + (pos - halo), emit);
-          } else {
-            // Tile larger than the stage slice (tiny shared configs): scan
-            // the whole tile straight from global memory, no staging.
-            chunking::scan_buffer(tables, config,
-                                  data.subspan(pos - halo, len), halo,
-                                  base_offset + (pos - halo), emit);
-          }
-          pos += payload;
-        }
+        continue;
+      }
+      // Cooperative staging: the thread's sub-stream is consumed in tiles
+      // sized to its slice of the SM's shared memory, each staged with
+      // coalesced transactions together with the w-1 bytes preceding its
+      // payload (the halo), which the tile's scan re-reads.
+      const std::size_t slice = ctx.spec().shared_mem_per_sm / tpb;
+      std::size_t pos = r.emit_begin;  // next emit position to cover
+      while (pos < r.emit_end) {
+        const std::size_t halo = std::min(w - 1, pos);
+        // Payload that fits beside the halo in the slice, but at least 64
+        // bytes per tile (tiny slices overflow to global memory).
+        const std::size_t fit = slice > halo ? slice - halo : 0;
+        const std::size_t payload =
+            std::min(r.emit_end - pos, std::max<std::size_t>(64, fit));
+        const std::size_t len = halo + payload;
+        ctx.record_global_read(dev_base + (pos - halo), len);
+        ctx.record_processed(len);
+        // A tile larger than the slice (tiny shared configs) is scanned
+        // straight from global memory, unstaged.
+        if (len <= slice) ctx.record_shared_stage(len);
+        pos += payload;
       }
     }
+    // The real work: one scan over the block's contiguous emit range,
+    // warmed on the w-1 bytes before it. By the warm-up property this emits
+    // exactly the boundaries the per-thread (and per-tile) scans would.
+    const ThreadRange lo =
+        thread_range(carry, data_len, total_threads, first, w);
+    const ThreadRange hi = thread_range(
+        carry, data_len, total_threads, first + static_cast<int>(tpb) - 1, w);
+    if (lo.emit_begin >= hi.emit_end) return;
+    auto& boundaries = out[static_cast<std::size_t>(ctx.block_idx())];
+    chunking::scan_buffer(
+        tables, config, data.subspan(lo.scan_begin, hi.emit_end - lo.scan_begin),
+        lo.emit_begin - lo.scan_begin, base_offset + lo.scan_begin,
+        [&boundaries](std::uint64_t end, std::uint64_t) {
+          boundaries.push_back(end);
+        });
   };
 
   GpuChunkResult result;
@@ -148,7 +140,7 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
   }
   SHREDDER_CHECK_MSG(
       std::is_sorted(result.boundaries.begin(), result.boundaries.end()),
-      "per-thread boundary ranges must concatenate in ascending order");
+      "per-block boundary ranges must concatenate in ascending order");
   return result;
 }
 

@@ -5,6 +5,11 @@
 // emitting a boundary wherever the masked fingerprint equals the marker.
 // Each thread warms its window on the w-1 bytes preceding its sub-stream, so
 // the concatenated output is bit-identical to a serial scan of the buffer.
+// The host does the real scan once per block: a block's sub-streams form one
+// contiguous range, scanned after the same warm-up, which emits exactly what
+// the per-thread scans would. A per-thread walk then only records the reads,
+// processed bytes and staged tiles the modelled threads issue, so launch
+// statistics are those of the per-thread kernel.
 //
 //  * Basic kernel (§3.1): each thread reads its own sub-stream directly from
 //    global device memory in 16 B segments — thousands of interleaved
@@ -12,6 +17,11 @@
 //  * Coalesced kernel (§4.3): the threads of a block cooperatively stage
 //    tiles of their sub-streams into on-chip shared memory with contiguous
 //    128 B half-warp transactions, then fingerprint out of shared memory.
+//    Each tile restages the w-1 bytes before its payload (the halo), and a
+//    tile that does not fit the thread's slice of shared memory is read
+//    straight from global memory. The simulator counts tiles, halos and
+//    staged bytes but copies nothing: the block's scan reads the resident
+//    buffer.
 #pragma once
 
 #include <cstdint>

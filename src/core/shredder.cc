@@ -55,8 +55,8 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
   StreamStore store(engine, /*stream_id=*/0, sink);
 
   // --- The pipeline ---
-  // The Reader stage runs on one thread: it reads each buffer into one
-  // reused host buffer and submits it, and submit() copies it into the
+  // The Reader stage runs on one thread: it takes each buffer from the
+  // source as a view and submits it, and submit() copies it into the
   // pinned ring. The transfer and kernel threads live inside the engine;
   // the Store stage runs on this thread, matching Figure 8's four stages.
   std::vector<StageSeconds> stage_log;
@@ -66,13 +66,12 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
   std::exception_ptr read_error;
   std::thread reader([&] {
     try {
-      ByteVec read_buf(config_.buffer_bytes);
       StreamBuffer sb;
       for (;;) {
-        const std::size_t got = source.read(read_buf);
-        if (got == 0) break;
-        sb.payload = ByteSpan{read_buf.data(), got};
-        sb.reader_seconds = source.read_seconds(got);
+        const ByteSpan got = source.next(config_.buffer_bytes);
+        if (got.empty()) break;
+        sb.payload = got;
+        sb.reader_seconds = source.read_seconds(got.size());
         if (!engine.submit(sb)) return;
       }
       // The stream ends on an eos marker, which closes its trailing chunk.

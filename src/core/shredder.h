@@ -2,15 +2,16 @@
 // (paper §3–§5). This is the library's primary public API.
 //
 // The workflow matches Figure 2/8 of the paper: a Reader thread, the one
-// producer thread a run starts, reads the input stream into one reused host
-// buffer and submits each buffer to the pipeline engine, which stages it
-// behind the stream's last w-1 bytes in the pinned ring. A Transfer thread
-// DMAs the staged buffers into device memory (double-buffered twins), the
-// chunking kernel finds raw content boundaries in parallel on the
-// (simulated) GPU, and the Store stage on the calling thread copies
-// boundaries back, applies min/max sizes and hands finished chunks to the
-// application's ChunkSink one batch per buffer (core::StreamStore, the
-// Store stage the multi-tenant service runs per tenant too).
+// producer thread a run starts, takes the input stream from its DataSource
+// one buffer-sized view at a time and submits each view to the pipeline
+// engine, which copies it behind the stream's last w-1 bytes into the pinned
+// ring (for in-memory input the only host copy). A Transfer thread DMAs the
+// staged buffers into device memory (double-buffered twins), the chunking
+// kernel finds raw content boundaries in parallel on the (simulated) GPU,
+// and the Store stage on the calling thread copies boundaries back, applies
+// min/max sizes and hands finished chunks to the application's ChunkSink
+// one batch per buffer (core::StreamStore, the Store stage the multi-tenant
+// service runs per tenant too).
 //
 // Three operating modes expose the paper's optimization ladder (Fig 12):
 //   kBasic            serialized stages, pageable host memory, direct

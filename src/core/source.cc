@@ -1,7 +1,6 @@
 #include "core/source.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -15,11 +14,11 @@ MemorySource::MemorySource(ByteSpan data, double channel_bw)
   }
 }
 
-std::size_t MemorySource::read(MutableByteSpan dst) {
-  const std::size_t n = std::min(dst.size(), data_.size() - offset_);
-  if (n != 0) std::memcpy(dst.data(), data_.data() + offset_, n);
+ByteSpan MemorySource::next(std::size_t max_bytes) {
+  const std::size_t n = std::min(max_bytes, data_.size() - offset_);
+  const ByteSpan view = data_.subspan(offset_, n);
   offset_ += n;
-  return n;
+  return view;
 }
 
 double MemorySource::read_seconds(std::uint64_t bytes) const {
@@ -34,10 +33,10 @@ SyntheticSource::SyntheticSource(std::uint64_t total, std::uint64_t seed,
   }
 }
 
-std::size_t SyntheticSource::read(MutableByteSpan dst) {
-  const std::uint64_t remaining = total_ - produced_;
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(dst.size(), remaining));
+ByteSpan SyntheticSource::next(std::size_t max_bytes) {
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(max_bytes, total_ - produced_));
+  if (buf_.size() < n) buf_.resize(n);
   // Deterministic content independent of read granularity: each 8-byte
   // aligned word of the stream is SplitMix64(seed ^ word_index), computed
   // once per word rather than per byte.
@@ -50,12 +49,12 @@ std::size_t SyntheticSource::read(MutableByteSpan dst) {
     const std::size_t byte_in_word = static_cast<std::size_t>(pos % 8);
     const std::size_t take = std::min<std::size_t>(8 - byte_in_word, n - i);
     for (std::size_t b = 0; b < take; ++b) {
-      dst[i + b] = static_cast<std::uint8_t>(w >> (8 * (byte_in_word + b)));
+      buf_[i + b] = static_cast<std::uint8_t>(w >> (8 * (byte_in_word + b)));
     }
     i += take;
   }
   produced_ += n;
-  return n;
+  return ByteSpan(buf_).first(n);
 }
 
 double SyntheticSource::read_seconds(std::uint64_t bytes) const {

@@ -1,6 +1,7 @@
 #include "gpusim/device.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,14 +11,11 @@
 namespace shredder::gpu {
 
 BlockCtx::BlockCtx(int block_idx, const LaunchConfig& config,
-                   const DeviceSpec& spec, LaunchAccumulators& acc,
-                   MutableByteSpan shared,
+                   const DeviceSpec& spec,
                    std::vector<std::uint64_t>* exact_addrs)
     : block_idx_(block_idx),
       config_(&config),
       spec_(&spec),
-      acc_(&acc),
-      shared_(shared),
       exact_addrs_(exact_addrs) {}
 
 void BlockCtx::record_global_read(std::uint64_t addr,
@@ -25,7 +23,7 @@ void BlockCtx::record_global_read(std::uint64_t addr,
   if (bytes == 0) return;
   const std::uint64_t txn = config_->txn_bytes;
   const std::uint64_t n = (bytes + txn - 1) / txn;
-  acc_->transactions.fetch_add(n, std::memory_order_relaxed);
+  transactions_ += n;
   if (exact_addrs_ != nullptr) {
     for (std::uint64_t i = 0; i < n; ++i) {
       exact_addrs_->push_back(addr + i * txn);
@@ -118,27 +116,31 @@ KernelRunStats Device::launch(const LaunchConfig& config, const KernelFn& fn) {
     throw std::invalid_argument("launch: txn_bytes must be positive");
   }
   Stopwatch wall;
-  LaunchAccumulators acc;
-
-  // Per-block shared-memory staging and (optionally) exact address traces.
-  std::vector<std::vector<std::uint8_t>> shared(
-      static_cast<std::size_t>(config.blocks));
+  // Launch totals: each block adds its tallies once, after its callable.
+  std::atomic<std::uint64_t> processed{0};
+  std::atomic<std::uint64_t> transactions{0};
+  std::atomic<std::uint64_t> staged{0};
+  // Per-block exact address traces (exact_dram mode only).
   std::vector<std::vector<std::uint64_t>> traces(
       config.exact_dram ? static_cast<std::size_t>(config.blocks) : 0);
 
   pool_.for_each_index(static_cast<std::size_t>(config.blocks),
                        [&](std::size_t b) {
-                         shared[b].resize(spec_.shared_mem_per_sm);
-                         BlockCtx ctx(static_cast<int>(b), config, spec_, acc,
-                                      {shared[b].data(), shared[b].size()},
+                         BlockCtx ctx(static_cast<int>(b), config, spec_,
                                       config.exact_dram ? &traces[b] : nullptr);
                          fn(ctx);
+                         processed.fetch_add(ctx.bytes_processed(),
+                                             std::memory_order_relaxed);
+                         transactions.fetch_add(ctx.transactions(),
+                                                std::memory_order_relaxed);
+                         staged.fetch_add(ctx.shared_staged_bytes(),
+                                          std::memory_order_relaxed);
                        });
 
   KernelRunStats stats;
-  stats.bytes_processed = acc.bytes_processed.load();
-  stats.transactions = acc.transactions.load();
-  stats.shared_staged_bytes = acc.shared_staged_bytes.load();
+  stats.bytes_processed = processed.load();
+  stats.transactions = transactions.load();
+  stats.shared_staged_bytes = staged.load();
   stats.bytes_fetched = stats.transactions * spec_.burst_bytes;
 
   // Row-switch fraction: exact replay (SIMT round-robin across block traces)

@@ -10,14 +10,16 @@
 // compute time  = bytes_processed * cycles_per_byte / (SMs * SPs * clock)
 // memory time   = DRAM transaction accounting (gpusim/dram.h) using the
 //                 row-switch fraction for the launch's access pattern.
+//
+// Shared-memory tile staging is accounting only: a kernel reports the tiles
+// it would stage (record_shared_stage) and reads the resident global buffer
+// directly, so a launch allocates no per-block shared memory on the host.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "common/bytes.h"
 #include "gpusim/spec.h"
 
 namespace shredder::gpu {
@@ -72,18 +74,12 @@ struct KernelRunStats {
   }
 };
 
-// Accumulators shared by all blocks of one launch.
-struct LaunchAccumulators {
-  std::atomic<std::uint64_t> bytes_processed{0};
-  std::atomic<std::uint64_t> transactions{0};
-  std::atomic<std::uint64_t> shared_staged_bytes{0};
-};
-
-// Per-block execution context handed to the kernel callable.
+// Per-block execution context handed to the kernel callable. It tallies the
+// block's recorded work in plain members; Device::launch adds them to the
+// launch totals once the block's callable has returned.
 class BlockCtx {
  public:
   BlockCtx(int block_idx, const LaunchConfig& config, const DeviceSpec& spec,
-           LaunchAccumulators& acc, MutableByteSpan shared,
            std::vector<std::uint64_t>* exact_addrs);
 
   int block_idx() const noexcept { return block_idx_; }
@@ -92,31 +88,31 @@ class BlockCtx {
   int total_threads() const noexcept { return config_->total_threads(); }
   const DeviceSpec& spec() const noexcept { return *spec_; }
 
-  // On-chip shared memory of this block's SM (real staging storage, at most
-  // DeviceSpec::shared_mem_per_sm bytes).
-  MutableByteSpan shared() noexcept { return shared_; }
-
   // Accounts `bytes` of input consumed by the kernel's compute loop.
-  void record_processed(std::uint64_t bytes) noexcept {
-    acc_->bytes_processed.fetch_add(bytes, std::memory_order_relaxed);
-  }
+  void record_processed(std::uint64_t bytes) noexcept { processed_ += bytes; }
 
   // Accounts a global-memory read of `bytes` issued as `txn_bytes`-sized
   // transactions starting at device address `addr`.
   void record_global_read(std::uint64_t addr, std::uint64_t bytes) noexcept;
 
-  // Accounts data staged into shared memory by the cooperative fetch.
-  void record_shared_stage(std::uint64_t bytes) noexcept {
-    acc_->shared_staged_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
+  // Accounts data staged into the SM's shared memory by a cooperative fetch.
+  // Staging is accounting only: the simulated SM has no shared-memory bytes
+  // (at most DeviceSpec::shared_mem_per_sm per block on the modelled card),
+  // and kernels read the resident global buffer instead.
+  void record_shared_stage(std::uint64_t bytes) noexcept { staged_ += bytes; }
+
+  std::uint64_t bytes_processed() const noexcept { return processed_; }
+  std::uint64_t transactions() const noexcept { return transactions_; }
+  std::uint64_t shared_staged_bytes() const noexcept { return staged_; }
 
  private:
   int block_idx_;
   const LaunchConfig* config_;
   const DeviceSpec* spec_;
-  LaunchAccumulators* acc_;
-  MutableByteSpan shared_;
   std::vector<std::uint64_t>* exact_addrs_;  // non-null in exact_dram mode
+  std::uint64_t processed_ = 0;
+  std::uint64_t transactions_ = 0;
+  std::uint64_t staged_ = 0;
 };
 
 using KernelFn = std::function<void(BlockCtx&)>;

@@ -218,11 +218,10 @@ TenantResult ChunkingService::wait(StreamId id) {
 TenantResult ChunkingService::chunk_stream(core::DataSource& source,
                                            TenantOptions opts) {
   const StreamId id = open(std::move(opts));
-  ByteVec buf(config_.buffer_bytes);
   for (;;) {
-    const std::size_t n = source.read({buf.data(), buf.size()});
-    if (n == 0) break;
-    submit(id, ByteSpan{buf.data(), n});
+    const ByteSpan view = source.next(config_.buffer_bytes);
+    if (view.empty()) break;
+    submit(id, view);
   }
   finish(id);
   return wait(id);

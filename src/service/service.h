@@ -177,7 +177,8 @@ class ChunkingService {
   TenantResult wait(StreamId id);
 
   // Convenience: feed a whole DataSource as one tenant (open/submit/finish/
-  // wait). Runs on the calling thread; concurrent calls = concurrent tenants.
+  // wait), submitting each DataSource::next view as it comes. Runs on the
+  // calling thread; concurrent calls = concurrent tenants.
   TenantResult chunk_stream(core::DataSource& source, TenantOptions opts = {});
 
   // Waits for all open sessions to complete (every stream must have been

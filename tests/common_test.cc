@@ -327,27 +327,6 @@ TEST(BoundedQueue, RejectsZeroCapacity) {
   EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
 }
 
-TEST(BoundedQueue, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2u);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.try_push(a));
-  EXPECT_TRUE(q.try_push(b));
-  EXPECT_FALSE(q.try_push(c));  // full: rejected, not blocked
-  EXPECT_EQ(c, 3);              // item untouched on failure
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_TRUE(q.try_push(c));
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BoundedQueue, TryPushOnClosedFails) {
-  BoundedQueue<int> q(2);
-  q.close();
-  int v = 7;
-  EXPECT_FALSE(q.try_push(v));
-}
-
 TEST(BoundedQueue, ConcurrentProducersConsumers) {
   BoundedQueue<int> q(8);
   constexpr int kPerProducer = 500;

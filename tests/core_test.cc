@@ -8,11 +8,14 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "chunking/cdc.h"
 #include "core/kernels.h"
@@ -47,18 +50,19 @@ ShredderConfig small_config() {
 // --- Sources ---
 
 TEST(MemorySource, ReadsAll) {
+  // Views of the caller's bytes, in order, at most max_bytes each.
   const auto data = random_bytes(10000, 1);
   MemorySource src(as_bytes(data), 2e9);
-  ByteVec out(10000);
   std::size_t total = 0;
-  while (total < out.size()) {
-    const auto n = src.read({out.data() + total, 3000});
-    if (n == 0) break;
-    total += n;
+  for (;;) {
+    const ByteSpan view = src.next(3000);
+    if (view.empty()) break;
+    EXPECT_EQ(view.size(), std::min<std::size_t>(3000, data.size() - total));
+    EXPECT_EQ(view.data(), data.data() + total);  // a view, not a copy
+    total += view.size();
   }
   EXPECT_EQ(total, data.size());
-  EXPECT_EQ(out, data);
-  EXPECT_EQ(src.read({out.data(), 10}), 0u);
+  EXPECT_TRUE(src.next(10).empty());
 }
 
 TEST(MemorySource, ReadSecondsMatchesBandwidth) {
@@ -67,29 +71,38 @@ TEST(MemorySource, ReadSecondsMatchesBandwidth) {
   EXPECT_DOUBLE_EQ(src.read_seconds(2e9), 1.0);
 }
 
+// Drains `src`, which holds `total` bytes, in pieces of the given sizes
+// (cycled). Every view must be exactly min(request, bytes still to come)
+// long; each is copied out before the next call invalidates it.
+ByteVec drain(DataSource& src, std::size_t total,
+              const std::vector<std::size_t>& sizes) {
+  ByteVec out;
+  for (std::size_t i = 0; out.size() <= total; ++i) {
+    const std::size_t request = sizes[i % sizes.size()];
+    const ByteSpan view = src.next(request);
+    EXPECT_EQ(view.size(), std::min(request, total - out.size()));
+    if (view.empty()) break;
+    out.insert(out.end(), view.begin(), view.end());
+  }
+  return out;
+}
+
 TEST(SyntheticSource, DeterministicAcrossGranularities) {
   SyntheticSource a(10000, 7, 2e9);
   SyntheticSource b(10000, 7, 2e9);
-  ByteVec va(10000), vb(10000);
   // Read a in one go, b in ragged pieces.
-  EXPECT_EQ(a.read({va.data(), va.size()}), 10000u);
-  std::size_t pos = 0;
+  const ByteVec va = drain(a, 10000, {10000});
+  std::vector<std::size_t> ragged;
   SplitMix64 rng(3);
-  while (pos < vb.size()) {
-    const std::size_t n = std::min<std::size_t>(1 + rng.next_below(977),
-                                                vb.size() - pos);
-    EXPECT_EQ(b.read({vb.data() + pos, n}), n);
-    pos += n;
-  }
+  for (int i = 0; i < 64; ++i) ragged.push_back(1 + rng.next_below(977));
+  const ByteVec vb = drain(b, 10000, ragged);
+  EXPECT_EQ(va.size(), 10000u);
   EXPECT_EQ(va, vb);
 }
 
 TEST(SyntheticSource, DifferentSeedsDiffer) {
   SyntheticSource a(1000, 1, 2e9), b(1000, 2, 2e9);
-  ByteVec va(1000), vb(1000);
-  a.read({va.data(), va.size()});
-  b.read({vb.data(), vb.size()});
-  EXPECT_NE(va, vb);
+  EXPECT_NE(drain(a, 1000, {1000}), drain(b, 1000, {1000}));
 }
 
 // --- GPU kernels: functional equivalence with serial scan ---
@@ -98,7 +111,7 @@ class KernelEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(KernelEquivalence, MatchesSerialRawBoundaries) {
   const bool coalesced = GetParam();
-  const auto config = small_chunker();
+  auto config = small_chunker();
   const rabin::RabinTables tables(config.window);
   const auto data = random_bytes(300000, 9);
 
@@ -110,11 +123,19 @@ TEST_P(KernelEquivalence, MatchesSerialRawBoundaries) {
   params.blocks = 12;
   params.threads_per_block = 32;
   params.coalesced = coalesced;
-  const auto result = chunk_on_gpu(device, buf, data.size(), 0, 0, tables,
-                                   config, params);
-  EXPECT_EQ(result.boundaries,
-            chunking::find_raw_boundaries(tables, config, as_bytes(data)));
-  EXPECT_EQ(result.stats.bytes_processed >= data.size(), true);
+  // The 2-bit mask puts a raw boundary every ~4 bytes, so almost every
+  // block's and thread's first w-1 bytes end one: a range scanned without
+  // its warm-up would miss them.
+  for (const unsigned mask_bits : {8u, 2u}) {
+    SCOPED_TRACE("mask bits " + std::to_string(mask_bits));
+    config.mask_bits = mask_bits;
+    config.marker = mask_bits == 8u ? 0x42 : 1;
+    const auto result = chunk_on_gpu(device, buf, data.size(), 0, 0, tables,
+                                     config, params);
+    EXPECT_EQ(result.boundaries,
+              chunking::find_raw_boundaries(tables, config, as_bytes(data)));
+    EXPECT_EQ(result.stats.bytes_processed >= data.size(), true);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BasicAndCoalesced, KernelEquivalence,
@@ -191,6 +212,112 @@ TEST(Kernels, ValidatesArguments) {
                std::invalid_argument);
 }
 
+// --- Kernel launch accounting ---
+
+// Every KernelRunStats field but wall_seconds, compared exactly.
+void expect_same_stats(const gpu::KernelRunStats& got,
+                       const gpu::KernelRunStats& want) {
+  EXPECT_EQ(got.virtual_seconds, want.virtual_seconds);
+  EXPECT_EQ(got.launch_seconds, want.launch_seconds);
+  EXPECT_EQ(got.compute_seconds, want.compute_seconds);
+  EXPECT_EQ(got.memory_seconds, want.memory_seconds);
+  EXPECT_EQ(got.row_switch_fraction, want.row_switch_fraction);
+  EXPECT_EQ(got.transactions, want.transactions);
+  EXPECT_EQ(got.bytes_processed, want.bytes_processed);
+  EXPECT_EQ(got.bytes_fetched, want.bytes_fetched);
+  EXPECT_EQ(got.shared_staged_bytes, want.shared_staged_bytes);
+}
+
+// Launch-accounting cases: both chunking kernels and the fingerprint kernel
+// (basic and coalesced txns) over three geometries, exact DRAM off and on.
+std::vector<gpu::KernelRunStats> run_accounting_cases() {
+  chunking::ChunkerConfig chunker;
+  chunker.window = 48;
+  chunker.mask_bits = 11;
+  chunker.marker = 0x2a;
+  const rabin::RabinTables tables(chunker.window);
+  const std::size_t carry = 47;
+  const std::uint64_t base_offset = (3u << 20) + 12345;
+  const ByteVec data = random_bytes((1u << 20) + 4093, 2501);  // odd tail
+
+  struct Geometry {
+    int blocks;
+    int threads_per_block;
+    std::uint64_t shared_mem_per_sm;  // 0 = the default spec's
+  };
+  // The last slice is 100 bytes: a tile of 47 halo + 64 payload overflows
+  // it and is scanned from global memory; a short final tile still fits.
+  const Geometry geometries[] = {{28, 128, 0}, {14, 64, 0}, {14, 64, 6400}};
+  std::vector<gpu::KernelRunStats> out;
+  for (const Geometry& g : geometries) {
+    gpu::DeviceSpec spec;
+    if (g.shared_mem_per_sm != 0) spec.shared_mem_per_sm = g.shared_mem_per_sm;
+    gpu::Device device(spec, 2);
+    auto buf = device.alloc(data.size());
+    device.memcpy_h2d(buf, 0, ByteSpan(data), gpu::HostMemKind::kPinned);
+    for (const bool exact : {false, true}) {
+      for (const bool coalesced : {false, true}) {
+        KernelParams params;
+        params.blocks = g.blocks;
+        params.threads_per_block = g.threads_per_block;
+        params.coalesced = coalesced;
+        params.exact_dram = exact;
+        const GpuChunkResult chunked = chunk_on_gpu(
+            device, buf, data.size(), carry, base_offset, tables, chunker,
+            params);
+        dedup::ChunkHasher ctx;
+        const GpuFingerprintResult hashed = fingerprint_on_gpu(
+            device, buf, data.size(), carry, base_offset, chunked.boundaries,
+            ctx, params);
+        out.push_back(chunked.stats);
+        out.push_back(hashed.stats);
+      }
+    }
+  }
+  return out;
+}
+
+// The launch statistics the cost model reads, pinned exactly: any change to
+// how the kernels count processed bytes (halos included), transactions,
+// staged tiles or exact DRAM traces moves one of these. Order per geometry:
+// exact_dram off then on; basic then coalesced; chunk then fingerprint
+// launch. Fields: virtual, launch, compute, memory seconds, row-switch
+// fraction, transactions, bytes processed, fetched and staged.
+TEST(KernelAccounting, EveryLaunchStatIsPinned) {
+  const gpu::KernelRunStats kPinned[] = {
+    {0x1.0b2001c98887dp-10, 0x1.f75104d551d69p-16, 0x1.f0fc81ace6702p-14, 0x1.0342bdb633407p-10, 0x1p+0, 78770u, 1220929u, 10082560u, 0u},
+    {0x1.c2905821a464cp-11, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.b2d5cffaf9d61p-11, 0x1p+0, 66057u, 1052622u, 8455296u, 0u},
+    {0x1.376861711d72ep-13, 0x1.f75104d551d69p-16, 0x1.f0fc81ace6702p-14, 0x1.0f3ca8b9ffe71p-15, 0x1.745ad3e268ac7p-3, 10742u, 1220929u, 1374976u, 1220929u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.adb4f09d04907p-16, 0x1.745ad3e268ac7p-3, 8509u, 1052622u, 1089152u, 0u},
+    {0x1.376861711d72ep-13, 0x1.f75104d551d69p-16, 0x1.f0fc81ace6702p-14, 0x1.39593ed6debcbp-14, 0x1.4e7c6829e18cdp-8, 78770u, 1220929u, 10082560u, 0u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.b375b556f376p-14, 0x1.df7318cd8edaap-5, 66057u, 1052622u, 8455296u, 0u},
+    {0x1.376861711d72ep-13, 0x1.f75104d551d69p-16, 0x1.f0fc81ace6702p-14, 0x1.9860cb63e6ee5p-17, 0x1.56ce78c526f5bp-6, 10742u, 1220929u, 1374976u, 1220929u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.bea7666da641bp-17, 0x1.da4fce1c49ee3p-5, 8509u, 1052622u, 1089152u, 0u},
+    {0x1.d5c6af9f3441fp-11, 0x1.f75104d551d69p-16, 0x1.bd9e30f166ed6p-14, 0x1.c60c277889b34p-11, 0x1.fff4ef31b5c77p-1, 68981u, 1094734u, 8829568u, 0u},
+    {0x1.c2879c9776a7ap-11, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.b2cd1470cc18fp-11, 0x1.fff4ef31b5c77p-1, 66057u, 1052622u, 8455296u, 0u},
+    {0x1.264b641a5676p-13, 0x1.f75104d551d69p-16, 0x1.cec286ff58766p-14, 0x1.c46e922c3243fp-16, 0x1.745ad3e268ac7p-3, 8959u, 1136846u, 1146752u, 1136846u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.adb4f09d04907p-16, 0x1.745ad3e268ac7p-3, 8509u, 1052622u, 1089152u, 0u},
+    {0x1.1db939135db18p-13, 0x1.f75104d551d69p-16, 0x1.bd9e30f166ed6p-14, 0x1.141a03d76c878p-14, 0x1.6f5f53e68723fp-8, 68981u, 1094734u, 8829568u, 0u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.1ab2c41a2b33dp-14, 0x1.7133ab0e8c1f7p-7, 66057u, 1052622u, 8455296u, 0u},
+    {0x1.264b641a5676p-13, 0x1.f75104d551d69p-16, 0x1.cec286ff58766p-14, 0x1.6019f46d391d4p-17, 0x1.8c9094b637c45p-6, 8959u, 1136846u, 1146752u, 1136846u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.81808fbd20f47p-17, 0x1.43eb930096644p-5, 8509u, 1052622u, 1089152u, 0u},
+    {0x1.d5c6af9f3441fp-11, 0x1.f75104d551d69p-16, 0x1.bd9e30f166ed6p-14, 0x1.c60c277889b34p-11, 0x1.fff4ef31b5c77p-1, 68981u, 1094734u, 8829568u, 0u},
+    {0x1.c2879c9776a7ap-11, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.b2cd1470cc18fp-11, 0x1.fff4ef31b5c77p-1, 66057u, 1052622u, 8455296u, 0u},
+    {0x1.b7f8e6d9b0f63p-13, 0x1.f75104d551d69p-16, 0x1.790ec63f06bb6p-13, 0x1.adc854fdebf85p-15, 0x1.745ad3e268ac7p-3, 17021u, 1852609u, 2178688u, 62734u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.adb4f09d04907p-16, 0x1.745ad3e268ac7p-3, 8509u, 1052622u, 1089152u, 0u},
+    {0x1.1db939135db18p-13, 0x1.f75104d551d69p-16, 0x1.bd9e30f166ed6p-14, 0x1.141a03d76c878p-14, 0x1.6f5f53e68723fp-8, 68981u, 1094734u, 8829568u, 0u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.1ab2c41a2b33dp-14, 0x1.7133ab0e8c1f7p-7, 66057u, 1052622u, 8455296u, 0u},
+    {0x1.b7f8e6d9b0f63p-13, 0x1.f75104d551d69p-16, 0x1.790ec63f06bb6p-13, 0x1.2847ab9434d28p-16, 0x1.a176b3e0903a5p-7, 17021u, 1852609u, 2178688u, 62734u},
+    {0x1.a62badae5643fp-12, 0x1.f75104d551d69p-16, 0x1.86b69d6101268p-12, 0x1.81808fbd20f47p-17, 0x1.43eb930096644p-5, 8509u, 1052622u, 1089152u, 0u},
+  };
+  const std::vector<gpu::KernelRunStats> got = run_accounting_cases();
+  ASSERT_EQ(got.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("launch " + std::to_string(i));
+    expect_same_stats(got[i], kPinned[i]);
+  }
+}
+
 // --- Shredder end-to-end ---
 
 class ShredderModes : public ::testing::TestWithParam<GpuMode> {};
@@ -215,9 +342,9 @@ class FailingSource final : public DataSource {
  public:
   explicit FailingSource(ByteSpan data) : inner_(data, 2e9) {}
 
-  std::size_t read(MutableByteSpan dst) override {
+  ByteSpan next(std::size_t max_bytes) override {
     if (++reads_ == 3) throw std::runtime_error("source read failed");
-    return inner_.read(dst);
+    return inner_.next(max_bytes);
   }
   double read_seconds(std::uint64_t bytes) const override {
     return inner_.read_seconds(bytes);
