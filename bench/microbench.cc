@@ -87,7 +87,6 @@
 #include "common/timer.h"
 #include "core/shredder.h"
 #include "dedup/index.h"
-#include "dedup/sha1.h"
 #include "dedup/sha256.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -212,17 +211,6 @@ void BM_MinMaxFilter(benchmark::State& state) {
       static_cast<std::int64_t>(raw.size()));
 }
 BENCHMARK(BM_MinMaxFilter);
-
-void BM_Sha1(benchmark::State& state) {
-  const ByteSpan data = as_bytes(payload()).first(
-      static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dedup::Sha1::hash(data));
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha1)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
 void BM_Sha256(benchmark::State& state) {
   const ByteSpan data = as_bytes(payload()).first(

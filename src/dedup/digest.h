@@ -2,9 +2,9 @@
 //
 // The index, the content-addressed store, the backup agent and the GPU
 // fingerprint stage all identify chunks by SHA-256 (the digest the on-device
-// hash kernel produces; see docs/fingerprint.md). SHA-1 remains available in
-// dedup/sha1.h for subsystems with their own keying needs (inchdfs memoizes
-// with it) and for the vector tests.
+// hash kernel produces; see docs/fingerprint.md), and so do the case
+// studies: Inc-HDFS blocks, splits and memo keys (inchdfs) and the WAN
+// middlebox's cache keys and tokens (redelim). It is the repo's one hash.
 #pragma once
 
 #include "dedup/sha256.h"

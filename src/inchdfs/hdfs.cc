@@ -90,7 +90,7 @@ void MiniHdfs::write_file(const std::string& name,
     ref.block_id = namenode_.next_block_id();
     ref.datanode = next_node_;
     ref.size = block.size();
-    ref.digest = dedup::Sha1::hash(block);
+    ref.digest = dedup::ChunkHasher::hash(block);
     datanodes_[next_node_].put(ref.block_id, block);
     next_node_ = (next_node_ + 1) % datanodes_.size();
     refs.push_back(ref);

@@ -4,8 +4,9 @@
 // hold block payloads in memory. Replication is 1 (the paper's experiments
 // are about recomputation, not fault tolerance). Stock HDFS places fixed-
 // size blocks; Inc-HDFS (inc_hdfs.h) places content-defined, record-aligned
-// blocks whose identity is the SHA-1 of their content — that digest is what
-// makes incremental MapReduce possible.
+// blocks whose identity is the content digest (dedup::ChunkDigest, the
+// SHA-256 the dedup stack keys chunks by) — that digest is what makes
+// incremental MapReduce possible.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@
 #include "common/annotations.h"
 #include "common/bytes.h"
 #include "common/mutex.h"
-#include "dedup/sha1.h"
+#include "dedup/digest.h"
 
 namespace shredder::inchdfs {
 
@@ -27,7 +28,7 @@ struct BlockRef {
   std::uint64_t block_id = 0;
   std::uint32_t datanode = 0;
   std::uint64_t size = 0;
-  dedup::Sha1Digest digest;  // content identity (Inc-HDFS)
+  dedup::ChunkDigest digest;  // content identity (Inc-HDFS)
 };
 
 class DataNode {

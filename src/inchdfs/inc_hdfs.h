@@ -6,7 +6,8 @@
 // blocks), copy_from_local_gpu == the new `-copyFromLocalGPU` command, which
 // pushes the file through Shredder's GPU pipeline, aligns the resulting
 // boundaries to record boundaries (semantic chunking), and uploads the
-// chunks as blocks whose identity is the SHA-1 of their content.
+// chunks as blocks whose identity is the content digest (dedup::ChunkDigest,
+// the SHA-256 the dedup stack keys chunks by).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,7 @@ namespace shredder::inchdfs {
 // An input split handed to a Map task: the payload plus its content digest
 // (the memoization key for incremental MapReduce).
 struct Split {
-  dedup::Sha1Digest digest;
+  dedup::ChunkDigest digest;
   ByteVec data;
 };
 

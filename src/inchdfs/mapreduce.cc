@@ -24,18 +24,18 @@ std::uint64_t fnv1a(const std::string& s) noexcept {
   return h;
 }
 
-dedup::Sha1Digest map_memo_key(const JobSpec& job, const Split& split) {
-  dedup::Sha1 h;
+dedup::ChunkDigest map_memo_key(const JobSpec& job, const Split& split) {
+  dedup::ChunkHasher h;
   h.update(as_bytes(job.name));
   h.update(as_bytes(job.params_digest));
   h.update(ByteSpan{split.digest.bytes.data(), split.digest.bytes.size()});
   return h.finish();
 }
 
-dedup::Sha1Digest reduce_memo_key(
+dedup::ChunkDigest reduce_memo_key(
     const JobSpec& job, std::size_t reducer,
-    const std::vector<const dedup::Sha1Digest*>& bucket_digests) {
-  dedup::Sha1 h;
+    const std::vector<const dedup::ChunkDigest*>& bucket_digests) {
+  dedup::ChunkHasher h;
   h.update(as_bytes(job.name));
   h.update(as_bytes(job.params_digest));
   const auto r64 = static_cast<std::uint64_t>(reducer);
@@ -67,7 +67,7 @@ std::shared_ptr<MemoizedCombine> combine_group(
     return a->key != b->key ? a->key < b->key : a->value < b->value;
   });
   auto out = std::make_shared<MemoizedCombine>();
-  dedup::Sha1 h;
+  dedup::ChunkHasher h;
   std::vector<std::string> values;
   for (std::size_t i = 0; i < all.size();) {
     std::size_t j = i;
@@ -94,14 +94,14 @@ std::shared_ptr<MemoizedCombine> combine_group(
 // the current group (expected arity 8), so group membership is stable under
 // local insertions/removals of buckets — the same self-synchronization idea
 // as content-defined chunking.
-bool closes_group(const dedup::Sha1Digest& digest) noexcept {
+bool closes_group(const dedup::ChunkDigest& digest) noexcept {
   return (digest.prefix64() & 0x7) == 0;
 }
 
-dedup::Sha1Digest combine_memo_key(
+dedup::ChunkDigest combine_memo_key(
     const JobSpec& job, std::size_t reducer, unsigned level,
-    const std::vector<const dedup::Sha1Digest*>& members) {
-  dedup::Sha1 h;
+    const std::vector<const dedup::ChunkDigest*>& members) {
+  dedup::ChunkHasher h;
   h.update(as_bytes(job.name));
   h.update(as_bytes(job.params_digest));
   const char tag[] = "combine";
@@ -142,7 +142,7 @@ void MapEmitter::finalize() {
               [](const KeyValue& a, const KeyValue& b) {
                 return a.key != b.key ? a.key < b.key : a.value < b.value;
               });
-    dedup::Sha1 h;
+    dedup::ChunkHasher h;
     for (const auto& kv : bucket) {
       h.update(as_bytes(kv.key));
       const std::uint8_t sep0 = 0;
@@ -178,7 +178,7 @@ JobResult MapReduceEngine::run(const JobSpec& job,
   pool_.for_each_index(splits.size(), [&](std::size_t i) {
     const Split& split = splits[i];
     const auto key = memo != nullptr ? map_memo_key(job, split)
-                                     : dedup::Sha1Digest{};
+                                     : dedup::ChunkDigest{};
     if (memo != nullptr) {
       if (auto hit = memo->get_map(key)) {
         map_outputs[i] = std::move(hit);
@@ -210,14 +210,14 @@ JobResult MapReduceEngine::run(const JobSpec& job,
   std::atomic<std::uint64_t> reduce_reused{0};
   pool_.for_each_index(job.num_reducers, [&](std::size_t r) {
     // Gather this reducer's partition from every map output (split order).
-    std::vector<const dedup::Sha1Digest*> digests;
+    std::vector<const dedup::ChunkDigest*> digests;
     digests.reserve(map_outputs.size());
     for (const auto& out : map_outputs) {
       digests.push_back(&out->bucket_digests[r]);
     }
     const auto key = memo != nullptr
                          ? reduce_memo_key(job, r, digests)
-                         : dedup::Sha1Digest{};
+                         : dedup::ChunkDigest{};
     if (memo != nullptr) {
       if (auto hit = memo->get_reduce(key)) {
         reduce_outputs[r] = std::move(*hit);
@@ -233,7 +233,7 @@ JobResult MapReduceEngine::run(const JobSpec& job,
       // changed buckets recompute.
       std::vector<MemoServer::CombinePtr> level;
       std::vector<const std::vector<KeyValue>*> level_kvs;
-      std::vector<const dedup::Sha1Digest*> level_digests;
+      std::vector<const dedup::ChunkDigest*> level_digests;
       for (const auto& out : map_outputs) {
         level_kvs.push_back(&out->buckets[r]);
         level_digests.push_back(&out->bucket_digests[r]);
@@ -249,7 +249,7 @@ JobResult MapReduceEngine::run(const JobSpec& job,
           std::vector<const std::vector<KeyValue>*> group(
               level_kvs.begin() + static_cast<std::ptrdiff_t>(begin),
               level_kvs.begin() + static_cast<std::ptrdiff_t>(i + 1));
-          std::vector<const dedup::Sha1Digest*> group_digests(
+          std::vector<const dedup::ChunkDigest*> group_digests(
               level_digests.begin() + static_cast<std::ptrdiff_t>(begin),
               level_digests.begin() + static_cast<std::ptrdiff_t>(i + 1));
           const auto ckey = combine_memo_key(job, r, depth, group_digests);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "dedup/sha1.h"
+#include "dedup/digest.h"
 #include "inchdfs/inc_hdfs.h"
 #include "inchdfs/memo.h"
 
@@ -41,7 +41,7 @@ class MapEmitter {
   const std::vector<std::vector<KeyValue>>& buckets() const noexcept {
     return buckets_;
   }
-  const std::vector<dedup::Sha1Digest>& bucket_digests() const noexcept {
+  const std::vector<dedup::ChunkDigest>& bucket_digests() const noexcept {
     return digests_;
   }
 
@@ -51,7 +51,7 @@ class MapEmitter {
 
  private:
   std::vector<std::vector<KeyValue>> buckets_;
-  std::vector<dedup::Sha1Digest> digests_;
+  std::vector<dedup::ChunkDigest> digests_;
 };
 
 struct JobSpec {

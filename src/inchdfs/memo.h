@@ -12,7 +12,7 @@
 
 #include "common/annotations.h"
 #include "common/mutex.h"
-#include "dedup/sha1.h"
+#include "dedup/digest.h"
 
 namespace shredder::inchdfs {
 
@@ -21,30 +21,30 @@ struct KeyValue;
 // Immutable memoized map-task output: one bucket per reducer plus digests.
 struct MemoizedMapOutput {
   std::vector<std::vector<KeyValue>> buckets;
-  std::vector<dedup::Sha1Digest> bucket_digests;
+  std::vector<dedup::ChunkDigest> bucket_digests;
 };
 
 // Immutable memoized contraction-tree node: a combined bucket.
 struct MemoizedCombine {
   std::vector<KeyValue> kvs;
-  dedup::Sha1Digest digest;  // content digest of kvs
+  dedup::ChunkDigest digest;  // content digest of kvs
 };
 
 class MemoServer {
  public:
   using MapOutputPtr = std::shared_ptr<const MemoizedMapOutput>;
 
-  MapOutputPtr get_map(const dedup::Sha1Digest& key);
-  void put_map(const dedup::Sha1Digest& key, MapOutputPtr value);
+  MapOutputPtr get_map(const dedup::ChunkDigest& key);
+  void put_map(const dedup::ChunkDigest& key, MapOutputPtr value);
 
   std::optional<std::map<std::string, std::string>> get_reduce(
-      const dedup::Sha1Digest& key);
-  void put_reduce(const dedup::Sha1Digest& key,
+      const dedup::ChunkDigest& key);
+  void put_reduce(const dedup::ChunkDigest& key,
                   std::map<std::string, std::string> value);
 
   using CombinePtr = std::shared_ptr<const MemoizedCombine>;
-  CombinePtr get_combine(const dedup::Sha1Digest& key);
-  void put_combine(const dedup::Sha1Digest& key, CombinePtr value);
+  CombinePtr get_combine(const dedup::ChunkDigest& key);
+  void put_combine(const dedup::ChunkDigest& key, CombinePtr value);
   std::uint64_t combine_hits() const;
   std::uint64_t combine_misses() const;
 
@@ -56,12 +56,12 @@ class MemoServer {
 
  private:
   mutable Mutex mutex_;
-  std::unordered_map<dedup::Sha1Digest, MapOutputPtr, dedup::Sha1DigestHash>
+  std::unordered_map<dedup::ChunkDigest, MapOutputPtr, dedup::ChunkDigestHash>
       map_memo_ GUARDED_BY(mutex_);
-  std::unordered_map<dedup::Sha1Digest, std::map<std::string, std::string>,
-                     dedup::Sha1DigestHash>
+  std::unordered_map<dedup::ChunkDigest, std::map<std::string, std::string>,
+                     dedup::ChunkDigestHash>
       reduce_memo_ GUARDED_BY(mutex_);
-  std::unordered_map<dedup::Sha1Digest, CombinePtr, dedup::Sha1DigestHash>
+  std::unordered_map<dedup::ChunkDigest, CombinePtr, dedup::ChunkDigestHash>
       combine_memo_ GUARDED_BY(mutex_);
   std::uint64_t combine_hits_ GUARDED_BY(mutex_) = 0;
   std::uint64_t combine_misses_ GUARDED_BY(mutex_) = 0;

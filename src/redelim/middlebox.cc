@@ -23,7 +23,7 @@ void ContentCache::evict_to_capacity() {
   }
 }
 
-void ContentCache::put(const dedup::Sha1Digest& digest, ByteSpan payload) {
+void ContentCache::put(const dedup::ChunkDigest& digest, ByteSpan payload) {
   const auto it = entries_.find(digest);
   if (it != entries_.end()) {
     // Refresh LRU position only.
@@ -39,7 +39,7 @@ void ContentCache::put(const dedup::Sha1Digest& digest, ByteSpan payload) {
   evict_to_capacity();
 }
 
-std::optional<ByteVec> ContentCache::get(const dedup::Sha1Digest& digest) {
+std::optional<ByteVec> ContentCache::get(const dedup::ChunkDigest& digest) {
   const auto it = entries_.find(digest);
   if (it == entries_.end()) return std::nullopt;
   lru_.erase(it->second.lru_pos);
@@ -48,7 +48,7 @@ std::optional<ByteVec> ContentCache::get(const dedup::Sha1Digest& digest) {
   return it->second.payload;
 }
 
-bool ContentCache::contains(const dedup::Sha1Digest& digest) const {
+bool ContentCache::contains(const dedup::ChunkDigest& digest) const {
   return entries_.contains(digest);
 }
 
@@ -64,7 +64,7 @@ EncodedStream SenderMiddlebox::encode(ByteSpan flow) {
   for (const auto& c : result.chunks) {
     const ByteSpan payload = flow.subspan(static_cast<std::size_t>(c.offset),
                                           static_cast<std::size_t>(c.size));
-    const auto digest = dedup::Sha1::hash(payload);
+    const auto digest = dedup::ChunkHasher::hash(payload);
     Segment seg;
     seg.digest = digest;
     if (cache_.contains(digest)) {

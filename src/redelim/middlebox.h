@@ -19,20 +19,20 @@
 #include "chunking/chunk.h"
 #include "common/bytes.h"
 #include "core/shredder.h"
-#include "dedup/sha1.h"
+#include "dedup/digest.h"
 
 namespace shredder::redelim {
 
 // One element of the encoded stream: either a literal chunk payload or a
 // token referencing a previously transmitted chunk.
 struct Segment {
-  dedup::Sha1Digest digest;
+  dedup::ChunkDigest digest;
   ByteVec literal;  // empty => token
 
   bool is_token() const noexcept { return literal.empty(); }
   // Bytes this segment occupies on the wire (tokens cost digest + length).
   std::uint64_t wire_bytes() const noexcept {
-    return is_token() ? sizeof(dedup::Sha1Digest) + 8 : literal.size() + 8;
+    return is_token() ? sizeof(dedup::ChunkDigest) + 8 : literal.size() + 8;
   }
 };
 
@@ -58,10 +58,10 @@ class ContentCache {
   explicit ContentCache(std::uint64_t capacity_bytes);
 
   // Inserts (or refreshes) a chunk; evicts LRU entries beyond capacity.
-  void put(const dedup::Sha1Digest& digest, ByteSpan payload);
+  void put(const dedup::ChunkDigest& digest, ByteSpan payload);
   // Looks a chunk up and refreshes its LRU position.
-  std::optional<ByteVec> get(const dedup::Sha1Digest& digest);
-  bool contains(const dedup::Sha1Digest& digest) const;
+  std::optional<ByteVec> get(const dedup::ChunkDigest& digest);
+  bool contains(const dedup::ChunkDigest& digest) const;
 
   std::uint64_t bytes() const noexcept { return bytes_; }
   std::uint64_t entries() const noexcept { return entries_.size(); }
@@ -69,14 +69,15 @@ class ContentCache {
  private:
   struct Entry {
     ByteVec payload;
-    std::list<dedup::Sha1Digest>::iterator lru_pos;
+    std::list<dedup::ChunkDigest>::iterator lru_pos;
   };
   void evict_to_capacity();
 
   std::uint64_t capacity_;
   std::uint64_t bytes_ = 0;
-  std::list<dedup::Sha1Digest> lru_;  // front = most recent
-  std::unordered_map<dedup::Sha1Digest, Entry, dedup::Sha1DigestHash> entries_;
+  std::list<dedup::ChunkDigest> lru_;  // front = most recent
+  std::unordered_map<dedup::ChunkDigest, Entry, dedup::ChunkDigestHash>
+      entries_;
 };
 
 // Sender-side box: chunk + tokenize.

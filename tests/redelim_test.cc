@@ -19,8 +19,8 @@ core::ShredderConfig shredder_config() {
   return cfg;
 }
 
-dedup::Sha1Digest digest_of(std::uint64_t v) {
-  return dedup::Sha1::hash(
+dedup::ChunkDigest digest_of(std::uint64_t v) {
+  return dedup::ChunkHasher::hash(
       ByteSpan{reinterpret_cast<const std::uint8_t*>(&v), sizeof(v)});
 }
 
