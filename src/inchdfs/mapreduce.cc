@@ -32,16 +32,33 @@ dedup::ChunkDigest map_memo_key(const JobSpec& job, const Split& split) {
   return h.finish();
 }
 
+// Keys reducer `reducer` by its partition's digest in every map output
+// (split order).
 dedup::ChunkDigest reduce_memo_key(
     const JobSpec& job, std::size_t reducer,
-    const std::vector<const dedup::ChunkDigest*>& bucket_digests) {
+    const std::vector<MemoServer::MapOutputPtr>& map_outputs) {
   dedup::ChunkHasher h;
   h.update(as_bytes(job.name));
   h.update(as_bytes(job.params_digest));
   const auto r64 = static_cast<std::uint64_t>(reducer);
   h.update(ByteSpan{reinterpret_cast<const std::uint8_t*>(&r64), sizeof(r64)});
-  for (const auto* d : bucket_digests) {
-    h.update(ByteSpan{d->bytes.data(), d->bytes.size()});
+  for (const auto& out : map_outputs) {
+    const auto& d = out->bucket_digests[reducer];
+    h.update(ByteSpan{d.bytes.data(), d.bytes.size()});
+  }
+  return h.finish();
+}
+
+// Content digest of a sorted KV list: a map bucket or a combined group.
+dedup::ChunkDigest kv_digest(const std::vector<KeyValue>& kvs) {
+  dedup::ChunkHasher h;
+  const std::uint8_t sep0 = 0;
+  const std::uint8_t sep1 = 1;
+  for (const auto& kv : kvs) {
+    h.update(as_bytes(kv.key));
+    h.update(ByteSpan{&sep0, 1});
+    h.update(as_bytes(kv.value));
+    h.update(ByteSpan{&sep1, 1});
   }
   return h.finish();
 }
@@ -67,7 +84,6 @@ std::shared_ptr<MemoizedCombine> combine_group(
     return a->key != b->key ? a->key < b->key : a->value < b->value;
   });
   auto out = std::make_shared<MemoizedCombine>();
-  dedup::ChunkHasher h;
   std::vector<std::string> values;
   for (std::size_t i = 0; i < all.size();) {
     std::size_t j = i;
@@ -76,17 +92,10 @@ std::shared_ptr<MemoizedCombine> combine_group(
       values.push_back(all[j]->value);
       ++j;
     }
-    KeyValue kv{all[i]->key, job.combine_fn(all[i]->key, values)};
-    h.update(as_bytes(kv.key));
-    const std::uint8_t sep0 = 0;
-    h.update(ByteSpan{&sep0, 1});
-    h.update(as_bytes(kv.value));
-    const std::uint8_t sep1 = 1;
-    h.update(ByteSpan{&sep1, 1});
-    out->kvs.push_back(std::move(kv));
+    out->kvs.push_back({all[i]->key, job.combine_fn(all[i]->key, values)});
     i = j;
   }
-  out->digest = h.finish();
+  out->digest = kv_digest(out->kvs);
   return out;
 }
 
@@ -135,24 +144,19 @@ void MapEmitter::emit(std::string key, std::string value) {
 }
 
 void MapEmitter::finalize() {
-  digests_.clear();
-  digests_.reserve(buckets_.size());
   for (auto& bucket : buckets_) {
     std::sort(bucket.begin(), bucket.end(),
               [](const KeyValue& a, const KeyValue& b) {
                 return a.key != b.key ? a.key < b.key : a.value < b.value;
               });
-    dedup::ChunkHasher h;
-    for (const auto& kv : bucket) {
-      h.update(as_bytes(kv.key));
-      const std::uint8_t sep0 = 0;
-      h.update(ByteSpan{&sep0, 1});
-      h.update(as_bytes(kv.value));
-      const std::uint8_t sep1 = 1;
-      h.update(ByteSpan{&sep1, 1});
-    }
-    digests_.push_back(h.finish());
   }
+}
+
+std::vector<dedup::ChunkDigest> MapEmitter::bucket_digests() const {
+  std::vector<dedup::ChunkDigest> digests;
+  digests.reserve(buckets_.size());
+  for (const auto& bucket : buckets_) digests.push_back(kv_digest(bucket));
+  return digests;
 }
 
 void JobSpec::validate() const {
@@ -191,8 +195,10 @@ JobResult MapReduceEngine::run(const JobSpec& job,
     emitter.finalize();
     auto out = std::make_shared<MemoizedMapOutput>();
     out->buckets = emitter.buckets();
-    out->bucket_digests = emitter.bucket_digests();
-    if (memo != nullptr) memo->put_map(key, out);
+    if (memo != nullptr) {
+      out->bucket_digests = emitter.bucket_digests();
+      memo->put_map(key, out);
+    }
     map_outputs[i] = std::move(out);
   });
   result.stats.map_reused = reused.load();
@@ -209,15 +215,8 @@ JobResult MapReduceEngine::run(const JobSpec& job,
       job.num_reducers);
   std::atomic<std::uint64_t> reduce_reused{0};
   pool_.for_each_index(job.num_reducers, [&](std::size_t r) {
-    // Gather this reducer's partition from every map output (split order).
-    std::vector<const dedup::ChunkDigest*> digests;
-    digests.reserve(map_outputs.size());
-    for (const auto& out : map_outputs) {
-      digests.push_back(&out->bucket_digests[r]);
-    }
-    const auto key = memo != nullptr
-                         ? reduce_memo_key(job, r, digests)
-                         : dedup::ChunkDigest{};
+    const auto key = memo != nullptr ? reduce_memo_key(job, r, map_outputs)
+                                     : dedup::ChunkDigest{};
     if (memo != nullptr) {
       if (auto hit = memo->get_reduce(key)) {
         reduce_outputs[r] = std::move(*hit);

@@ -35,15 +35,15 @@ class MapEmitter {
 
   void emit(std::string key, std::string value);
 
-  // Sorts buckets and computes their digests. Called by the engine.
+  // Sorts every bucket. Called by the engine.
   void finalize();
 
   const std::vector<std::vector<KeyValue>>& buckets() const noexcept {
     return buckets_;
   }
-  const std::vector<dedup::ChunkDigest>& bucket_digests() const noexcept {
-    return digests_;
-  }
+  // Content digest of each finalized bucket, computed on each call: the
+  // engine asks only when a memo server keys reduce tasks by them.
+  std::vector<dedup::ChunkDigest> bucket_digests() const;
 
   // Deterministic cross-platform partition function.
   static std::size_t partition(const std::string& key,
@@ -51,7 +51,6 @@ class MapEmitter {
 
  private:
   std::vector<std::vector<KeyValue>> buckets_;
-  std::vector<dedup::ChunkDigest> digests_;
 };
 
 struct JobSpec {

@@ -18,7 +18,8 @@ namespace shredder::inchdfs {
 
 struct KeyValue;
 
-// Immutable memoized map-task output: one bucket per reducer plus digests.
+// Immutable memoized map-task output: one bucket per reducer plus their
+// digests (empty when the task ran without a memo server).
 struct MemoizedMapOutput {
   std::vector<std::vector<KeyValue>> buckets;
   std::vector<dedup::ChunkDigest> bucket_digests;
