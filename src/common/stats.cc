@@ -20,24 +20,6 @@ void Summary::add(double x) noexcept {
   max_ = std::max(max_, x);
 }
 
-void Summary::merge(const Summary& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  // Chan et al. parallel combine: m2 = m2a + m2b + delta^2 * na*nb/(na+nb).
-  m2_ += other.m2_ + delta * delta * (na * nb / (na + nb));
-  mean_ = (na * mean_ + nb * other.mean_) / (na + nb);
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 Summary Summary::from_window(std::uint64_t count, double sum, double min,
                              double max) noexcept {
   Summary s;
@@ -78,17 +60,6 @@ void Histogram::add(double x) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
   ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument("Histogram::merge: bounds differ");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-  nan_count_ += other.nan_count_;
 }
 
 std::uint64_t Histogram::bucket_count(std::size_t i) const {

@@ -13,13 +13,6 @@ class Summary {
  public:
   void add(double x) noexcept;
 
-  // Folds `other` in as if its observations had been add()ed here, using
-  // the parallel Welford combine (Chan et al.): the merged m2 stays
-  // numerically stable even when the two streams' means dwarf their
-  // spreads. Merging an empty summary (either side) is the identity.
-  // Per-thread metric shards aggregate through this at snapshot time.
-  void merge(const Summary& other) noexcept;
-
   // A summary carrying only first-moment window data — count, sum,
   // mean = sum/count — plus caller-provided extrema; m2 (hence stddev) is
   // zero. Used by metric snapshot deltas, where a window's second moments
@@ -28,7 +21,12 @@ class Summary {
                              double max) noexcept;
 
   std::uint64_t count() const noexcept { return count_; }
-  double mean() const noexcept { return mean_; }
+  // sum/count (0 when empty), the figure a snapshot delta reports too.
+  // Welford's running mean_ below drifts from it by a few ULPs and only
+  // feeds m2_.
+  double mean() const noexcept {
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  }
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
   double stddev() const noexcept;
@@ -57,11 +55,6 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void add(double x) noexcept;
-
-  // Adds `other`'s bucket counts; throws std::invalid_argument unless the
-  // two histograms have identical bounds. Per-thread metric shards
-  // aggregate through this at snapshot time.
-  void merge(const Histogram& other);
 
   std::uint64_t bucket_count(std::size_t i) const;
   std::size_t num_buckets() const noexcept { return counts_.size(); }

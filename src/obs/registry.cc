@@ -10,8 +10,6 @@ namespace shredder::obs {
 
 namespace {
 
-std::atomic<std::uint64_t> g_next_timing_id{1};
-
 void sort_labels(Labels& labels) {
   std::sort(labels.begin(), labels.end());
 }
@@ -74,49 +72,26 @@ std::string metric_key(const std::string& name, const Labels& labels) {
 
 // --- Timing ----------------------------------------------------------------
 
-Timing::Shard& Timing::local_shard() {
-  // One cache per thread mapping metric id -> that thread's shard. Ids are
-  // process-unique and never reused, so a stale entry for a destroyed metric
-  // is inert (never looked up again) rather than dangerous.
-  thread_local std::unordered_map<std::uint64_t, Shard*> cache;
-  const auto it = cache.find(id_);
-  if (it != cache.end()) return *it->second;
-  MutexLock lock(shards_mu_);
-  auto shard = std::make_unique<Shard>();
-  if (!bounds_.empty()) shard->hist.emplace(bounds_);
-  Shard* p = shard.get();
-  shards_.push_back(std::move(shard));
-  cache.emplace(id_, p);
-  return *p;
+Timing::Timing(const std::atomic<bool>* enabled, std::vector<double> bounds)
+    : enabled_(enabled), has_buckets_(!bounds.empty()) {
+  if (has_buckets_) hist_.emplace(std::move(bounds));
 }
 
 void Timing::observe(double v) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
-  Shard& s = local_shard();
-  MutexLock lock(s.mu);
-  s.summary.add(v);
-  if (s.hist.has_value()) s.hist->add(v);
+  MutexLock lock(mu_);
+  summary_.add(v);
+  if (hist_.has_value()) hist_->add(v);
 }
 
 Summary Timing::summary() const {
-  Summary merged;
-  MutexLock lock(shards_mu_);
-  for (const auto& shard : shards_) {
-    MutexLock slock(shard->mu);
-    merged.merge(shard->summary);
-  }
-  return merged;
+  MutexLock lock(mu_);
+  return summary_;
 }
 
 std::optional<Histogram> Timing::histogram() const {
-  if (bounds_.empty()) return std::nullopt;
-  Histogram merged(bounds_);
-  MutexLock lock(shards_mu_);
-  for (const auto& shard : shards_) {
-    MutexLock slock(shard->mu);
-    if (shard->hist.has_value()) merged.merge(*shard->hist);
-  }
-  return merged;
+  MutexLock lock(mu_);
+  return hist_;
 }
 
 // --- Registry --------------------------------------------------------------
@@ -147,9 +122,7 @@ Registry::Entry& Registry::entry(MetricSample::Type type,
       e->gauge.reset(new Gauge(&enabled_));
       break;
     case MetricSample::Type::kTiming:
-      e->timing.reset(new Timing(
-          &enabled_, std::move(bounds),
-          g_next_timing_id.fetch_add(1, std::memory_order_relaxed)));
+      e->timing.reset(new Timing(&enabled_, std::move(bounds)));
       break;
   }
   Entry* p = e.get();
@@ -176,7 +149,7 @@ Timing& Registry::timing(const std::string& name, Labels labels,
 
 std::vector<MetricSample> Registry::snapshot() const {
   // Copy the entry list under the lock, then read metric values without it:
-  // Timing::summary() takes its own locks and entries are never removed.
+  // Timing::summary() takes its own lock and entries are never removed.
   std::vector<const Entry*> entries;
   {
     MutexLock lock(mu_);
@@ -358,11 +331,6 @@ std::string Registry::to_table(const std::vector<MetricSample>& samples) {
     table.add_row(row);
   }
   return table.to_string();
-}
-
-Registry& Registry::global() {
-  static Registry* instance = new Registry();  // leaked: process lifetime
-  return *instance;
 }
 
 }  // namespace shredder::obs

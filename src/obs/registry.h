@@ -13,8 +13,8 @@
 //     atomic load, so hooks can live on per-buffer hot paths unconditionally
 //     ("compiled in but disabled" is the bar BENCH_obs.json enforces).
 //   * Cheap when enabled: counters/gauges are single relaxed atomics;
-//     timings write to a per-thread shard (uncontended mutex on the owning
-//     thread) and shards are Welford-merged only at snapshot time.
+//     a timing takes one mutex per observation, which only a concurrent
+//     snapshot contends.
 //   * No behavior change either way: metrics are write-only from the hot
 //     path; nothing in the pipeline reads them back.
 //
@@ -90,42 +90,32 @@ class Gauge {
 };
 
 // Distribution of observed values (stage seconds, chunk sizes): a Summary
-// plus an optional fixed-bucket Histogram, sharded per writer thread. Each
-// thread owns one shard for the metric's lifetime — the shard mutex is only
-// ever contended by a concurrent snapshot, never by another writer — and
-// summary()/histogram() Welford-merge the shards on demand.
+// plus an optional fixed-bucket Histogram under one mutex. Every timing the
+// repo registers has one writer at a time (a pipeline stage, a store
+// caller, one snapshot), so the lock is contended only by a concurrent
+// snapshot, and the sum is the observations' sum in the order they were
+// made, whichever threads made them.
 class Timing {
  public:
   Timing(const Timing&) = delete;
   Timing& operator=(const Timing&) = delete;
 
-  void observe(double v);
+  void observe(double v) EXCLUDES(mu_);
 
-  Summary summary() const;                  // merged across shards
-  std::optional<Histogram> histogram() const;  // nullopt without bounds
-  bool has_buckets() const noexcept { return !bounds_.empty(); }
+  Summary summary() const EXCLUDES(mu_);
+  // nullopt without bounds.
+  std::optional<Histogram> histogram() const EXCLUDES(mu_);
+  bool has_buckets() const noexcept { return has_buckets_; }
 
  private:
   friend class Registry;
-  Timing(const std::atomic<bool>* enabled, std::vector<double> bounds,
-         std::uint64_t id)
-      : enabled_(enabled), bounds_(std::move(bounds)), id_(id) {}
-
-  struct Shard {
-    mutable Mutex mu;
-    Summary summary GUARDED_BY(mu);
-    std::optional<Histogram> hist GUARDED_BY(mu);
-  };
-  Shard& local_shard() EXCLUDES(shards_mu_);
+  Timing(const std::atomic<bool>* enabled, std::vector<double> bounds);
 
   const std::atomic<bool>* enabled_;
-  const std::vector<double> bounds_;
-  // Process-unique metric id: the thread-local shard cache keys on it, not
-  // on `this`, so a new Timing reusing a dead one's address can never pick
-  // up the dead metric's shard.
-  const std::uint64_t id_;
-  mutable Mutex shards_mu_;
-  std::vector<std::unique_ptr<Shard>> shards_ GUARDED_BY(shards_mu_);
+  const bool has_buckets_;
+  mutable Mutex mu_;
+  Summary summary_ GUARDED_BY(mu_);
+  std::optional<Histogram> hist_ GUARDED_BY(mu_);
 };
 
 // One metric's state at snapshot time.
@@ -187,9 +177,6 @@ class Registry {
   static std::string to_json(const std::vector<MetricSample>& samples);
   std::string to_table() const;
   static std::string to_table(const std::vector<MetricSample>& samples);
-
-  // Process-wide default instance for tools that want one without plumbing.
-  static Registry& global();
 
  private:
   struct Entry {

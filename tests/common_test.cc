@@ -159,56 +159,6 @@ TEST(Histogram, OverflowBucketQuantileClampsToLastBound) {
   EXPECT_DOUBLE_EQ(m.quantile(1.0), 20.0);
 }
 
-TEST(SummaryMerge, MatchesSingleStreamReference) {
-  // Two disjoint streams merged must equal one stream that saw everything.
-  Summary a, b, ref;
-  for (int i = 0; i < 40; ++i) {
-    const double x = 1e6 + i * 0.25;  // large mean, small spread: the
-    (i % 3 == 0 ? a : b).add(x);      // regime naive combines get wrong
-    ref.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), ref.count());
-  EXPECT_DOUBLE_EQ(a.mean(), ref.mean());
-  EXPECT_DOUBLE_EQ(a.min(), ref.min());
-  EXPECT_DOUBLE_EQ(a.max(), ref.max());
-  EXPECT_NEAR(a.stddev(), ref.stddev(), 1e-9 * ref.stddev());
-  EXPECT_DOUBLE_EQ(a.sum(), ref.sum());
-}
-
-TEST(SummaryMerge, EmptyMergeIsIdentity) {
-  Summary s;
-  s.add(3.0);
-  s.add(5.0);
-  const Summary before = s;
-  Summary empty;
-  s.merge(empty);  // empty rhs: no-op
-  EXPECT_EQ(s.count(), before.count());
-  EXPECT_DOUBLE_EQ(s.mean(), before.mean());
-  EXPECT_DOUBLE_EQ(s.stddev(), before.stddev());
-
-  Summary into;
-  into.merge(s);  // empty lhs: becomes rhs
-  EXPECT_EQ(into.count(), 2u);
-  EXPECT_DOUBLE_EQ(into.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(into.min(), 3.0);
-  EXPECT_DOUBLE_EQ(into.max(), 5.0);
-
-  Summary e1, e2;
-  e1.merge(e2);  // both empty stays empty
-  EXPECT_EQ(e1.count(), 0u);
-}
-
-TEST(SummaryMerge, OneSidedSingletons) {
-  Summary a, b;
-  a.add(10.0);
-  b.add(20.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 15.0);
-  EXPECT_NEAR(a.stddev(), 7.0710678, 1e-6);
-}
-
 TEST(SummaryFromWindow, CarriesFirstMomentsOnly) {
   const Summary w = Summary::from_window(4, 10.0, 1.0, 4.0);
   EXPECT_EQ(w.count(), 4u);
@@ -230,23 +180,6 @@ TEST(Histogram, NanCountedSeparately) {
   EXPECT_EQ(h.nan_count(), 1u);
   EXPECT_EQ(h.bucket_count(2), 0u);  // overflow bucket untouched
   EXPECT_LE(h.quantile(1.0), 20.0);
-}
-
-TEST(HistogramMerge, AddsCountsAndRequiresIdenticalBounds) {
-  Histogram a({10, 20}), b({10, 20});
-  a.add(5.0);
-  b.add(15.0);
-  b.add(25.0);
-  b.add(std::numeric_limits<double>::quiet_NaN());
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.nan_count(), 1u);
-  EXPECT_EQ(a.bucket_count(0), 1u);
-  EXPECT_EQ(a.bucket_count(1), 1u);
-  EXPECT_EQ(a.bucket_count(2), 1u);
-
-  Histogram c({10, 30});
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
 }
 
 TEST(LogSpacedBounds, GeometricAndInclusive) {

@@ -83,13 +83,34 @@ TEST(Registry, TimingMergesAcrossThreads) {
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
 }
 
-// TSan-targeted stress: writer threads mutating their per-thread Timing
-// shards while another thread repeatedly Welford-merges them via
-// Registry::snapshot(). The shard mutex is "only ever contended by a
-// concurrent snapshot" (registry.h) — this test manufactures exactly that
-// contention, plus concurrent metric registration forcing shard-vector
-// growth under shards_mu_. Monotonicity of the observed counts across
-// snapshots is the correctness witness; TSan checks the memory ordering.
+// A timing's sum depends only on the observed values and their order, not
+// on which threads observed them: the same three values observed on one
+// thread, and split over two threads that run one after the other, sum
+// bit-identically. (Per-thread partial sums merged at snapshot time would
+// read (0.1 + 0.2) + 0.3 in one case and 0.1 + (0.2 + 0.3) in the other.)
+TEST(Registry, TimingSumDoesNotDependOnWriterThreads) {
+  Registry reg;
+  Timing& one = reg.timing("one_thread_seconds");
+  std::thread([&one] {
+    one.observe(0.1);
+    one.observe(0.2);
+    one.observe(0.3);
+  }).join();
+  Timing& two = reg.timing("two_threads_seconds");
+  std::thread([&two] { two.observe(0.1); }).join();
+  std::thread([&two] {
+    two.observe(0.2);
+    two.observe(0.3);
+  }).join();
+  EXPECT_EQ(one.summary().sum(), two.summary().sum());  // exact, not NEAR
+  EXPECT_EQ(two.summary().count(), 3u);
+}
+
+// TSan-targeted stress: writer threads observing one Timing while another
+// thread repeatedly reads it via Registry::snapshot(), plus concurrent
+// metric registration growing the registry's entry list. Monotonicity of
+// the observed counts across snapshots is the correctness witness; TSan
+// checks the memory ordering.
 TEST(Registry, SnapshotRacesShardWriters) {
   Registry reg;
   Timing& t = reg.timing("hot_stage_seconds");
