@@ -144,21 +144,6 @@ ReleaseOutcome ChunkStore::release_ref(const ChunkDigest& digest,
   return ReleaseOutcome::kReclaimed;
 }
 
-EraseOutcome ChunkStore::erase(const ChunkDigest& digest) {
-  MutexLock lock(mutex_);
-  const auto it = chunks_.find(digest);
-  if (it == chunks_.end()) return EraseOutcome::kUnknownDigest;
-  if (it->second.refs == 0) {
-    --zero_ref_chunks_;
-    zero_ref_bytes_ -= it->second.data.size();
-  }
-  total_refs_ -= it->second.refs;
-  unique_bytes_ -= it->second.data.size();
-  chunks_.erase(it);
-  notify_locked();
-  return EraseOutcome::kErased;
-}
-
 SweepStats ChunkStore::sweep_zero_refs(
     const std::function<bool(const ChunkDigest&)>& keep) {
   MutexLock lock(mutex_);

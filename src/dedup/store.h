@@ -40,9 +40,6 @@ enum class ReleaseOutcome {
   kUnknownDigest,  // digest not in the store
 };
 
-// What an erase() did. Unknown digests were previously a silent `false`.
-enum class EraseOutcome { kErased, kUnknownDigest };
-
 // Point-in-time occupancy, handed to the observer after every mutation so
 // consumers (retention wires these into obs::Registry gauges) track the
 // store without polling. `chunks`/`bytes` include zero-ref parked entries;
@@ -115,10 +112,6 @@ class ChunkStore {
   // untouched on the error outcomes.
   ReleaseOutcome release_ref(const ChunkDigest& digest,
                              std::uint64_t* remaining = nullptr);
-
-  // Removes a chunk outright regardless of its reference count (forced
-  // eviction; the GC path uses sweep_zero_refs instead).
-  EraseOutcome erase(const ChunkDigest& digest);
 
   // Frees zero-ref parked entries. `keep`, when set, vetoes individual
   // digests (the GC epoch protocol keeps digests zeroed too recently for

@@ -385,20 +385,6 @@ TEST(ChunkStore, RebuildRefsRecomputesFromAuthority) {
   EXPECT_EQ(eager.unique_bytes(), a.size());
 }
 
-TEST(ChunkStore, EraseRemovesRegardlessOfRefs) {
-  ChunkStore store;
-  const auto a = random_bytes(64, 9);
-  const auto da = ChunkHasher::hash(as_bytes(a));
-  store.put(da, as_bytes(a));
-  store.add_ref(da);
-  EXPECT_EQ(store.erase(da), EraseOutcome::kErased);
-  EXPECT_FALSE(store.contains(da));
-  EXPECT_EQ(store.total_refs(), 0u);
-  EXPECT_EQ(store.unique_bytes(), 0u);
-  // Unknown digest: typed outcome (negative-path contract).
-  EXPECT_EQ(store.erase(da), EraseOutcome::kUnknownDigest);
-}
-
 TEST(ChunkStore, PutReportsInsertedVsRefAdded) {
   ChunkStore store;
   const auto a = random_bytes(64, 10);

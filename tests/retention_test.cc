@@ -450,8 +450,9 @@ TEST(RetentionCrash, KillMidGcSweepRecovers) {
   rig.record("keep", {synth_digest(1)});
   rig.record("drop", {synth_digest(2), synth_digest(3)});
   rig.mgr->delete_image("t", "drop");
-  // Crash mid-sweep: one graveyard chunk was erased, the other survived.
-  rig.store->erase(synth_digest(2));
+  // Crash mid-sweep: one graveyard chunk was freed, the other survived.
+  rig.store->sweep_zero_refs(
+      [](const dedup::ChunkDigest& d) { return d == synth_digest(3); });
   const auto log = rig.mgr->manifests().log_records();
 
   Rig fresh;
