@@ -838,8 +838,6 @@ int run_retention_json(const std::string& path, bool smoke) {
   const int snapshots = smoke ? 6 : 8;
   const double change_prob = 0.95;
 
-  const auto store = std::make_shared<shredder::dedup::ChunkStore>(
-      /*deferred_reclaim=*/true);
   BackupServerConfig cfg;
   cfg.backend = ChunkerBackend::kPthreadsCpu;
   cfg.chunker.window = 48;
@@ -848,8 +846,8 @@ int run_retention_json(const std::string& path, bool smoke) {
   cfg.chunker.min_size = 1024;
   cfg.chunker.max_size = 8 * 1024;
   cfg.index.kind = shredder::dedup::IndexKind::kSparse;
-  cfg.store = store;
   BackupServer server(cfg);
+  const auto& store = server.retention().store();
   BackupAgent agent;
 
   std::vector<std::string> ids;

@@ -61,13 +61,10 @@ BackupServer::BackupServer(BackupServerConfig config)
     : config_(std::move(config)) {
   config_.chunker.validate();
   // The transport's repair source: every unique chunk the server ships is
-  // also retained here, so a re-requested digest can always be served.
-  // Shareable across servers. Server-owned instances run in deferred-reclaim
-  // mode: snapshot deletes park zero-ref chunks for the GC epoch protocol
-  // instead of freeing them inline.
-  store_ = config_.store ? config_.store
-                         : std::make_shared<dedup::ChunkStore>(
-                               /*deferred_reclaim=*/true);
+  // also retained here, so a re-requested digest can always be served. It
+  // runs in deferred-reclaim mode: snapshot deletes park zero-ref chunks
+  // for the GC epoch protocol instead of freeing them inline.
+  store_ = std::make_shared<dedup::ChunkStore>(/*deferred_reclaim=*/true);
   // The baseline backend's flat probe/insert costs live in BackupCostModel
   // (§7.3 calibration); copy them into the index config so both knobs agree.
   dedup::IndexConfig index_cfg = config_.index;

@@ -88,12 +88,6 @@ struct BackupServerConfig {
   // in one place. The defaults (no faults, instant applies) make the
   // transport a lossless link.
   TransportConfig transport;
-  // Content-addressed store of every unique chunk this server has shipped —
-  // the source the repair protocol serves re-requested digests from. Leave
-  // null for a server-owned instance (constructed in deferred-reclaim mode
-  // so snapshot deletes park chunks for the GC epoch protocol instead of
-  // freeing them inline); pass one in to share it between servers.
-  std::shared_ptr<dedup::ChunkStore> store;
   // Modelled costs of the retention control plane (delete walks, GC sweeps,
   // manifest appends).
   retention::RetentionCostModel retention_costs;
