@@ -72,7 +72,7 @@ echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
 # probe decisions are bit-identical across entry-log compaction.
 "$BUILD_DIR/microbench" --retention_smoke_json="$BUILD_DIR/BENCH_retention_smoke.json"
 
-echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs + device stack) ==="
+echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs + device stack + case studies) ==="
 # backup_test joins because the agent's frame validation is the backup
 # protocol's trust boundary and every agent test goes through receive_batch.
 # service_test joins because every tenant's buffers are staged into leased
@@ -80,38 +80,44 @@ echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + ag
 # service drives per session. gpusim_test joins because kernel launches
 # keep per-block tallies and exact-DRAM traces and no longer allocate
 # per-block shared memory, so kernels index the resident device buffer.
+# inchdfs_test and redelim_test join because both case studies key their
+# content (HDFS blocks, memo keys, middlebox cache and tokens) by the
+# SHA-256 ChunkDigest, hashed through the shared SHA-256 update path.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=address
 cmake --build "$SAN_DIR" -j "$JOBS" \
   --target chunking_test rabin_test minmax_test fingerprint_test \
   index_test dedup_test retention_test core_test sink_test service_test \
-  transport_test backup_test obs_test common_test gpusim_test
+  transport_test backup_test obs_test common_test gpusim_test inchdfs_test \
+  redelim_test
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|service_test|transport_test|backup_test|obs_test|common_test|gpusim_test'
+  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|service_test|transport_test|backup_test|obs_test|common_test|gpusim_test|inchdfs_test|redelim_test'
 
-echo "=== TSan build (queues, thread pool, device, obs, service, transport, hashing, backup) ==="
+echo "=== TSan build (queues, thread pool, device, obs, service, transport, hashing, backup, mapreduce) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +
 # ThreadPool stress), gpusim_test (sim pool threads flush their blocks'
-# tallies into one launch's totals), obs_test (registry shards racing
-# snapshot, tracer), service_test (N producer threads over one engine),
-# core_test (slots leased on producer threads and released on the kernel
-# thread, in-engine backpressure from a stalled consumer, concurrent
+# tallies into one launch's totals), obs_test (timings observed while a
+# snapshot reads them, tracer), service_test (N producer threads over one
+# engine), core_test (slots leased on producer threads and released on the
+# kernel thread, in-engine backpressure from a stalled consumer, concurrent
 # submitters of different engine streams), transport_test and
 # sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
 # the shared store), dedup_test and fingerprint_test (the device hash kernel
 # runs on many sim_threads workers, so the first SHA-256 calls race through
 # the one-time CPUID dispatch), backup_test (the CPU backend hashes every
 # snapshot's chunks on the chunker's pool threads, each writing its own
-# range of one digest vector). TSan's happens-before checking is what the
-# thread-safety annotations cannot give us under gcc.
+# range of one digest vector), inchdfs_test (MapReduceEngine runs its map
+# and reduce tasks on a pool against one shared MemoServer). TSan's
+# happens-before checking is what the thread-safety annotations cannot give
+# us under gcc.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target common_test gpusim_test obs_test service_test core_test \
   transport_test sink_test retention_test dedup_test fingerprint_test \
-  backup_test
+  backup_test inchdfs_test
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'common_test|gpusim_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|dedup_test|fingerprint_test|backup_test'
+  -R 'common_test|gpusim_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|dedup_test|fingerprint_test|backup_test|inchdfs_test'
 
 echo "=== ci OK ==="
