@@ -6,10 +6,11 @@
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
 #   4. microbench smokes (fails when microbench was not built)
 #   5. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
-#      engine's pinned-slot leases and per-stream carries, kernel launches)
+#      engine's pinned-slot leases and per-stream carries, kernel launches,
+#      the Inc-HDFS and middlebox case studies)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      simulated device, obs registry/tracer, multi-tenant service,
-#      transport, hashing, backup server)
+#      transport, hashing, backup server, MapReduce engine)
 #
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail

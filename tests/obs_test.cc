@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <iomanip>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,7 +103,11 @@ TEST(Registry, TimingSumDoesNotDependOnWriterThreads) {
     two.observe(0.2);
     two.observe(0.3);
   }).join();
-  EXPECT_EQ(one.summary().sum(), two.summary().sum());  // exact, not NEAR
+  const double one_thread = one.summary().sum();
+  const double two_threads = two.summary().sum();
+  // Exact, not NEAR; 17 digits so a failure shows the last-bit difference.
+  EXPECT_EQ(one_thread, two_threads)
+      << std::setprecision(17) << one_thread << " vs " << two_threads;
   EXPECT_EQ(two.summary().count(), 3u);
 }
 
