@@ -1,8 +1,10 @@
 #include "backup/backup_server.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -60,10 +62,10 @@ std::vector<dedup::ChunkDigest> host_digests(
 BackupServer::BackupServer(BackupServerConfig config)
     : config_(std::move(config)) {
   config_.chunker.validate();
-  // The transport's repair source: every unique chunk the server ships is
-  // also retained here, so a re-requested digest can always be served. It
-  // runs in deferred-reclaim mode: snapshot deletes park zero-ref chunks
-  // for the GC epoch protocol instead of freeing them inline.
+  // References and sizes of every chunk the live snapshots use, no bytes:
+  // only the backup site (the agent) stores payloads. It runs in
+  // deferred-reclaim mode: snapshot deletes park zero-ref chunks for the GC
+  // epoch protocol instead of freeing them inline.
   store_ = std::make_shared<dedup::ChunkStore>(/*deferred_reclaim=*/true);
   // The baseline backend's flat probe/insert costs live in BackupCostModel
   // (§7.3 calibration); copy them into the index config so both knobs agree.
@@ -212,12 +214,29 @@ BackupRunStats BackupServer::dedup_and_ship(
       stats.device_fingerprint
           ? 0.0
           : static_cast<double>(image.size()) / config_.costs.host_hash_bw;
-  // The wire: the windowed ack-clocked Transport, with the server's chunk
-  // store as the repair source.
-  Transport transport(agent, transport_config(image_id),
-                      [store = store_](const dedup::ChunkDigest& digest) {
-                        return store->get(digest);
-                      });
+  // The wire: the windowed ack-clocked Transport, repairing from the image
+  // being backed up. The transport lives for this image and flush() below
+  // finishes every repair, so every digest it can ask for is one this image
+  // shipped. The digest -> chunk map is built at the first request; a
+  // lossless run never builds it.
+  std::unordered_map<dedup::ChunkDigest, std::size_t, dedup::ChunkDigestHash>
+      chunk_of;
+  const auto repair = [&](const dedup::ChunkDigest& digest)
+      -> std::optional<ByteVec> {
+    if (chunk_of.empty()) {
+      chunk_of.reserve(chunks.size());
+      for (std::size_t i = 0; i < chunks.size(); ++i) {
+        chunk_of.try_emplace(digests[i], i);
+      }
+    }
+    const auto it = chunk_of.find(digest);
+    if (it == chunk_of.end()) return std::nullopt;
+    const auto& c = chunks[it->second];
+    const ByteSpan payload = image.subspan(static_cast<std::size_t>(c.offset),
+                                           static_cast<std::size_t>(c.size));
+    return ByteVec(payload.begin(), payload.end());
+  };
+  Transport transport(agent, transport_config(image_id), repair);
   transport.begin_image(image_id);
   // The index stage is charged whatever the backend's virtual clock says
   // this snapshot's probes cost — a flat per-probe/per-insert rate for the
@@ -269,11 +288,10 @@ BackupRunStats BackupServer::dedup_and_ship(
       } else {
         ++stats.duplicate_chunks;
       }
-      // Retain the payload server-side: the repair protocol must be able to
-      // serve any digest it ever put on the wire. put() is the unique-chunk
-      // half of the one-ref-per-occurrence invariant (add_ref above is the
-      // duplicate half).
-      if (unique) store_->put(digest, payload);
+      // Record the unique chunk by reference and size only: put() is the
+      // unique-chunk half of the one-ref-per-occurrence invariant (add_ref
+      // above is the duplicate half).
+      if (unique) store_->put(digest, c.size);
       manifest_digests.push_back(digest);
       // Extent coalescing: extend the open run while the chunk kind
       // matches, else seal it and open the next.

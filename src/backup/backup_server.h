@@ -235,7 +235,8 @@ class BackupServer {
   BackupServerConfig config_;
   obs::Registry* registry_ = nullptr;  // resolved in the constructor
   std::unique_ptr<dedup::IndexBackend> index_;
-  std::shared_ptr<dedup::ChunkStore> store_;  // repair source + retention
+  // Reference-only: digest, size and refs per chunk, for retention.
+  std::shared_ptr<dedup::ChunkStore> store_;
   std::unique_ptr<retention::RetentionManager> retention_;
   std::unique_ptr<core::Shredder> shredder_;        // GPU backend
   std::unique_ptr<rabin::RabinTables> cpu_tables_;  // CPU backend

@@ -23,9 +23,9 @@
 //     the metadata (digests, extents, sizes) retransmits without the
 //     payload bytes, the recipe completes, and the missing chunks move to a
 //     digest-keyed repair protocol — the agent re-requests them from a
-//     bounded pending-repair table and the server serves the bytes from its
-//     ChunkStore (the firedancer repair-tile shape: bounded needed-item
-//     tables, selective re-request by hash);
+//     bounded pending-repair table and the server serves the bytes from the
+//     image it is shipping (the firedancer repair-tile shape: bounded
+//     needed-item tables, selective re-request by hash);
 //   * an injectable FaultModel (seeded SplitMix64) decides per transmission
 //     whether to drop, duplicate, delay or jitter-reorder the frame, and
 //     whether the agent stalls while applying — so the whole recovery
@@ -186,9 +186,11 @@ struct TransportStats {
   bool degraded = false;       // crossed a degraded-health threshold
 };
 
-// Serves the payload for a repaired chunk, typically bound to the server's
-// shared dedup::ChunkStore. Returning nullopt is a hard protocol error (the
-// server advertised a digest it cannot produce).
+// Serves the payload for a repaired chunk. BackupServer binds it to the
+// image in flight: a Transport ships one image and flush() finishes every
+// repair, so the image holds every digest the agent can re-request.
+// Returning nullopt is a hard protocol error (the server advertised a
+// digest it cannot produce).
 using RepairSource =
     std::function<std::optional<ByteVec>(const dedup::ChunkDigest&)>;
 

@@ -26,45 +26,14 @@ void ChunkStore::notify_locked() {
   if (observer_) observer_(occupancy_locked());
 }
 
-PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteSpan data) {
-#ifndef NDEBUG
-  // Debug-mode recheck: callers increasingly hand us digests computed
-  // elsewhere (the GPU fingerprint stage); this catches any drift between
-  // the device hash and the canonical host hash.
-  SHREDDER_CHECK_MSG(ChunkHasher::hash(data) == digest,
-                     "ChunkStore::put digest mismatch");
-#endif
-  MutexLock lock(mutex_);
+PutOutcome ChunkStore::put_locked(const ChunkDigest& digest, Entry&& entry) {
   ++total_refs_;
-  auto [it, inserted] =
-      chunks_.try_emplace(digest, Entry{ByteVec(data.begin(), data.end()), 1});
+  const std::uint64_t size = entry.size;
+  auto [it, inserted] = chunks_.try_emplace(digest, std::move(entry));
   if (!inserted) {
     if (it->second.refs == 0) {
       --zero_ref_chunks_;
-      zero_ref_bytes_ -= it->second.data.size();
-    }
-    ++it->second.refs;
-    notify_locked();
-    return PutOutcome::kRefAdded;
-  }
-  unique_bytes_ += data.size();
-  notify_locked();
-  return PutOutcome::kInserted;
-}
-
-PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteVec&& data) {
-#ifndef NDEBUG
-  SHREDDER_CHECK_MSG(ChunkHasher::hash(as_bytes(data)) == digest,
-                     "ChunkStore::put digest mismatch");
-#endif
-  const std::size_t size = data.size();
-  MutexLock lock(mutex_);
-  ++total_refs_;
-  auto [it, inserted] = chunks_.try_emplace(digest, Entry{std::move(data), 1});
-  if (!inserted) {
-    if (it->second.refs == 0) {
-      --zero_ref_chunks_;
-      zero_ref_bytes_ -= it->second.data.size();
+      zero_ref_bytes_ -= it->second.size;
     }
     ++it->second.refs;
     notify_locked();
@@ -75,17 +44,45 @@ PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteVec&& data) {
   return PutOutcome::kInserted;
 }
 
+PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteSpan data) {
+#ifndef NDEBUG
+  // Debug-mode recheck: callers increasingly hand us digests computed
+  // elsewhere (the GPU fingerprint stage); this catches any drift between
+  // the device hash and the canonical host hash.
+  SHREDDER_CHECK_MSG(ChunkHasher::hash(data) == digest,
+                     "ChunkStore::put digest mismatch");
+#endif
+  MutexLock lock(mutex_);
+  return put_locked(digest,
+                    Entry{ByteVec(data.begin(), data.end()), data.size()});
+}
+
+PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteVec&& data) {
+#ifndef NDEBUG
+  SHREDDER_CHECK_MSG(ChunkHasher::hash(as_bytes(data)) == digest,
+                     "ChunkStore::put digest mismatch");
+#endif
+  const std::uint64_t size = data.size();
+  MutexLock lock(mutex_);
+  return put_locked(digest, Entry{std::move(data), size});
+}
+
+PutOutcome ChunkStore::put(const ChunkDigest& digest, std::uint64_t size) {
+  MutexLock lock(mutex_);
+  return put_locked(digest, Entry{{}, size, 1, /*has_payload=*/false});
+}
+
 std::optional<ByteVec> ChunkStore::get(const ChunkDigest& digest) const {
   MutexLock lock(mutex_);
   const auto it = chunks_.find(digest);
-  if (it == chunks_.end()) return std::nullopt;
+  if (it == chunks_.end() || !it->second.has_payload) return std::nullopt;
   return it->second.data;
 }
 
 bool ChunkStore::append_to(const ChunkDigest& digest, ByteVec& out) const {
   MutexLock lock(mutex_);
   const auto it = chunks_.find(digest);
-  if (it == chunks_.end()) return false;
+  if (it == chunks_.end() || !it->second.has_payload) return false;
   out.insert(out.end(), it->second.data.begin(), it->second.data.end());
   return true;
 }
@@ -95,7 +92,7 @@ std::optional<std::uint64_t> ChunkStore::chunk_bytes(
   MutexLock lock(mutex_);
   const auto it = chunks_.find(digest);
   if (it == chunks_.end()) return std::nullopt;
-  return it->second.data.size();
+  return it->second.size;
 }
 
 bool ChunkStore::contains(const ChunkDigest& digest) const {
@@ -111,7 +108,7 @@ bool ChunkStore::add_ref(const ChunkDigest& digest) {
     // Resurrection: an in-flight backup re-referenced a chunk whose last
     // snapshot was deleted before the GC sweep got to it.
     --zero_ref_chunks_;
-    zero_ref_bytes_ -= it->second.data.size();
+    zero_ref_bytes_ -= it->second.size;
   }
   ++it->second.refs;
   ++total_refs_;
@@ -134,11 +131,11 @@ ReleaseOutcome ChunkStore::release_ref(const ChunkDigest& digest,
   }
   if (deferred_reclaim_) {
     ++zero_ref_chunks_;
-    zero_ref_bytes_ += it->second.data.size();
+    zero_ref_bytes_ += it->second.size;
     notify_locked();
     return ReleaseOutcome::kDeferred;
   }
-  unique_bytes_ -= it->second.data.size();
+  unique_bytes_ -= it->second.size;
   chunks_.erase(it);
   notify_locked();
   return ReleaseOutcome::kReclaimed;
@@ -159,7 +156,7 @@ SweepStats ChunkStore::sweep_zero_refs(
       ++it;
       continue;
     }
-    const std::uint64_t size = it->second.data.size();
+    const std::uint64_t size = it->second.size;
     ++stats.freed_chunks;
     stats.freed_bytes += size;
     --zero_ref_chunks_;
@@ -187,11 +184,11 @@ std::vector<ChunkDigest> ChunkStore::rebuild_refs(
     if (refs == 0) {
       if (deferred_reclaim_) {
         ++zero_ref_chunks_;
-        zero_ref_bytes_ += it->second.data.size();
+        zero_ref_bytes_ += it->second.size;
         zeroed.push_back(it->first);
         ++it;
       } else {
-        unique_bytes_ -= it->second.data.size();
+        unique_bytes_ -= it->second.size;
         it = chunks_.erase(it);
       }
     } else {

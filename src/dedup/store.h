@@ -2,6 +2,13 @@
 // reference counts it. The backup site (paper §7.2) keeps one of these to
 // reconstruct images from chunk/pointer streams.
 //
+// An entry either holds its payload or is reference-only: put(digest, size)
+// records the digest, its size and one reference but no bytes. The backup
+// server's store is all reference-only entries — it dedups and ships, and
+// only the backup site keeps chunks. Both kinds account identically (every
+// byte count reads the entry's size) and live through the same lifecycle;
+// only get()/append_to() tell them apart.
+//
 // Lifecycle (docs/retention.md): every put/add_ref takes one reference,
 // every release_ref drops one. In immediate mode the chunk is freed the
 // moment its last reference goes; in deferred-reclaim mode (the retention
@@ -86,18 +93,24 @@ class ChunkStore {
   // avoiding the copy on the zero-copy wire path. On kRefAdded the vector
   // is simply dropped.
   PutOutcome put(const ChunkDigest& digest, ByteVec&& data);
+  // Reference-only overload: takes one reference exactly like a payload put
+  // of `size` bytes (same outcome, same resurrection of a parked entry, same
+  // accounting) but stores no bytes. A payload put onto a reference-only
+  // digest only adds its reference; the entry stays reference-only.
+  PutOutcome put(const ChunkDigest& digest, std::uint64_t size);
 
-  // Copy of the chunk payload, or nullopt if unknown.
+  // Copy of the chunk payload, or nullopt if unknown or reference-only.
   std::optional<ByteVec> get(const ChunkDigest& digest) const;
 
   // Appends the chunk payload to `out`, copying straight out of the store
   // under its lock — no intermediate buffer. Returns false, leaving `out`
-  // untouched, if the digest is unknown. Zero-ref parked entries read like
-  // get() reads them.
+  // untouched, if the digest is unknown or reference-only. Zero-ref parked
+  // entries read like get() reads them.
   bool append_to(const ChunkDigest& digest, ByteVec& out) const;
 
-  // Payload size of the chunk, or nullopt if unknown — lets a reader size
-  // its buffer once before a run of append_to() calls.
+  // Payload size of the chunk (with or without its bytes), or nullopt if
+  // unknown — lets a reader size its buffer once before a run of
+  // append_to() calls.
   std::optional<std::uint64_t> chunk_bytes(const ChunkDigest& digest) const;
 
   bool contains(const ChunkDigest& digest) const;
@@ -143,10 +156,16 @@ class ChunkStore {
 
  private:
   struct Entry {
-    ByteVec data;
+    ByteVec data;            // empty on a reference-only entry
+    std::uint64_t size = 0;  // payload bytes, whether or not `data` holds them
     std::uint64_t refs = 1;
+    bool has_payload = true;
   };
 
+  // Takes one reference on `digest`: resurrects or bumps an existing entry
+  // (dropping `entry`), else inserts `entry`.
+  PutOutcome put_locked(const ChunkDigest& digest, Entry&& entry)
+      REQUIRES(mutex_);
   StoreOccupancy occupancy_locked() const REQUIRES(mutex_);
   void notify_locked() REQUIRES(mutex_);
 

@@ -246,14 +246,37 @@ TEST(ChunkIndex, ConcurrentInsertsExactlyOneWinner) {
 
 // --- ChunkStore ---
 
-TEST(ChunkStore, ReleaseRefReclaimsOnLastReference) {
+// The lifecycle cases run over payload entries and again over reference-only
+// entries of the same sizes, with the same expected numbers: accounting and
+// lifecycle read an entry's size, never its bytes.
+enum class EntryKind { kPayload, kReferenceOnly };
+
+class ChunkStoreLifecycle : public ::testing::TestWithParam<EntryKind> {
+ protected:
+  // Puts `data` with its bytes, or by digest and size only.
+  PutOutcome put(ChunkStore& store, const ChunkDigest& digest,
+                 const ByteVec& data) const {
+    return GetParam() == EntryKind::kPayload
+               ? store.put(digest, as_bytes(data))
+               : store.put(digest, std::uint64_t{data.size()});
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryKinds, ChunkStoreLifecycle,
+    ::testing::Values(EntryKind::kPayload, EntryKind::kReferenceOnly),
+    [](const ::testing::TestParamInfo<EntryKind>& info) {
+      return info.param == EntryKind::kPayload ? "Payload" : "ReferenceOnly";
+    });
+
+TEST_P(ChunkStoreLifecycle, ReleaseRefReclaimsOnLastReference) {
   ChunkStore store;
   const auto a = random_bytes(64, 7);
   const auto b = random_bytes(32, 8);
   const auto da = ChunkHasher::hash(as_bytes(a));
   const auto db = ChunkHasher::hash(as_bytes(b));
-  store.put(da, as_bytes(a));
-  store.put(db, as_bytes(b));
+  put(store, da, a);
+  put(store, db, b);
   store.add_ref(da);  // a: 2 refs, b: 1 ref
   std::uint64_t remaining = 99;
   EXPECT_EQ(store.release_ref(da, &remaining), ReleaseOutcome::kLive);
@@ -282,11 +305,11 @@ TEST(ChunkStore, ReleaseRefUnknownDigestIsTypedAndInert) {
   EXPECT_EQ(store.release_ref(da), ReleaseOutcome::kUnknownDigest);
 }
 
-TEST(ChunkStore, DeferredReclaimParksAndResurrects) {
+TEST_P(ChunkStoreLifecycle, DeferredReclaimParksAndResurrects) {
   ChunkStore store(/*deferred_reclaim=*/true);
   const auto a = random_bytes(64, 21);
   const auto da = ChunkHasher::hash(as_bytes(a));
-  store.put(da, as_bytes(a));
+  put(store, da, a);
   EXPECT_EQ(store.release_ref(da), ReleaseOutcome::kDeferred);
   // Parked, not freed: still resident, counted as zero-ref.
   EXPECT_TRUE(store.contains(da));
@@ -301,12 +324,12 @@ TEST(ChunkStore, DeferredReclaimParksAndResurrects) {
   EXPECT_EQ(store.zero_ref_chunks(), 0u);
   // Park again, then resurrect via put.
   EXPECT_EQ(store.release_ref(da), ReleaseOutcome::kDeferred);
-  EXPECT_EQ(store.put(da, as_bytes(a)), PutOutcome::kRefAdded);
+  EXPECT_EQ(put(store, da, a), PutOutcome::kRefAdded);
   EXPECT_EQ(store.ref_count(da), 1u);
   EXPECT_EQ(store.zero_ref_bytes(), 0u);
 }
 
-TEST(ChunkStore, SweepFreesOnlyUnkeptZeroRefChunks) {
+TEST_P(ChunkStoreLifecycle, SweepFreesOnlyUnkeptZeroRefChunks) {
   ChunkStore store(/*deferred_reclaim=*/true);
   const auto a = random_bytes(64, 22);
   const auto b = random_bytes(32, 23);
@@ -314,9 +337,9 @@ TEST(ChunkStore, SweepFreesOnlyUnkeptZeroRefChunks) {
   const auto da = ChunkHasher::hash(as_bytes(a));
   const auto db = ChunkHasher::hash(as_bytes(b));
   const auto dc = ChunkHasher::hash(as_bytes(c));
-  store.put(da, as_bytes(a));
-  store.put(db, as_bytes(b));
-  store.put(dc, as_bytes(c));
+  put(store, da, a);
+  put(store, db, b);
+  put(store, dc, c);
   store.release_ref(da);
   store.release_ref(db);  // a and b parked; c live
   const auto stats =
@@ -331,7 +354,7 @@ TEST(ChunkStore, SweepFreesOnlyUnkeptZeroRefChunks) {
   EXPECT_EQ(store.zero_ref_chunks(), 1u);
 }
 
-TEST(ChunkStore, OccupancyObserverSeesEveryMutation) {
+TEST_P(ChunkStoreLifecycle, OccupancyObserverSeesEveryMutation) {
   ChunkStore store(/*deferred_reclaim=*/true);
   StoreOccupancy last;
   int calls = 0;
@@ -342,7 +365,7 @@ TEST(ChunkStore, OccupancyObserverSeesEveryMutation) {
   EXPECT_EQ(calls, 1);  // installation publishes the current state
   const auto a = random_bytes(64, 25);
   const auto da = ChunkHasher::hash(as_bytes(a));
-  store.put(da, as_bytes(a));
+  put(store, da, a);
   EXPECT_EQ(last.chunks, 1u);
   EXPECT_EQ(last.bytes, a.size());
   EXPECT_EQ(last.refs, 1u);
@@ -358,14 +381,14 @@ TEST(ChunkStore, OccupancyObserverSeesEveryMutation) {
   EXPECT_GE(calls, 6);
 }
 
-TEST(ChunkStore, RebuildRefsRecomputesFromAuthority) {
+TEST_P(ChunkStoreLifecycle, RebuildRefsRecomputesFromAuthority) {
   ChunkStore store(/*deferred_reclaim=*/true);
   const auto a = random_bytes(64, 26);
   const auto b = random_bytes(32, 27);
   const auto da = ChunkHasher::hash(as_bytes(a));
   const auto db = ChunkHasher::hash(as_bytes(b));
-  store.put(da, as_bytes(a));
-  store.put(db, as_bytes(b));
+  put(store, da, a);
+  put(store, db, b);
   store.add_ref(da);  // a: 2, b: 1 — pretend these drifted from the truth
   std::unordered_map<ChunkDigest, std::uint64_t, ChunkDigestHash> counts;
   counts[da] = 5;  // manifests say 5 occurrences
@@ -377,12 +400,31 @@ TEST(ChunkStore, RebuildRefsRecomputesFromAuthority) {
   EXPECT_EQ(zeroed[0], db);
   // Immediate-reclaim mode frees instead of parking.
   ChunkStore eager;
-  eager.put(da, as_bytes(a));
-  eager.put(db, as_bytes(b));
+  put(eager, da, a);
+  put(eager, db, b);
   const auto zeroed2 = eager.rebuild_refs(counts);
   EXPECT_TRUE(zeroed2.empty());
   EXPECT_FALSE(eager.contains(db));
   EXPECT_EQ(eager.unique_bytes(), a.size());
+}
+
+TEST(ChunkStore, ReferenceOnlyEntryReadsNoBytes) {
+  ChunkStore store;
+  const auto a = random_bytes(64, 28);
+  const auto da = ChunkHasher::hash(as_bytes(a));
+  EXPECT_EQ(store.put(da, std::uint64_t{a.size()}), PutOutcome::kInserted);
+  EXPECT_TRUE(store.contains(da));
+  EXPECT_EQ(store.ref_count(da), 1u);
+  EXPECT_EQ(store.chunk_bytes(da), a.size());
+  EXPECT_FALSE(store.get(da).has_value());
+  ByteVec out = {1, 2, 3};
+  EXPECT_FALSE(store.append_to(da, out));
+  EXPECT_EQ(out, (ByteVec{1, 2, 3}));
+  // A payload put onto a reference-only digest only adds its reference.
+  EXPECT_EQ(store.put(da, as_bytes(a)), PutOutcome::kRefAdded);
+  EXPECT_EQ(store.ref_count(da), 2u);
+  EXPECT_FALSE(store.get(da).has_value());
+  EXPECT_EQ(store.unique_bytes(), a.size());
 }
 
 TEST(ChunkStore, PutReportsInsertedVsRefAdded) {

@@ -40,12 +40,9 @@ ChunkDigest synth_digest(std::uint64_t seed) {
   return d;
 }
 
-ByteVec payload_for(std::uint64_t seed, std::size_t n = 64) {
-  ByteVec v(n);
-  SplitMix64 rng(seed);
-  for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
-  return v;
-}
+// Size of every synthetic chunk. Synthetic digests hash no payload, so the
+// store holds them by reference only, as the backup server's store does.
+constexpr std::uint64_t kChunkBytes = 64;
 
 RetentionViolation violation_of(const std::function<void()>& fn) {
   try {
@@ -261,11 +258,12 @@ struct Rig {
     mgr = std::make_unique<RetentionManager>(store, cfg);
   }
 
-  // Backs a synthetic image "up": store refs (put per unique occurrence,
-  // add_ref per duplicate — the dedup path's invariant) + its manifest.
+  // Backs a synthetic image "up": store refs (reference-only put per unique
+  // occurrence, add_ref per duplicate — the dedup path's invariant) + its
+  // manifest.
   void record(const std::string& image, const std::vector<ChunkDigest>& ds) {
     for (const auto& d : ds) {
-      if (!store->add_ref(d)) store->put(d, as_bytes(payload_for(d.bytes[0])));
+      if (!store->add_ref(d)) store->put(d, kChunkBytes);
     }
     mgr->record_image("t", image, ds);
   }
@@ -399,7 +397,7 @@ TEST(RetentionCrash, KillBetweenRefsAndManifestWrite) {
   rig.record("done", {synth_digest(1)});
   rig.mgr->manifests().begin_image("t", "torn");
   rig.mgr->manifests().append_chunk("t", "torn", synth_digest(2));
-  rig.store->put(synth_digest(2), as_bytes(payload_for(2)));
+  rig.store->put(synth_digest(2), kChunkBytes);
   const auto log = rig.mgr->manifests().log_records();
 
   Rig fresh;  // same store, new manager (the RAM state died)

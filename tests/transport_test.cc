@@ -7,6 +7,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "backup/agent.h"
@@ -552,12 +553,61 @@ TEST(BackupServer, ForcedRepairPathEndToEnd) {
   cfg.transport.faults.seed = 21;
   BackupServer server(cfg);
   BackupAgent agent;
+  // Every backup below strips payloads and repairs them from the image in
+  // flight: a base image, a 30%-changed snapshot whose stripped frames mix
+  // duplicate pointers with new unique chunks, and a stale-index re-ship.
+  const auto expect_repaired = [&](const BackupRunStats& stats) {
+    EXPECT_TRUE(stats.verified);
+    EXPECT_GT(stats.transport.payloads_stripped, 0u);
+    EXPECT_GT(stats.transport.repair_frames, 0u);
+    EXPECT_EQ(agent.pending_repairs(), 0u);
+  };
   const auto base = repo.snapshot(0.0, 1);
-  const auto stats = server.backup_image("vm1", as_bytes(base), repo, agent);
-  EXPECT_TRUE(stats.verified);
-  EXPECT_GT(stats.transport.payloads_stripped, 0u);
-  EXPECT_GT(stats.transport.repair_frames, 0u);
-  EXPECT_EQ(agent.pending_repairs(), 0u);
+  expect_repaired(server.backup_image("vm1", as_bytes(base), repo, agent));
+
+  const auto snap = repo.snapshot(0.3, 2);
+  const auto s2 = server.backup_image("vm2", as_bytes(snap), repo, agent);
+  expect_repaired(s2);
+  EXPECT_GT(s2.duplicate_chunks, 0u);
+  EXPECT_GT(s2.unique_bytes, 0u);
+
+  // Stale index: the chunks only vm1 used are swept while the index still
+  // names them, so backing vm1's content up again re-ships them as unique.
+  server.delete_image("vm1");
+  agent.delete_image("vm1");
+  ASSERT_GT(server.gc().chunks_freed, 0u);
+  const auto s3 = server.backup_image("vm3", as_bytes(base), repo, agent);
+  expect_repaired(s3);
+  EXPECT_GT(s3.unique_bytes, 0u);
+  EXPECT_GT(s3.duplicate_chunks, 0u);  // the chunks vm2 still holds
+  EXPECT_EQ(agent.recreate("vm3"), base);
+
+  // The server keeps references and sizes, no bytes: every manifest digest
+  // resolves, and its size slices the image back out in manifest order.
+  const auto& store = server.retention().store();
+  std::uint64_t occurrences = 0;
+  const std::vector<std::pair<std::string, const ByteVec*>> live = {
+      {"vm2", &snap}, {"vm3", &base}};
+  for (const auto& [id, image] : live) {
+    std::uint64_t offset = 0;
+    for (const auto& d : server.retention().manifests().digests("", id)) {
+      ASSERT_TRUE(store->contains(d)) << id;
+      EXPECT_GT(store->ref_count(d).value_or(0), 0u) << id;
+      const auto size = store->chunk_bytes(d);
+      ASSERT_TRUE(size.has_value()) << id;
+      ASSERT_LE(offset + *size, image->size()) << id;
+      EXPECT_EQ(dedup::ChunkHasher::hash(as_bytes(*image).subspan(
+                    static_cast<std::size_t>(offset),
+                    static_cast<std::size_t>(*size))),
+                d)
+          << id << " @" << offset;
+      EXPECT_FALSE(store->get(d).has_value()) << id;
+      offset += *size;
+      ++occurrences;
+    }
+    EXPECT_EQ(offset, image->size()) << id;
+  }
+  EXPECT_EQ(store->total_refs(), occurrences);
 }
 
 // --- shared service: per-server transport, one registry --------------------
