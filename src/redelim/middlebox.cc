@@ -39,13 +39,13 @@ void ContentCache::put(const dedup::ChunkDigest& digest, ByteSpan payload) {
   evict_to_capacity();
 }
 
-std::optional<ByteVec> ContentCache::get(const dedup::ChunkDigest& digest) {
+std::optional<ByteSpan> ContentCache::get(const dedup::ChunkDigest& digest) {
   const auto it = entries_.find(digest);
   if (it == entries_.end()) return std::nullopt;
   lru_.erase(it->second.lru_pos);
   lru_.push_front(digest);
   it->second.lru_pos = lru_.begin();
-  return it->second.payload;
+  return as_bytes(it->second.payload);
 }
 
 bool ContentCache::contains(const dedup::ChunkDigest& digest) const {
@@ -67,10 +67,9 @@ EncodedStream SenderMiddlebox::encode(ByteSpan flow) {
     const auto digest = dedup::ChunkHasher::hash(payload);
     Segment seg;
     seg.digest = digest;
-    if (cache_.contains(digest)) {
+    // A hit refreshes the sender-side LRU exactly as the receiver will.
+    if (cache_.get(digest).has_value()) {
       ++out.tokens;
-      // Refresh sender-side LRU exactly as the receiver will.
-      cache_.get(digest);
     } else {
       seg.literal.assign(payload.begin(), payload.end());
       cache_.put(digest, payload);

@@ -59,8 +59,9 @@ class ContentCache {
 
   // Inserts (or refreshes) a chunk; evicts LRU entries beyond capacity.
   void put(const dedup::ChunkDigest& digest, ByteSpan payload);
-  // Looks a chunk up and refreshes its LRU position.
-  std::optional<ByteVec> get(const dedup::ChunkDigest& digest);
+  // Looks a chunk up and refreshes its LRU position. The view aliases the
+  // cached payload and stays valid until the next put().
+  std::optional<ByteSpan> get(const dedup::ChunkDigest& digest);
   bool contains(const dedup::ChunkDigest& digest) const;
 
   std::uint64_t bytes() const noexcept { return bytes_; }

@@ -30,8 +30,12 @@ TEST(ContentCache, PutGetRoundTrip) {
   ContentCache cache(1 << 20);
   const auto data = random_bytes(100, 1);
   cache.put(digest_of(1), as_bytes(data));
-  EXPECT_EQ(cache.get(digest_of(1)).value(), data);
+  const auto view = cache.get(digest_of(1));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(ByteVec(view->begin(), view->end()), data);
   EXPECT_FALSE(cache.get(digest_of(2)).has_value());
+  // get() hands out a view of the cached payload, not a copy.
+  EXPECT_EQ(cache.get(digest_of(1))->data(), view->data());
 }
 
 TEST(ContentCache, EvictsLeastRecentlyUsed) {
