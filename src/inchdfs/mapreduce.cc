@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <unordered_map>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/timer.h"
@@ -194,20 +192,13 @@ JobResult MapReduceEngine::run(const JobSpec& job,
     job.map_fn(split, emitter);
     emitter.finalize();
     auto out = std::make_shared<MemoizedMapOutput>();
-    out->buckets = emitter.buckets();
-    if (memo != nullptr) {
-      out->bucket_digests = emitter.bucket_digests();
-      memo->put_map(key, out);
-    }
+    // Digest the buckets before moving them out of the spent emitter.
+    if (memo != nullptr) out->bucket_digests = emitter.bucket_digests();
+    out->buckets = emitter.take_buckets();
+    if (memo != nullptr) memo->put_map(key, out);
     map_outputs[i] = std::move(out);
   });
   result.stats.map_reused = reused.load();
-  if (std::getenv("SHREDDER_MR_DEBUG") != nullptr) {
-    std::fprintf(stderr, "[mr] %s map phase %.2fms (%llu/%llu reused)\n",
-                 job.name.c_str(), wall.elapsed_seconds() * 1e3,
-                 static_cast<unsigned long long>(result.stats.map_reused),
-                 static_cast<unsigned long long>(result.stats.map_tasks));
-  }
 
   // --- Reduce phase ---
   result.stats.reduce_tasks = job.num_reducers;
@@ -311,11 +302,6 @@ JobResult MapReduceEngine::run(const JobSpec& job,
     reduce_outputs[r] = std::move(out);
   });
   result.stats.reduce_reused = reduce_reused.load();
-
-  if (std::getenv("SHREDDER_MR_DEBUG") != nullptr) {
-    std::fprintf(stderr, "[mr] %s after reduce %.2fms\n", job.name.c_str(),
-                 wall.elapsed_seconds() * 1e3);
-  }
 
   // --- Merge ---
   for (auto& part : reduce_outputs) {

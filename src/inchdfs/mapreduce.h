@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -38,8 +39,9 @@ class MapEmitter {
   // Sorts every bucket. Called by the engine.
   void finalize();
 
-  const std::vector<std::vector<KeyValue>>& buckets() const noexcept {
-    return buckets_;
+  // Moves the finalized buckets out; the emitter is spent afterwards.
+  std::vector<std::vector<KeyValue>> take_buckets() noexcept {
+    return std::move(buckets_);
   }
   // Content digest of each finalized bucket, computed on each call: the
   // engine asks only when a memo server keys reduce tasks by them.
