@@ -5,10 +5,11 @@
 #      -Werror=thread-safety over the annotations in src/common/annotations.h)
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
 #   4. microbench smokes (fails when microbench was not built)
-#   5. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
+#   5. perfbench build + traced correctness run of each workload
+#   6. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
 #      engine's pinned-slot leases and per-stream carries, kernel launches,
 #      the Inc-HDFS and middlebox case studies)
-#   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
+#   7. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      simulated device, obs registry/tracer, multi-tenant service,
 #      transport, hashing, backup server, MapReduce engine)
 #
@@ -72,6 +73,28 @@ echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
 # the snapshots, surviving images recreate bit-identically, and sparse
 # probe decisions are bit-identical across entry-log compaction.
 "$BUILD_DIR/microbench" --retention_smoke_json="$BUILD_DIR/BENCH_retention_smoke.json"
+
+echo "=== perfbench build + traced correctness runs (1 s per workload) ==="
+# perfbench/ is its own CMake package compiled against the src/ APIs, and
+# nothing else here builds it. Each traced run re-runs the backup path in
+# its replay mirror, which cross-checks manifests, unique bytes, wire bytes
+# and GC bytes freed against the server. Correctness only, no timing bar.
+# The traced run writes .bench_build/out/ under its working directory, so
+# the runs start inside the build directory.
+PERF_DIR="${BUILD_DIR}-perfbench"
+cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PERF_DIR" -j "$JOBS"
+for wl in similar-gpu churn-cpu fleet-shared; do
+  (cd "$PERF_DIR" && ./perfbench_e2e --workload "$wl" --seed 1 --seconds 1 \
+      --trace 1) | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+mismatches = r["metrics"]["trace.replay_mismatches"]["value"]
+print("perfbench %s: correct=%s failed=%s replay_mismatches=%g"
+      % (sys.argv[1], r["correct"], r["failed"], mismatches))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 and mismatches == 0
+         else 1)' "$wl"
+done
 
 echo "=== ASan/UBSan build (chunking + fingerprint + index + service + wire + agent + obs + device stack + case studies) ==="
 # backup_test joins because the agent's frame validation is the backup
