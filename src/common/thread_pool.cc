@@ -42,16 +42,24 @@ void ThreadPool::parallel_for(
   const std::size_t parts = std::min(n, size());
   const std::size_t base = n / parts;
   const std::size_t rem = n % parts;
+  // Range 0 runs on the caller, so the caller works instead of sleeping in
+  // drain() and only parts - 1 pool threads have to wake up.
+  const std::size_t first_end = base + (rem > 0 ? 1 : 0);
   std::vector<std::future<void>> futures;
-  futures.reserve(parts);
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t len = base + (p < rem ? 1 : 0);
-    const std::size_t end = begin + len;
+  futures.reserve(parts - 1);
+  std::size_t begin = first_end;
+  for (std::size_t p = 1; p < parts; ++p) {
+    const std::size_t end = begin + base + (p < rem ? 1 : 0);
     futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
     begin = end;
   }
-  drain(futures);
+  std::exception_ptr first_error;
+  try {
+    fn(0, first_end);
+  } catch (...) {
+    first_error = std::current_exception();
+  }
+  drain(futures, first_error);
 }
 
 void ThreadPool::for_each_index(std::size_t n,
@@ -67,9 +75,10 @@ void ThreadPool::for_each_index(std::size_t n,
 // Tasks capture `fn` by reference, so every future must be waited on before
 // the caller's frame can unwind — rethrowing on the first failure would leave
 // queued tasks reading a dead stack slot. Wait for all, then surface the
-// first error.
-void ThreadPool::drain(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first_error;
+// first error: `first_error` if the caller already has one, else the first
+// task's.
+void ThreadPool::drain(std::vector<std::future<void>>& futures,
+                       std::exception_ptr first_error) {
   for (auto& f : futures) {
     try {
       f.get();

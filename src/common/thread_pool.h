@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
 #include <thread>
@@ -29,8 +30,10 @@ class ThreadPool {
   // Schedules fn; returns a future for completion/exception propagation.
   std::future<void> submit(std::function<void()> fn);
 
-  // Runs fn(begin, end) over a partition of [0, n) into ~size() contiguous
-  // ranges and waits for completion. Exceptions propagate to the caller.
+  // Runs fn(begin, end) over a partition of [0, n) into at most size()
+  // contiguous ranges: the first on the calling thread, the rest on the
+  // pool. Returns once every range has finished; the first exception (the
+  // caller's own range first) is then rethrown.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -45,8 +48,10 @@ class ThreadPool {
 
   void worker_loop();
   // Waits on every future (so by-reference captures stay alive until all
-  // tasks finish), then rethrows the first captured exception, if any.
-  static void drain(std::vector<std::future<void>>& futures);
+  // tasks finish), then rethrows `first_error` if set, else the first
+  // captured exception, if any.
+  static void drain(std::vector<std::future<void>>& futures,
+                    std::exception_ptr first_error = nullptr);
 
   BoundedQueue<Task> queue_;
   std::vector<std::thread> workers_;

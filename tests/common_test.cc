@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <thread>
 
@@ -358,6 +359,51 @@ TEST(ThreadPool, ExceptionWaitsForSiblingTasks) {
                                  }),
                std::runtime_error);
   EXPECT_EQ(started.load(), 4);  // one per partition, none abandoned
+  std::atomic<int> after{0};
+  pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
+    after += static_cast<int>(end - begin);
+  });
+  EXPECT_EQ(after.load(), 10);
+}
+
+TEST(ThreadPool, ParallelForRunsOneRangeOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  // Each range records its thread in its own slots, so no two write one.
+  std::vector<std::thread::id> ran_on(8);
+  pool.parallel_for(8, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      ran_on[i] = std::this_thread::get_id();
+    }
+  });
+  // Four ranges of two: the first on the caller, the other three not.
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(ran_on[i] == caller, i < 2) << i;
+  }
+  std::thread::id only_range;
+  pool.parallel_for(1, [&](std::size_t, std::size_t) {
+    only_range = std::this_thread::get_id();
+  });
+  EXPECT_EQ(only_range, caller);
+}
+
+// An exception from the caller's own range must not unwind parallel_for
+// while a submitted range still runs: that range captures `fn` and the
+// caller's locals by reference.
+TEST(ThreadPool, CallerRangeExceptionWaitsForSubmittedRanges) {
+  ThreadPool pool(2);
+  std::atomic<bool> submitted_done{false};
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&](std::size_t begin, std::size_t) {
+                                   if (begin == 0) {
+                                     throw std::runtime_error("caller");
+                                   }
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(20));
+                                   submitted_done = true;
+                                 }),
+               std::runtime_error);
+  EXPECT_TRUE(submitted_done.load());
   std::atomic<int> after{0};
   pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
     after += static_cast<int>(end - begin);
