@@ -6,6 +6,18 @@
 
 namespace shredder::backup {
 
+namespace {
+
+// Refusal of a payload, full frame or repair, that does not hash to the
+// digest it is filed under.
+ProtocolError digest_mismatch(const dedup::ChunkDigest& digest) {
+  return ProtocolError(ProtocolViolation::kPayloadDigestMismatch,
+                       "BackupAgent: payload does not hash to its digest " +
+                           digest.hex());
+}
+
+}  // namespace
+
 bool BackupAgent::begin_image(const std::string& image_id) {
   auto [it, inserted] = recipes_.try_emplace(image_id);
   if (!inserted && it->second.sealed) {
@@ -31,12 +43,28 @@ void BackupAgent::end_image(const std::string& image_id,
         "BackupAgent: end_image chunk count does not match recipe: " +
             image_id);
   }
-  it->second.sealed = true;  // idempotent: sealing twice changes nothing
+  Recipe& recipe = it->second;
+  if (!recipe.sealed) {  // idempotent: sealing twice changes nothing
+    recipe.root = dedup::root_digest(recipe.chunks);
+    recipe.sealed = true;
+  }
 }
 
 bool BackupAgent::image_sealed(const std::string& image_id) const {
   const auto it = recipes_.find(image_id);
   return it != recipes_.end() && it->second.sealed;
+}
+
+std::optional<dedup::ChunkDigest> BackupAgent::image_root(
+    const std::string& image_id) const {
+  const auto it = recipes_.find(image_id);
+  if (it == recipes_.end() || !it->second.sealed) return std::nullopt;
+  if (!pending_repair_.empty()) {
+    for (const auto& digest : it->second.chunks) {
+      if (pending_repair_.count(digest)) return std::nullopt;
+    }
+  }
+  return it->second.root;
 }
 
 BackupAgent::Recipe& BackupAgent::open_recipe(const std::string& image_id) {
@@ -91,6 +119,43 @@ void BackupAgent::validate_batch(const ExtentBatch& batch, bool stripped) {
   }
 }
 
+void BackupAgent::verify_payloads(const ExtentBatch& batch) {
+  // Every unique chunk of the frame: the digest it is filed under and its
+  // payload bytes, in stream order.
+  struct Unique {
+    const dedup::ChunkDigest* digest;
+    ByteSpan bytes;
+  };
+  std::vector<Unique> uniques;
+  uniques.reserve(batch.payload_sizes.size());
+  const ByteSpan payload = as_bytes(batch.payload);
+  std::size_t payload_off = 0;
+  for (const auto& e : batch.extents) {
+    if (!e.unique) continue;
+    for (std::uint32_t k = 0; k < e.count; ++k) {
+      const std::size_t sz = batch.payload_sizes[uniques.size()];
+      uniques.push_back(
+          {&batch.digests[e.first + k], payload.subspan(payload_off, sz)});
+      payload_off += sz;
+    }
+  }
+  // Hash on the pool, each range into its own slots; compare on the caller,
+  // so the error names the first mismatch in stream order and no exception
+  // object crosses threads.
+  std::vector<dedup::ChunkDigest> hashed(uniques.size());
+  hash_pool_.parallel_for(
+      uniques.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          hashed[i] = dedup::ChunkHasher::hash(uniques[i].bytes);
+        }
+      });
+  for (std::size_t i = 0; i < uniques.size(); ++i) {
+    if (hashed[i] != *uniques[i].digest) {
+      throw digest_mismatch(*uniques[i].digest);
+    }
+  }
+}
+
 void BackupAgent::reference_pointer(const dedup::ChunkDigest& digest) {
   if (const auto pending = pending_repair_.find(digest);
       pending != pending_repair_.end()) {
@@ -108,6 +173,7 @@ void BackupAgent::receive_batch(const std::string& image_id,
                                 const ExtentBatch& batch) {
   auto& recipe = open_recipe(image_id);
   validate_batch(batch, /*stripped=*/false);
+  verify_payloads(batch);
 
   // Unique payloads are admitted as views into the wire buffer — never
   // copied on the way in.
@@ -169,9 +235,7 @@ bool BackupAgent::receive_repair(const dedup::ChunkDigest& digest,
     return false;  // duplicated repair frame — already materialized
   }
   if (dedup::ChunkHasher::hash(as_bytes(payload)) != digest) {
-    throw ProtocolError(ProtocolViolation::kBadRepairPayload,
-                        "BackupAgent: repair payload does not hash to its "
-                        "digest");
+    throw digest_mismatch(digest);
   }
   const std::uint64_t refs = pending->second;
   pending_repair_.erase(pending);

@@ -3,6 +3,13 @@
 // content-addressed store, and can recreate the original uncompressed image
 // from its recipe.
 //
+// Every backup is verified here, where the data lives: each payload the
+// agent admits is hashed against the digest it is filed under before the
+// frame is applied, and end_image seals a root digest over the recipe
+// (dedup::root_digest). The server accepts a backup when that root equals
+// the root of the manifest it records, so no image travels back for a
+// compare.
+//
 // The agent is the trust boundary of the backup protocol: everything it
 // consumes arrived over a wire that may drop, reorder, duplicate or truncate
 // frames (docs/backup_wire.md). It therefore validates every frame before
@@ -18,12 +25,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/thread_pool.h"
 #include "dedup/digest.h"
 #include "dedup/store.h"
 
@@ -41,7 +50,7 @@ enum class ProtocolViolation {
   kPayloadBytesMismatch,  // concatenated payload != sum(payload_sizes)
   kEmptyChunk,            // a unique chunk advertised with zero bytes
   kUnknownPointer,        // pointer to a digest the agent has never stored
-  kBadRepairPayload,      // repair payload does not hash to its digest
+  kPayloadDigestMismatch, // a payload does not hash to its digest
   kRecipeLengthMismatch,  // end_image chunk count != recipe length
   kRecipeIncomplete,      // recreate() while repairs are still pending
   kImageInProgress,       // delete_image for an image not yet sealed
@@ -88,20 +97,31 @@ class BackupAgent {
   bool begin_image(const std::string& image_id);
 
   // Seals the image: no further data frames are accepted and a duplicate
-  // begin_image for the id becomes a protocol violation. Idempotent on an
-  // already-sealed image. If `expected_chunks` is nonzero it must match the
-  // recipe length (ProtocolError{kRecipeLengthMismatch} otherwise) — the
-  // sender's end-of-image frame carries the count so truncation is detected
-  // even when every delivered frame was individually well-formed.
+  // begin_image for the id becomes a protocol violation. The first seal
+  // computes the recipe's root digest. Idempotent on an already-sealed
+  // image. If `expected_chunks` is nonzero it must match the recipe length
+  // (ProtocolError{kRecipeLengthMismatch} otherwise) — the sender's
+  // end-of-image frame carries the count so truncation is detected even
+  // when every delivered frame was individually well-formed.
   void end_image(const std::string& image_id, std::uint64_t expected_chunks = 0);
 
   bool image_sealed(const std::string& image_id) const;
 
-  // Appends a whole extent batch to the image. Throws ProtocolError when the
-  // batch is malformed (extents not a partition, payload sizes inconsistent,
-  // zero-byte unique chunks) — checked before anything is applied — or on a
-  // pointer to an unknown digest (the batch may then be partially applied;
-  // the connection is considered broken either way).
+  // The root digest sealed over the image's recipe (dedup::root_digest of
+  // its ordered chunk digests), once every chunk's payload is stored. nullopt
+  // for an unknown image, before end_image, and while any recipe chunk is
+  // repair-pending.
+  std::optional<dedup::ChunkDigest> image_root(
+      const std::string& image_id) const;
+
+  // Appends a whole extent batch to the image. Before anything is applied
+  // it checks the framing (extents partition the digests, payload sizes
+  // slice the payload, no zero-byte unique chunk) and hashes every unique
+  // payload against its digest, in parallel on the agent's pool; a failure
+  // throws ProtocolError ({kPayloadDigestMismatch} for a hash) and leaves
+  // the recipe and the store untouched. A pointer to an unknown digest
+  // throws too, but the batch may then be partially applied; the
+  // connection is considered broken either way.
   void receive_batch(const std::string& image_id, const ExtentBatch& batch);
 
   // Appends a payload-stripped batch: same framing as receive_batch but
@@ -115,10 +135,10 @@ class BackupAgent {
 
   // Delivers the payload for a repair-pending digest. Returns false when the
   // digest is not pending (a duplicated repair frame — ignored). Throws
-  // ProtocolError{kBadRepairPayload} when the payload does not hash to the
-  // digest (a corrupt or misdirected repair must not poison the store). The
-  // payload moves into the store — the transport owns the repair buffer and
-  // hands it over instead of copying.
+  // ProtocolError{kPayloadDigestMismatch} when the payload does not hash to
+  // the digest (a corrupt or misdirected repair must not poison the store).
+  // The payload moves into the store — the transport owns the repair buffer
+  // and hands it over instead of copying.
   bool receive_repair(const dedup::ChunkDigest& digest, ByteVec&& payload);
 
   // Digests referenced by the image's recipe whose payloads are still
@@ -129,8 +149,9 @@ class BackupAgent {
   // Total digests currently in the pending-repair table (all images).
   std::size_t pending_repairs() const { return pending_repair_.size(); }
 
-  // Recreates the full image from its recipe into an output sized once,
-  // copying each chunk straight out of the store. Throws
+  // Restores the full image from its recipe into an output sized once,
+  // copying each chunk straight out of the store. Backups are verified by
+  // image_root(), not by recreating them. Throws
   // ProtocolError{kRecipeIncomplete} while any recipe chunk is still
   // repair-pending.
   ByteVec recreate(const std::string& image_id) const;
@@ -152,6 +173,7 @@ class BackupAgent {
   struct Recipe {
     std::vector<dedup::ChunkDigest> chunks;
     bool sealed = false;
+    dedup::ChunkDigest root;  // root_digest(chunks), set by the first seal
   };
 
   Recipe& open_recipe(const std::string& image_id);
@@ -160,6 +182,11 @@ class BackupAgent {
   // any state changes. `stripped` batches must carry no payload bytes; full
   // batches must slice exactly.
   static void validate_batch(const ExtentBatch& batch, bool stripped);
+
+  // Admission hash of a validated full batch: hashes every unique payload
+  // on hash_pool_ and throws ProtocolError{kPayloadDigestMismatch} when one
+  // does not hash to the digest the batch files it under.
+  void verify_payloads(const ExtentBatch& batch);
 
   // Takes the recipe reference a duplicate pointer names: deferred while
   // the chunk is repair-pending, else a store reference. The content-
@@ -175,6 +202,7 @@ class BackupAgent {
   // to the deferred reference count.
   std::unordered_map<dedup::ChunkDigest, std::uint64_t, dedup::ChunkDigestHash>
       pending_repair_;
+  ThreadPool hash_pool_{0};  // sized from the machine
 };
 
 }  // namespace shredder::backup

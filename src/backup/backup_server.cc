@@ -337,10 +337,13 @@ BackupRunStats BackupServer::dedup_and_ship(
                 (stats.virtual_seconds * 1e9)
           : 0.0;
 
-  // --- Verification: the backup site can recreate the exact image ---
-  const ByteVec recreated = agent.recreate(image_id);
-  stats.verified = recreated.size() == image.size() &&
-                   std::equal(recreated.begin(), recreated.end(), image.begin());
+  // --- Verification at the backup site: the agent hashed every payload it
+  // stored against its digest, and the root it sealed over its recipe must
+  // equal the root of this manifest — the same chunks in the same order.
+  // Under the digest assumption dedup rests on, that is as strong as
+  // recreating the image and comparing its bytes, and nothing travels back.
+  stats.verified =
+      agent.image_root(image_id) == dedup::root_digest(manifest_digests);
   // The manifest is the durable record the delete walk and crash recovery
   // replay. Recorded unconditionally: the store references were taken
   // during the walk above, and a manifest must account for every one.

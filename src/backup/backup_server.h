@@ -145,7 +145,9 @@ struct BackupRunStats {
   double virtual_seconds = 0;
   double backup_bandwidth_gbps = 0;
 
-  bool verified = false;  // backup-site reconstruction matched the image
+  // The backup site's sealed root (BackupAgent::image_root) equals the root
+  // of the manifest the server recorded for this snapshot.
+  bool verified = false;
   double wall_seconds = 0;
 };
 

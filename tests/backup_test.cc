@@ -433,6 +433,8 @@ TEST(BackupServer, PooledHostHashMatchesSerialDigests) {
   }
   EXPECT_EQ(stats.chunks, chunks.size());
   EXPECT_EQ(server.retention().manifests().digests("", "vm1"), expect);
+  // The agent sealed the root of that manifest: verified means these match.
+  EXPECT_EQ(agent.image_root("vm1"), dedup::root_digest(expect));
   EXPECT_FALSE(stats.device_fingerprint);
   EXPECT_EQ(stats.hashing_seconds,
             static_cast<double>(stats.bytes) / cfg.costs.host_hash_bw);

@@ -13,6 +13,7 @@
 #include "chunking/cdc.h"
 #include "common/rng.h"
 #include "dedup/dedup.h"
+#include "dedup/digest.h"
 #include "dedup/index.h"
 #include "dedup/sha256.h"
 #include "dedup/sha256_compress.h"
@@ -78,6 +79,20 @@ TEST(Sha256, FinishResets) {
 // (inchdfs), so it must read the digest's first 8 bytes big-endian.
 TEST(Sha256, Prefix64MatchesHexPrefix) {
   EXPECT_EQ(Sha256::hash(str_bytes("abc")).prefix64(), 0xba7816bf8f01cfeaull);
+}
+
+TEST(RootDigest, IsSha256OverConcatenatedDigests) {
+  // The root the backup server and agent compare: SHA-256 of the ordered
+  // digests laid end to end, 32 bytes each.
+  const std::vector<ChunkDigest> digests = {Sha256::hash(str_bytes("a")),
+                                            Sha256::hash(str_bytes("b")),
+                                            Sha256::hash(str_bytes("a"))};
+  ByteVec concatenated;
+  for (const auto& d : digests) {
+    concatenated.insert(concatenated.end(), d.bytes.begin(), d.bytes.end());
+  }
+  EXPECT_EQ(root_digest(digests), Sha256::hash(as_bytes(concatenated)));
+  EXPECT_EQ(root_digest({}), Sha256::hash({}));
 }
 
 // --- SHA-256 compression paths (dedup/sha256_compress.h) ---

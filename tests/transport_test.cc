@@ -381,6 +381,10 @@ TEST(BackupAgent, StrippedBatchAndRepairFlow) {
   EXPECT_EQ(missing[1], db);
   EXPECT_EQ(agent.pending_repairs(), 2u);
   EXPECT_EQ(agent.missing_chunks("img"), missing);
+  // No root before the seal, nor while the sealed recipe has gaps.
+  EXPECT_EQ(agent.image_root("img"), std::nullopt);
+  agent.end_image("img", 3);
+  EXPECT_EQ(agent.image_root("img"), std::nullopt);
   // Recreate is impossible while repairs are pending.
   try {
     agent.recreate("img");
@@ -393,12 +397,14 @@ TEST(BackupAgent, StrippedBatchAndRepairFlow) {
     agent.receive_repair(da, ByteVec(b));
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
-    EXPECT_EQ(e.violation(), ProtocolViolation::kBadRepairPayload);
+    EXPECT_EQ(e.violation(), ProtocolViolation::kPayloadDigestMismatch);
   }
   EXPECT_TRUE(agent.receive_repair(da, ByteVec(a)));
   EXPECT_FALSE(agent.receive_repair(da, ByteVec(a)));  // duplicate repair
+  EXPECT_EQ(agent.image_root("img"), std::nullopt);    // db still pending
   EXPECT_TRUE(agent.receive_repair(db, ByteVec(b)));
   EXPECT_EQ(agent.pending_repairs(), 0u);
+  EXPECT_EQ(agent.image_root("img"), dedup::root_digest(batch.digests));
   ByteVec expect(a);
   expect.insert(expect.end(), b.begin(), b.end());
   expect.insert(expect.end(), a.begin(), a.end());
@@ -408,7 +414,7 @@ TEST(BackupAgent, StrippedBatchAndRepairFlow) {
   EXPECT_EQ(agent.unique_chunks(), 2u);
 }
 
-// --- malformed frames: typed violations ------------------------------------
+// --- admission hash and sealed root ----------------------------------------
 
 ProtocolViolation catch_violation(const std::function<void()>& op) {
   try {
@@ -419,6 +425,106 @@ ProtocolViolation catch_violation(const std::function<void()>& op) {
   ADD_FAILURE() << "expected ProtocolError";
   return ProtocolViolation::kUnknownImage;
 }
+
+// One full frame: unique chunks a and b, then a pointer to a.
+BackupAgent::ExtentBatch two_uniques_and_a_pointer(const ByteVec& a,
+                                                   const ByteVec& b) {
+  const auto da = dedup::ChunkHasher::hash(as_bytes(a));
+  BackupAgent::ExtentBatch batch;
+  batch.digests = {da, dedup::ChunkHasher::hash(as_bytes(b)), da};
+  batch.extents = {{0, 2, true}, {2, 1, false}};
+  batch.payload_sizes = {static_cast<std::uint32_t>(a.size()),
+                         static_cast<std::uint32_t>(b.size())};
+  batch.payload = a;
+  batch.payload.insert(batch.payload.end(), b.begin(), b.end());
+  return batch;
+}
+
+// The agent refuses `bad`, a corrupted two_uniques_and_a_pointer(a, b),
+// with kPayloadDigestMismatch and leaves the recipe and the store as they
+// were; then the intact frame applies and the image recreates.
+void expect_refused_then_intact_applies(const ByteVec& a, const ByteVec& b,
+                                        const BackupAgent::ExtentBatch& bad) {
+  const auto good = two_uniques_and_a_pointer(a, b);
+  BackupAgent agent;
+  agent.begin_image("img");
+  const auto seed_chunk = random_bytes(64, 9);
+  BackupAgent::ExtentBatch first;
+  first.digests = {dedup::ChunkHasher::hash(as_bytes(seed_chunk))};
+  first.extents = {{0, 1, true}};
+  first.payload_sizes = {64};
+  first.payload = seed_chunk;
+  agent.receive_batch("img", first);
+  const std::uint64_t chunks_before = agent.unique_chunks();
+  const std::uint64_t bytes_before = agent.unique_bytes();
+
+  EXPECT_EQ(catch_violation([&] { agent.receive_batch("img", bad); }),
+            ProtocolViolation::kPayloadDigestMismatch);
+  EXPECT_EQ(agent.unique_chunks(), chunks_before);
+  EXPECT_EQ(agent.unique_bytes(), bytes_before);
+
+  agent.receive_batch("img", good);
+  // The recipe holds the first frame and the intact one, nothing of `bad`.
+  agent.end_image("img", 1 + good.digests.size());
+  ByteVec image(seed_chunk);
+  for (const ByteVec* chunk : {&a, &b, &a}) {
+    image.insert(image.end(), chunk->begin(), chunk->end());
+  }
+  EXPECT_EQ(agent.recreate("img"), image);
+  std::vector<dedup::ChunkDigest> recipe = first.digests;
+  recipe.insert(recipe.end(), good.digests.begin(), good.digests.end());
+  EXPECT_EQ(agent.image_root("img"), dedup::root_digest(recipe));
+}
+
+TEST(BackupAgent, FlippedPayloadByteIsRefusedBeforeApply) {
+  const auto a = random_bytes(300, 1);
+  const auto b = random_bytes(200, 2);
+  auto bad = two_uniques_and_a_pointer(a, b);
+  bad.payload[300 + 17] ^= 0x01;  // one bit of b, the frame's second payload
+  expect_refused_then_intact_applies(a, b, bad);
+}
+
+TEST(BackupAgent, SwappedPayloadDigestsAreRefused) {
+  // Each payload filed under the other's digest: sizes still slice the
+  // payload exactly, so only the admission hash can tell.
+  const auto a = random_bytes(250, 3);
+  const auto b = random_bytes(250, 4);
+  auto bad = two_uniques_and_a_pointer(a, b);
+  std::swap(bad.digests[0], bad.digests[1]);
+  expect_refused_then_intact_applies(a, b, bad);
+}
+
+TEST(BackupAgent, ImageRootIsSealedOverTheOrderedRecipe) {
+  const auto a = random_bytes(120, 5);
+  const auto b = random_bytes(80, 6);
+  BackupAgent agent;
+  EXPECT_EQ(agent.image_root("nope"), std::nullopt);
+
+  const auto ab = two_uniques_and_a_pointer(a, b);  // a, b, a
+  agent.begin_image("ab");
+  agent.receive_batch("ab", ab);
+  EXPECT_EQ(agent.image_root("ab"), std::nullopt);  // not sealed yet
+  agent.end_image("ab", 3);
+  const auto root_ab = agent.image_root("ab");
+  ASSERT_TRUE(root_ab.has_value());
+  EXPECT_EQ(*root_ab, dedup::root_digest(ab.digests));
+  agent.end_image("ab");  // an idempotent re-seal keeps the root
+  EXPECT_EQ(agent.image_root("ab"), root_ab);
+
+  // The same chunks in another order (b, a, a) give another root.
+  BackupAgent::ExtentBatch ba;
+  ba.digests = {ab.digests[1], ab.digests[0], ab.digests[0]};
+  ba.extents = {{0, 3, false}};
+  agent.begin_image("ba");
+  agent.receive_batch("ba", ba);
+  agent.end_image("ba", 3);
+  const auto root_ba = agent.image_root("ba");
+  ASSERT_TRUE(root_ba.has_value());
+  EXPECT_EQ(*root_ba, dedup::root_digest(ba.digests));
+  EXPECT_NE(*root_ba, *root_ab);
+}
+
+// --- malformed frames: typed violations ------------------------------------
 
 TEST(BackupAgent, MalformedFramesCarryTypedViolations) {
   const auto a = random_bytes(100, 1);
@@ -589,8 +695,11 @@ TEST(BackupServer, ForcedRepairPathEndToEnd) {
   const std::vector<std::pair<std::string, const ByteVec*>> live = {
       {"vm2", &snap}, {"vm3", &base}};
   for (const auto& [id, image] : live) {
+    // The backup site sealed the root of exactly this manifest.
+    const auto manifest = server.retention().manifests().digests("", id);
+    EXPECT_EQ(agent.image_root(id), dedup::root_digest(manifest)) << id;
     std::uint64_t offset = 0;
-    for (const auto& d : server.retention().manifests().digests("", id)) {
+    for (const auto& d : manifest) {
       ASSERT_TRUE(store->contains(d)) << id;
       EXPECT_GT(store->ref_count(d).value_or(0), 0u) << id;
       const auto size = store->chunk_bytes(d);
