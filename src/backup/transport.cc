@@ -52,8 +52,14 @@ void Transport::send_batch(const std::string& image_id,
   std::size_t content = 0;
   std::size_t next_size = 0;   // index into batch.payload_sizes
   std::size_t payload_off = 0;
+  std::size_t part_payload_off = 0;  // where `part`'s payload starts
   auto seal = [&] {
     if (part.digests.empty()) return;
+    // payload_off advances in extent order, so the part's unique payloads
+    // are one contiguous range of batch.payload: copy it once.
+    part.payload.assign(batch.payload.begin() + part_payload_off,
+                        batch.payload.begin() + payload_off);
+    part_payload_off = payload_off;
     Frame f;
     f.image_id = image_id;
     f.content_bytes = content;
@@ -87,9 +93,6 @@ void Transport::send_batch(const std::string& image_id,
       }
       if (e.unique) {
         part.payload_sizes.push_back(static_cast<std::uint32_t>(sz));
-        part.payload.insert(part.payload.end(),
-                            batch.payload.begin() + payload_off,
-                            batch.payload.begin() + payload_off + sz);
         payload_off += sz;
         ++next_size;
       }
