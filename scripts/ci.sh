@@ -3,13 +3,15 @@
 #   1. repo-invariant lint (module DAG + wall-clock ban) — cheapest, runs first
 #   2. strict build + full test suite (-Werror; clang adds
 #      -Werror=thread-safety over the annotations in src/common/annotations.h)
-#   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
-#   4. microbench smokes (fails when microbench was not built)
-#   5. perfbench build + traced correctness run of each workload
-#   6. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
+#   3. Debug build + full test suite (-Werror, compiled without NDEBUG, so
+#      every assert and ChunkStore::put's digest recheck run)
+#   4. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
+#   5. microbench smokes (fails when microbench was not built)
+#   6. perfbench build + traced correctness run of each workload
+#   7. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
 #      engine's pinned-slot leases and per-stream carries, kernel launches,
 #      the Inc-HDFS and middlebox case studies)
-#   7. TSan lane over the concurrency-heavy suites (queues, thread pool,
+#   8. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      simulated device, obs registry/tracer, multi-tenant service,
 #      transport, hashing, backup server, MapReduce engine)
 #
@@ -28,6 +30,14 @@ echo "=== strict build (-Wall -Wextra -Werror; clang: -Werror=thread-safety) ===
 cmake -B "$BUILD_DIR" -S . -DSHREDDER_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "=== Debug build (no NDEBUG: asserts + ChunkStore::put digest recheck) ==="
+# CMakeLists.txt defaults to Release and no other lane passes a build type,
+# so this is the only lane where the Debug-only checks are compiled in.
+DEBUG_DIR="${BUILD_DIR}-debug"
+cmake -B "$DEBUG_DIR" -S . -DCMAKE_BUILD_TYPE=Debug -DSHREDDER_WERROR=ON
+cmake --build "$DEBUG_DIR" -j "$JOBS"
+ctest --test-dir "$DEBUG_DIR" --output-on-failure -j "$JOBS"
 
 echo "=== clang-tidy (best-effort; skips when the binary is absent) ==="
 scripts/run_clang_tidy.sh "$BUILD_DIR"
@@ -124,8 +134,9 @@ echo "=== TSan build (queues, thread pool, device, obs, service, transport, hash
 # snapshot reads them, tracer), service_test (N producer threads over one
 # engine), core_test (slots leased on producer threads and released on the
 # kernel thread, in-engine backpressure from a stalled consumer, concurrent
-# submitters of different engine streams), transport_test and
-# sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
+# submitters of different engine streams), transport_test (the agent
+# hashes each frame's unique payloads on its own pool, one range on the
+# calling thread) and sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
 # the shared store), dedup_test and fingerprint_test (the device hash kernel
 # runs on many sim_threads workers, so the first SHA-256 calls race through
 # the one-time CPUID dispatch), backup_test (the CPU backend hashes every
