@@ -4,7 +4,8 @@
 // GPU modes, the multi-tenant service) and every chunk shape (min/max
 // forced boundaries, chunks spanning buffers, empty streams, trailing
 // chunks), and the precomputed-digest paths through Deduplicator and
-// BackupServer must agree with their host-hashing twins.
+// BackupServer must agree with their host-hashing twins. The end-to-end
+// case holds the >= 1.3x device-over-host backup bar and pins its outputs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include "core/shredder.h"
 #include "dedup/dedup.h"
 #include "dedup/digest.h"
+#include "printed.h"
 #include "service/service.h"
 
 namespace shredder::core {
@@ -368,6 +370,73 @@ TEST(Fingerprint, PipelinedFingerprintOverlapsStages) {
   // makespan stays well below the serialized stage sum.
   EXPECT_LT(result.virtual_seconds, result.serialized_seconds * 0.75);
   EXPECT_GT(result.mean_stage_seconds.fingerprint, 0.0);
+}
+
+// --- The end-to-end bar: device hashing backs up >= 1.3x faster ---
+
+// Backs an 8 MiB snapshot pair up twice, hashing on the host store thread
+// and then on the device, and runs the device-hashing pipeline over the
+// successor alone. Every output is pinned (docs/fingerprint.md).
+TEST(Fingerprint, DeviceHashBacksUpFasterThanHostHash) {
+  backup::ImageRepoConfig repo_cfg;
+  repo_cfg.image_bytes = 8ull << 20;
+  repo_cfg.segment_bytes = 1ull << 20;
+  repo_cfg.seed = 1234;
+  backup::ImageRepository repo(repo_cfg);
+
+  // Paper-scale backup chunker, tuned so the index stage stays off the
+  // critical path (~8 KB chunks): the host-hash run is hash-bound, the
+  // device-hash run is generation-bound.
+  const auto server_config = [](bool device_hash) {
+    backup::BackupServerConfig cfg;
+    cfg.backend = backup::ChunkerBackend::kShredderGpu;
+    cfg.chunker.window = 48;
+    cfg.chunker.mask_bits = 13;
+    cfg.chunker.marker = 0x78;
+    cfg.chunker.min_size = 4 * 1024;
+    cfg.chunker.max_size = 32 * 1024;
+    cfg.shredder.buffer_bytes = 1ull << 20;
+    cfg.fingerprint_on_device = device_hash;
+    return cfg;
+  };
+
+  const auto base = repo.snapshot(0.0, 1);
+  const auto snap = repo.snapshot(0.10, 2);
+  backup::BackupRunStats host, device;
+  for (const bool device_hash : {false, true}) {
+    backup::BackupServer server(server_config(device_hash));
+    backup::BackupAgent agent;
+    server.backup_image("base", as_bytes(base), repo, agent);
+    const auto stats = server.backup_image("snap", as_bytes(snap), repo, agent);
+    ASSERT_TRUE(stats.verified) << "device_hash=" << device_hash;
+    (device_hash ? device : host) = stats;
+  }
+  const double speedup =
+      device.backup_bandwidth_gbps / host.backup_bandwidth_gbps;
+  EXPECT_GE(speedup, 1.3);
+  EXPECT_EQ(printed(host.backup_bandwidth_gbps, 3), "7.200");
+  EXPECT_EQ(printed(device.backup_bandwidth_gbps, 3), "10.000");
+  EXPECT_EQ(printed(speedup, 3), "1.389");
+  EXPECT_EQ(printed(host.hashing_seconds, 6), "0.009321");
+  EXPECT_EQ(printed(device.hashing_seconds, 6), "0.000000");
+
+  // The hash kernel of buffer i overlaps the H2D of buffer i+1, so the
+  // makespan stays well under the serialized stage sum.
+  ShredderConfig pipe_cfg = server_config(true).shredder;
+  pipe_cfg.chunker = server_config(true).chunker;
+  pipe_cfg.fingerprint_on_device = true;
+  Shredder shredder(pipe_cfg);
+  const auto pipe = shredder.run(as_bytes(snap));
+  const auto& m = pipe.mean_stage_seconds;
+  EXPECT_EQ(printed(m.reader, 6), "0.000524");
+  EXPECT_EQ(printed(m.transfer, 6), "0.000206");
+  EXPECT_EQ(printed(m.kernel, 6), "0.000148");
+  EXPECT_EQ(printed(m.fingerprint, 6), "0.000260");
+  EXPECT_EQ(printed(m.store, 6), "0.000015");
+  EXPECT_EQ(printed(pipe.virtual_seconds, 6), "0.004823");
+  EXPECT_EQ(printed(pipe.serialized_seconds, 6), "0.009226");
+  EXPECT_EQ(printed(pipe.serialized_seconds / pipe.virtual_seconds, 3),
+            "1.913");
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // (backup/transport.h): differential schedules of loss, reordering,
 // duplication, delay and agent stalls must never change a delivered byte,
 // only the accounted recovery work. Also the typed-ProtocolError negative
-// tests for malformed frames and the LinkStats closed-form accounting.
+// tests for malformed frames, the LinkStats closed-form accounting, and
+// the loss sweep's ack-clocked goodput bar with its outputs pinned.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +17,7 @@
 #include "backup/transport.h"
 #include "common/rng.h"
 #include "obs/registry.h"
+#include "printed.h"
 #include "service/service.h"
 
 namespace shredder::backup {
@@ -272,6 +274,88 @@ TEST(Transport, DeterministicUnderSeed) {
   EXPECT_EQ(t1.frames_dropped, t2.frames_dropped);
   EXPECT_EQ(t1.acks_sent, t2.acks_sent);
   EXPECT_DOUBLE_EQ(t1.virtual_seconds, t2.virtual_seconds);
+}
+
+TEST(Transport, AdoptingSendOnlySkipsACopy) {
+  // The server ships every batch through the adopting overload, which moves
+  // a batch that fits one frame in whole and segments anything larger.
+  // Batches whose content is half of, one byte under, exactly at and one
+  // byte over max_frame_bytes must put the same frames on the wire as the
+  // copying overload, over a clean and a lossy link.
+  TransportConfig base_cfg;
+  base_cfg.max_frame_bytes = 16 * 1024;
+  const std::size_t max = base_cfg.max_frame_bytes;
+  // Each batch: unique chunks a and b, then a pointer back to a.
+  const std::size_t framing = 3 * sizeof(dedup::ChunkDigest) +
+                              2 * base_cfg.link.extent_record_bytes +
+                              2 * sizeof(std::uint32_t);
+  Stream s;
+  std::uint64_t seed = 1;
+  for (const std::size_t content : {max / 2, max - 1, max, max + 1}) {
+    const ByteVec a = random_bytes(4096, seed++);
+    const ByteVec b = random_bytes(content - framing - a.size(), seed++);
+    const auto da = dedup::ChunkHasher::hash(as_bytes(a));
+    const auto db = dedup::ChunkHasher::hash(as_bytes(b));
+    BackupAgent::ExtentBatch batch;
+    batch.digests = {da, db, da};
+    batch.extents = {{0, 2, true}, {2, 1, false}};
+    batch.payload_sizes = {static_cast<std::uint32_t>(a.size()),
+                           static_cast<std::uint32_t>(b.size())};
+    batch.payload = a;
+    batch.payload.insert(batch.payload.end(), b.begin(), b.end());
+    s.batches.push_back(std::move(batch));
+    for (const ByteVec* chunk : {&a, &b, &a}) {
+      s.image.insert(s.image.end(), chunk->begin(), chunk->end());
+    }
+    s.chunks.emplace(da, a);
+    s.chunks.emplace(db, b);
+  }
+
+  const auto ship_with = [&](const TransportConfig& cfg, bool adopt,
+                             ByteVec& image) {
+    BackupAgent agent;
+    Transport t(agent, cfg, repair_from(s));
+    t.begin_image("img");
+    for (const auto& batch : s.batches) {
+      if (adopt) {
+        BackupAgent::ExtentBatch owned = batch;
+        t.send_batch("img", std::move(owned));
+      } else {
+        t.send_batch("img", batch);
+      }
+    }
+    t.end_image("img");
+    t.flush();
+    image = agent.recreate("img");
+    return t.stats();
+  };
+
+  TransportConfig lossy = base_cfg;
+  lossy.max_payload_retx = 1;
+  lossy.faults.drop = 0.25;
+  lossy.faults.seed = 17;
+  for (const TransportConfig& cfg : {base_cfg, lossy}) {
+    SCOPED_TRACE(::testing::Message() << "drop " << cfg.faults.drop);
+    ByteVec copied_image, adopted_image;
+    const TransportStats copied = ship_with(cfg, false, copied_image);
+    const TransportStats adopted = ship_with(cfg, true, adopted_image);
+    // begin, one frame for each batch that fits, two for the one over,
+    // end.
+    EXPECT_EQ(copied.link.messages, 7u);
+    EXPECT_EQ(adopted.link.messages, copied.link.messages);
+    EXPECT_EQ(adopted.link.extents, copied.link.extents);
+    EXPECT_EQ(adopted.link.chunks, copied.link.chunks);
+    EXPECT_EQ(adopted.link.wire_bytes, copied.link.wire_bytes);
+    EXPECT_EQ(adopted.link.payload_bytes, copied.link.payload_bytes);
+    EXPECT_EQ(adopted.link.virtual_seconds, copied.link.virtual_seconds);
+    EXPECT_EQ(adopted.frames_sent, copied.frames_sent);
+    EXPECT_EQ(adopted.virtual_seconds, copied.virtual_seconds);
+    EXPECT_EQ(copied_image, s.image);
+    EXPECT_EQ(adopted_image, copied_image);
+    if (cfg.faults.drop > 0) {
+      EXPECT_GT(copied.retransmits, 0u);
+    }
+  }
 }
 
 // --- flow control ----------------------------------------------------------
@@ -717,6 +801,94 @@ TEST(BackupServer, ForcedRepairPathEndToEnd) {
     EXPECT_EQ(offset, image->size()) << id;
   }
   EXPECT_EQ(store->total_refs(), occurrences);
+}
+
+TEST(BackupServer, LossSweepRecoveryStaysAckClocked) {
+  // Ships a duplicate-heavy 8 MiB snapshot over frame-loss rates
+  // {0, 1, 5, 10, 20}% plus mild reordering and duplication
+  // (docs/backup_wire.md). Bars: every point verifies, and goodput at 1%
+  // loss is >= 0.7x the lossless run, so recovery is ack-clocked, not
+  // timeout-bound. Every output is pinned.
+  ImageRepoConfig repo_cfg;
+  repo_cfg.image_bytes = 8ull << 20;
+  repo_cfg.segment_bytes = 256ull << 10;
+  repo_cfg.seed = 4711;
+  ImageRepository repo(repo_cfg);
+  const auto base = repo.snapshot(0.0, 1);
+  const auto snap = repo.snapshot(0.25, 2);  // mixed dup/unique successor
+
+  // The fig18-style small-chunk operating point (~2 KB chunks, on-device
+  // hashing, sparse index, so hash and probe stages are off the critical
+  // path); the variable is the wire. 64 KiB frames give the fault schedule
+  // enough wire messages to bite at 1% loss, and max_payload_retx = 2 hands
+  // persistent payload losses to the digest-keyed repair protocol.
+  const auto server_config = [](double loss) {
+    BackupServerConfig cfg;
+    cfg.backend = ChunkerBackend::kShredderGpu;
+    cfg.chunker.window = 48;
+    cfg.chunker.mask_bits = 11;
+    cfg.chunker.marker = 0x78;
+    cfg.chunker.min_size = 1024;
+    cfg.chunker.max_size = 8 * 1024;
+    cfg.shredder.buffer_bytes = 1ull << 20;
+    cfg.fingerprint_on_device = true;
+    cfg.index.kind = dedup::IndexKind::kSparse;
+    cfg.transport.max_frame_bytes = 64 * 1024;
+    cfg.transport.max_payload_retx = 2;
+    cfg.transport.faults.drop = loss;
+    if (loss > 0) {  // a lossy wire reorders and duplicates a little too
+      cfg.transport.faults.reorder = 0.10;
+      // ~2 frame service times of jitter: mild reordering that the sack
+      // machinery should absorb without spurious fast retransmits.
+      cfg.transport.faults.reorder_jitter_s = 100e-6;
+      cfg.transport.faults.duplicate = 0.02;
+    }
+    cfg.transport.faults.seed = 29;
+    return cfg;
+  };
+
+  struct Row {
+    double loss;
+    const char* goodput_gbps;
+    const char* vs_lossless;
+    const char* seconds;
+    std::uint64_t frames_sent, retransmits, fast_retransmits, rto_fires,
+        payloads_stripped, repair_frames;
+    bool degraded;
+  };
+  const Row rows[] = {
+      {0.00, "8.943", "1.000", "0.001658", 39, 0, 0, 0, 0, 0, false},
+      {0.01, "6.639", "0.742", "0.002233", 41, 2, 1, 1, 0, 0, false},
+      {0.05, "5.555", "0.621", "0.002669", 43, 4, 1, 3, 0, 0, true},
+      {0.10, "3.939", "0.440", "0.003765", 43, 4, 1, 3, 0, 0, true},
+      {0.20, "1.896", "0.212", "0.007819", 48, 9, 1, 8, 1, 0, true},
+  };
+  double lossless_goodput = 0;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << "loss " << row.loss);
+    BackupServer server(server_config(row.loss));
+    BackupAgent agent;
+    server.backup_image("base", as_bytes(base), repo, agent);
+    const auto stats = server.backup_image("snap", as_bytes(snap), repo, agent);
+    ASSERT_TRUE(stats.verified);
+    const TransportStats& ts = stats.transport;
+    if (row.loss == 0.0) lossless_goodput = ts.goodput_bps;
+    const double vs_lossless = ts.goodput_bps / lossless_goodput;
+    if (row.loss == 0.01) {
+      EXPECT_GE(vs_lossless, 0.7);
+    }
+    EXPECT_EQ(printed(ts.goodput_bps / 1e9, 3), row.goodput_gbps);
+    EXPECT_EQ(printed(vs_lossless, 3), row.vs_lossless);
+    EXPECT_EQ(printed(ts.virtual_seconds, 6), row.seconds);
+    EXPECT_EQ(ts.frames_sent, row.frames_sent);
+    EXPECT_EQ(ts.retransmits, row.retransmits);
+    EXPECT_EQ(ts.fast_retransmits, row.fast_retransmits);
+    EXPECT_EQ(ts.rto_fires, row.rto_fires);
+    EXPECT_EQ(ts.payloads_stripped, row.payloads_stripped);
+    EXPECT_EQ(ts.repair_frames, row.repair_frames);
+    EXPECT_EQ(printed(ts.window_stall_seconds, 6), "0.000000");
+    EXPECT_EQ(ts.degraded, row.degraded);
+  }
 }
 
 // --- shared service: per-server transport, one registry --------------------
