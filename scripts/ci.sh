@@ -6,7 +6,7 @@
 #   3. Debug build + full test suite (-Werror, compiled without NDEBUG, so
 #      every assert and ChunkStore::put's digest recheck run)
 #   4. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
-#   5. microbench smokes (fails when microbench was not built)
+#   5. microbench's obs bar (fails when microbench was not built)
 #   6. perfbench build + traced correctness run of each workload
 #   7. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
 #      engine's pinned-slot leases and per-stream carries, kernel launches,
@@ -42,47 +42,23 @@ ctest --test-dir "$DEBUG_DIR" --output-on-failure -j "$JOBS"
 echo "=== clang-tidy (best-effort; skips when the binary is absent) ==="
 scripts/run_clang_tidy.sh "$BUILD_DIR"
 
-# The obs smoke below holds the only host-time bar on Shredder::run's host
-# path; a build without the smokes must fail, not pass with no bar checked.
+# microbench's obs mode holds the only host-time bar on Shredder::run's host
+# path; a build without microbench must fail, not pass with no bar checked.
 if [ ! -x "$BUILD_DIR/microbench" ]; then
-  echo "microbench not built (google-benchmark missing): cannot run the smokes" >&2
+  echo "microbench not built (google-benchmark missing): cannot run the obs bar" >&2
   exit 1
 fi
 
-echo "=== multi-tenant service smoke (small-N BENCH_service) ==="
-"$BUILD_DIR/microbench" --service_smoke_json="$BUILD_DIR/BENCH_service_smoke.json"
-
-echo "=== on-device fingerprint smoke (small-image BENCH_fingerprint) ==="
-"$BUILD_DIR/microbench" --fingerprint_smoke_json="$BUILD_DIR/BENCH_fingerprint_smoke.json"
-
-echo "=== sparse fingerprint index smoke (small-image BENCH_index) ==="
-# Enforces the same >=3x sparse-over-baseline bar the committed
-# BENCH_index.json documents at full scale (docs/dedup_index.md).
-"$BUILD_DIR/microbench" --index_smoke_json="$BUILD_DIR/BENCH_index_smoke.json"
-
-echo "=== transport loss-sweep smoke (small-image BENCH_transport) ==="
-# Enforces the goodput-at-1%-loss >= 0.7x-lossless bar the committed
-# BENCH_transport.json documents at full scale (docs/backup_wire.md).
-"$BUILD_DIR/microbench" --transport_smoke_json="$BUILD_DIR/BENCH_transport_smoke.json"
-
-echo "=== observability smoke (BENCH_obs + Perfetto trace export) ==="
+echo "=== observability bar (microbench --obs_json + Perfetto trace export) ==="
 # Enforces the <=2% disabled-registry overhead bar and the <=1% traced
-# engine-busy vs GpuTimeline::engine_busy agreement the committed
-# BENCH_obs.json documents at full scale (docs/observability.md), and
-# checks the exported Chrome trace-event files are well-formed JSON.
-"$BUILD_DIR/microbench" --obs_smoke_json="$BUILD_DIR/BENCH_obs_smoke.json"
-python3 -m json.tool "$BUILD_DIR/BENCH_obs_smoke.json" >/dev/null
-python3 -m json.tool "$BUILD_DIR/TRACE_obs_service_smoke.json" >/dev/null
-python3 -m json.tool "$BUILD_DIR/TRACE_obs_transport_smoke.json" >/dev/null
+# engine-busy vs GpuTimeline::engine_busy agreement (docs/observability.md),
+# and checks the JSON and the exported Chrome trace-event files are
+# well-formed. The bars that need no host timing are ctest cases.
+"$BUILD_DIR/microbench" --obs_json="$BUILD_DIR/BENCH_obs.json"
+python3 -m json.tool "$BUILD_DIR/BENCH_obs.json" >/dev/null
+python3 -m json.tool "$BUILD_DIR/TRACE_obs_service.json" >/dev/null
+python3 -m json.tool "$BUILD_DIR/TRACE_obs_transport.json" >/dev/null
 echo "trace exports are well-formed JSON"
-
-echo "=== retention churn smoke (delete + GC + compaction BENCH_retention) ==="
-# Enforces the same bars the committed BENCH_retention.json documents at
-# full scale (docs/retention.md): >= 80% of dead bytes reclaimed by GC,
-# store bytes and index entry-log both shrink >= 40% after deleting half
-# the snapshots, surviving images recreate bit-identically, and sparse
-# probe decisions are bit-identical across entry-log compaction.
-"$BUILD_DIR/microbench" --retention_smoke_json="$BUILD_DIR/BENCH_retention_smoke.json"
 
 echo "=== perfbench build + traced correctness runs (1 s per workload) ==="
 # perfbench/ is its own CMake package compiled against the src/ APIs, and
