@@ -175,8 +175,8 @@ void BackupAgent::receive_batch(const std::string& image_id,
   validate_batch(batch, /*stripped=*/false);
   verify_payloads(batch);
 
-  // Unique payloads are admitted as views into the wire buffer — never
-  // copied on the way in.
+  // Unique payloads are read as views into the wire buffer;
+  // ChunkStore::put copies each one once, into its store entry.
   const ByteSpan payload = as_bytes(batch.payload);
   std::size_t next_size = 0;  // index into payload_sizes
   std::size_t payload_off = 0;

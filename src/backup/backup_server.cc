@@ -79,7 +79,8 @@ BackupServer::BackupServer(BackupServerConfig config)
   if (registry_ == nullptr && config_.service) {
     registry_ = &config_.service->registry();
   }
-  // Snapshot lifecycle over the repair store: manifests, delete walks, GC.
+  // Snapshot lifecycle over the reference-only store (repairs are served
+  // from the image in flight): manifests, delete walks, GC.
   retention::RetentionConfig retention_cfg;
   retention_cfg.costs = config_.retention_costs;
   retention_cfg.registry = registry_;

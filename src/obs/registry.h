@@ -11,7 +11,8 @@
 // Design constraints, in order:
 //   * Near-zero cost when disabled: every mutator early-outs on one relaxed
 //     atomic load, so hooks can live on per-buffer hot paths unconditionally
-//     ("compiled in but disabled" is the bar BENCH_obs.json enforces).
+//     ("compiled in but disabled" is the <= 2% bar `microbench --obs_json`
+//     enforces).
 //   * Cheap when enabled: counters/gauges are single relaxed atomics;
 //     a timing takes one mutex per observation, which only a concurrent
 //     snapshot contends.

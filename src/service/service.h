@@ -29,8 +29,9 @@
 // (double buffering); H2D/compute/D2H ops of all tenants compete for the
 // three device engines, and a buffer cannot start its H2D before the
 // tenant's modelled channel has delivered it. Aggregate throughput is
-// total bytes over the timeline makespan — the number BENCH_service.json
-// tracks against the single-stream baseline.
+// total bytes over the timeline makespan — the number
+// ChunkingService.SharingBeatsSerialVirtualThroughput (tests/service_test.cc)
+// compares against one tenant alone.
 #pragma once
 
 #include <atomic>
