@@ -3,19 +3,21 @@
 //
 // Compares fixed-size, SampleByte and Rabin CDC on the same evolving
 // payload: each version is a local edit (insertions included) of the last,
-// and we measure how many bytes each scheme's chunker rediscovers in the
-// dedup store.
+// and we measure how many bytes each scheme's chunker rediscovers in its
+// fingerprint index.
 //
 //   ./chunking_explorer [megabytes] [versions]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "chunking/cdc.h"
 #include "chunking/fixed.h"
 #include "chunking/samplebyte.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "dedup/dedup.h"
+#include "dedup/digest.h"
+#include "dedup/index.h"
 
 int main(int argc, char** argv) {
   using namespace shredder;
@@ -29,7 +31,25 @@ int main(int argc, char** argv) {
   const rabin::RabinTables tables(cdc_cfg.window);
   const chunking::SampleByteChunker samplebyte(8192, 16, 5);
 
-  dedup::Deduplicator dedup_fixed, dedup_sample, dedup_cdc;
+  // One index per scheme. Each chunk is hashed and matched against it
+  // (paper §2.1); the share of the version's bytes it already held is that
+  // scheme's duplicate share.
+  dedup::ChunkIndex index_fixed, index_sample, index_cdc;
+  const auto duplicate_share = [](dedup::ChunkIndex& index, ByteSpan data,
+                                  const std::vector<chunking::Chunk>& chunks) {
+    std::uint64_t duplicate_bytes = 0;
+    for (const auto& c : chunks) {
+      const auto digest = dedup::ChunkHasher::hash(
+          data.subspan(static_cast<std::size_t>(c.offset),
+                       static_cast<std::size_t>(c.size)));
+      if (index.lookup_or_insert(digest, {0, c.size})) {
+        duplicate_bytes += c.size;
+      }
+    }
+    return data.empty() ? 0.0
+                        : static_cast<double>(duplicate_bytes) /
+                              static_cast<double>(data.size());
+  };
 
   // Version 0 plus a chain of edited versions; each edit inserts a little
   // new content (shifting everything after it) and rewrites a little more.
@@ -39,15 +59,14 @@ int main(int argc, char** argv) {
               "samplebyte-8K", "rabin-cdc-8K");
   for (int v = 0; v <= versions; ++v) {
     const ByteSpan data = as_bytes(current);
-    const auto fixed_stats =
-        dedup_fixed.ingest(data, chunking::chunk_fixed(data, 8192));
-    const auto sample_stats = dedup_sample.ingest(data, samplebyte.chunk(data));
-    const auto cdc_stats =
-        dedup_cdc.ingest(data, chunking::chunk_serial(tables, cdc_cfg, data));
+    const double fixed =
+        duplicate_share(index_fixed, data, chunking::chunk_fixed(data, 8192));
+    const double sample =
+        duplicate_share(index_sample, data, samplebyte.chunk(data));
+    const double cdc = duplicate_share(
+        index_cdc, data, chunking::chunk_serial(tables, cdc_cfg, data));
     std::printf("v%-8d %5.1f%% dup      %5.1f%% dup      %5.1f%% dup\n", v,
-                100 * fixed_stats.dedup_ratio(),
-                100 * sample_stats.dedup_ratio(),
-                100 * cdc_stats.dedup_ratio());
+                100 * fixed, 100 * sample, 100 * cdc);
 
     // Next version: one insertion + two localized rewrites.
     const auto insert_at = rng.next_below(current.size());

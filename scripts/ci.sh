@@ -3,15 +3,17 @@
 #   1. repo-invariant lint (module DAG + wall-clock ban) — cheapest, runs first
 #   2. strict build + full test suite (-Werror; clang adds
 #      -Werror=thread-safety over the annotations in src/common/annotations.h)
-#   3. Debug build + full test suite (-Werror, compiled without NDEBUG, so
+#   3. golden model outputs: the strict build's figure, table, ablation and
+#      chunking-explorer binaries diffed against tests/golden/
+#   4. Debug build + full test suite (-Werror, compiled without NDEBUG, so
 #      every assert and ChunkStore::put's digest recheck run)
-#   4. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
-#   5. microbench's obs bar (fails when microbench was not built)
-#   6. perfbench build + traced correctness run of each workload
-#   7. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
+#   5. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
+#   6. microbench's obs bar (fails when microbench was not built)
+#   7. perfbench build + traced correctness run of each workload
+#   8. ASan/UBSan lane (unaligned loads, arena-backed block chains, the
 #      engine's pinned-slot leases and per-stream carries, kernel launches,
 #      the Inc-HDFS and middlebox case studies)
-#   8. TSan lane over the concurrency-heavy suites (queues, thread pool,
+#   9. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      simulated device, obs registry/tracer, multi-tenant service,
 #      transport, hashing, backup server, MapReduce engine)
 #
@@ -30,6 +32,18 @@ echo "=== strict build (-Wall -Wextra -Werror; clang: -Werror=thread-safety) ===
 cmake -B "$BUILD_DIR" -S . -DSHREDDER_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "=== golden model outputs (tests/golden/) ==="
+# Each tests/golden/<binary>.txt is <binary>'s stdout at its default
+# arguments. Every number it prints comes from the virtual cost model or
+# from counting, so it repeats byte for byte from run to run, and a change
+# that moves one printed digit fails here. Host-measured outputs (fig6,
+# fig12, fig15) are not pinned. Re-baselining: tests/golden/README.md.
+for golden in tests/golden/*.txt; do
+  bin="$(basename "$golden" .txt)"
+  echo "--- $bin"
+  "$BUILD_DIR/$bin" | diff -u "$golden" -
+done
 
 echo "=== Debug build (no NDEBUG: asserts + ChunkStore::put digest recheck) ==="
 # CMakeLists.txt defaults to Release and no other lane passes a build type,

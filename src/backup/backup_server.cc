@@ -191,6 +191,20 @@ BackupRunStats BackupServer::dedup_and_ship(
     std::vector<dedup::ChunkDigest> digests,
     std::vector<std::size_t> batch_ends, double generation_seconds,
     double chunking_seconds, BackupAgent& agent) {
+  // Refuse a taken id before the walk takes anything: once it has taken
+  // store references and index inserts, a refusal would leave them with no
+  // manifest to account for them.
+  if (const auto state = retention_->manifests().state("", image_id);
+      state.has_value() && *state != retention::ImageState::kDeleted) {
+    throw retention::RetentionError(
+        retention::RetentionViolation::kImageExists,
+        "BackupServer: image is live: " + image_id);
+  }
+  if (agent.image_sealed(image_id)) {
+    throw ProtocolError(ProtocolViolation::kDuplicateImage,
+                        "BackupServer: backup site already sealed image: " +
+                            image_id);
+  }
   Stopwatch wall;
   BackupRunStats stats;
   stats.bytes = image.size();
@@ -247,9 +261,9 @@ BackupRunStats BackupServer::dedup_and_ship(
   const std::uint32_t index_stream = next_index_stream_++;
   const dedup::IndexStats index_before = index_->stats();
   stats.index_kind = index_->kind();
-  // Retention bookkeeping: pin the whole dedup walk so a concurrent gc()
-  // cannot free a chunk between this walk's index hit and its add_ref, and
-  // accumulate the image's ordered digest list for its manifest.
+  // Retention bookkeeping: pin the whole dedup walk for the GC epoch
+  // protocol (retention.h), and accumulate the image's ordered digest list
+  // for its manifest.
   retention::RetentionManager::Pin pin = retention_->pin();
   std::vector<dedup::ChunkDigest> manifest_digests;
   manifest_digests.reserve(chunks.size());
@@ -271,28 +285,24 @@ BackupRunStats BackupServer::dedup_and_ship(
           image.subspan(static_cast<std::size_t>(c.offset),
                         static_cast<std::size_t>(c.size));
       const auto& digest = digests[chunk_i];
-      const auto existing = index_->lookup_or_insert(
+      index_->lookup_or_insert(
           digest, dedup::ChunkLocation{next_store_offset_, c.size},
           index_stream);
-      bool unique = !existing.has_value();
-      // One store reference per duplicate occurrence keeps the refcounts
-      // symmetric with the manifest the delete walk will replay. A failed
-      // add_ref is a stale index hit — the chunk was deleted and swept after
-      // the index recorded it — and self-heals: treat the chunk as unique
-      // and re-ship the payload (dedup ratio degrades, correctness never).
-      if (!unique && !store_->add_ref(digest)) {
-        unique = true;
-      }
+      // The probe above is the match step and its modelled cost; the store
+      // decides. put() takes this occurrence's one reference, by size only,
+      // which keeps the refcounts symmetric with the manifest the delete
+      // walk replays. Only a live entry (kRefAdded) is a duplicate: the
+      // backup site still holds it. Anything else ships its payload: a new
+      // chunk or one gc() swept (kInserted), or one a delete parked
+      // (kRevived), which the backup site freed at its own delete.
+      const bool unique =
+          store_->put(digest, c.size) != dedup::PutOutcome::kRefAdded;
       if (unique) {
         stats.unique_bytes += c.size;
         next_store_offset_ += c.size;
       } else {
         ++stats.duplicate_chunks;
       }
-      // Record the unique chunk by reference and size only: put() is the
-      // unique-chunk half of the one-ref-per-occurrence invariant (add_ref
-      // above is the duplicate half).
-      if (unique) store_->put(digest, c.size);
       manifest_digests.push_back(digest);
       // Extent coalescing: extend the open run while the chunk kind
       // matches, else seal it and open the next.

@@ -156,7 +156,10 @@ class BackupServer {
   explicit BackupServer(BackupServerConfig config);
 
   // Backs `image` up into `agent` under `image_id`, deduplicating against
-  // everything this server has backed up before.
+  // everything this server has backed up before. An id this server's
+  // manifests hold live throws retention::RetentionError{kImageExists}, and
+  // one the agent has sealed throws ProtocolError{kDuplicateImage}; both are
+  // refused before the walk takes any store reference or index insert.
   BackupRunStats backup_image(const std::string& image_id, ByteSpan image,
                               const ImageRepository& repo, BackupAgent& agent);
 
@@ -170,6 +173,9 @@ class BackupServer {
   // backend every snapshot chunks concurrently as its own service tenant;
   // the dedup/transfer stage then runs per image in `jobs` order (the index
   // walk stays deterministic). Other backends degrade to a serial loop.
+  // Each job's id is checked as backup_image checks it, when its walk
+  // starts, so an id repeated within `jobs` is refused at its second job;
+  // the jobs before a refused one stay backed up.
   std::vector<BackupRunStats> backup_images(const std::vector<SnapshotJob>& jobs,
                                             const ImageRepository& repo,
                                             BackupAgent& agent);
@@ -189,8 +195,9 @@ class BackupServer {
   // refs await gc(). The backup site's copy is deleted separately via
   // BackupAgent::delete_image. Throws retention::RetentionError
   // (kUnknownImage for ids never backed up; kAlreadyDeleted on a repeat
-  // delete). A deleted id may be backed up
-  // again afterwards — to a fresh agent, since the old one seals ids.
+  // delete). Once both sides have deleted it, the id may be backed up again,
+  // to the same agent (its delete_image forgets the recipe), before or
+  // after gc().
   retention::RetentionManager::DeleteStats delete_image(
       const std::string& image_id);
 

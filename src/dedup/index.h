@@ -17,9 +17,8 @@
 //
 // Both backends return bit-identical lookup/insert results (the sparse
 // signatures are confirmed against the full digest before a hit is
-// reported); only the modelled probe-path cost differs. make_index() is the
-// one construction point every consumer (Deduplicator, BackupServer, the
-// chunking service, the backup agent) routes through.
+// reported); only the modelled probe-path cost differs. make_index() builds
+// either one from an IndexConfig; BackupServer builds its index there.
 #pragma once
 
 #include <array>
@@ -106,8 +105,8 @@ struct IndexStats {
 };
 
 // The single atomic lookup-or-insert surface the dedup path issues per
-// chunk. `stream` tags the probing client (backup snapshot, service tenant);
-// the sparse backend keys its container prefetch cache by it, the baseline
+// chunk. `stream` tags the probing client (one per backup snapshot); the
+// sparse backend keys its container prefetch cache by it, the baseline
 // ignores it.
 class IndexBackend {
  public:
@@ -160,8 +159,6 @@ class ChunkIndex final : public IndexBackend {
   std::uint64_t size() const override;
   IndexKind kind() const noexcept override { return IndexKind::kPaperBaseline; }
   IndexStats stats() const override;
-
-  double probe_seconds() const noexcept { return probe_seconds_; }
 
  private:
   static constexpr std::size_t kShards = 64;

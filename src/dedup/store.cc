@@ -31,13 +31,14 @@ PutOutcome ChunkStore::put_locked(const ChunkDigest& digest, Entry&& entry) {
   const std::uint64_t size = entry.size;
   auto [it, inserted] = chunks_.try_emplace(digest, std::move(entry));
   if (!inserted) {
-    if (it->second.refs == 0) {
+    const bool revived = it->second.refs == 0;
+    if (revived) {
       --zero_ref_chunks_;
       zero_ref_bytes_ -= it->second.size;
     }
     ++it->second.refs;
     notify_locked();
-    return PutOutcome::kRefAdded;
+    return revived ? PutOutcome::kRevived : PutOutcome::kRefAdded;
   }
   unique_bytes_ += size;
   notify_locked();

@@ -30,10 +30,12 @@
 
 namespace shredder::dedup {
 
-// What a put() did: inserted a brand-new chunk, or found the digest already
-// stored and added one reference to it. Callers that must not silently
-// double-count (a shared store serving many tenants) branch on this.
-enum class PutOutcome { kInserted, kRefAdded };
+// What a put() did: inserted a brand-new chunk, added one reference to a
+// live one, or revived an entry parked at zero references. The backup
+// server's dedup walk branches on it: only kRefAdded names a chunk the
+// backup site still holds, because the site frees a chunk at delete while
+// this store parks it until the GC sweep.
+enum class PutOutcome { kInserted, kRefAdded, kRevived };
 
 // What a release_ref() did. Every state a caller could previously only
 // infer from optional-vs-value is now named; kNoRefs and kUnknownDigest
@@ -84,14 +86,14 @@ class ChunkStore {
 
   // Inserts a chunk with one reference, or — if the digest already exists —
   // adds a reference to the stored copy, reported explicitly via the
-  // outcome. A zero-ref parked entry is resurrected (kRefAdded). The digest
+  // outcome. A zero-ref parked entry is resurrected (kRevived). The digest
   // must be the canonical chunk hash (SHA-256) of `data` — checked in debug
   // builds, including digests precomputed on the device by the fingerprint
   // stage.
   PutOutcome put(const ChunkDigest& digest, ByteSpan data);
   // Adopting overload: moves `data` into the store when the chunk is new,
-  // avoiding the copy on the zero-copy wire path. On kRefAdded the vector
-  // is simply dropped.
+  // avoiding the copy on the zero-copy wire path. On kRefAdded and kRevived
+  // the vector is simply dropped.
   PutOutcome put(const ChunkDigest& digest, ByteVec&& data);
   // Reference-only overload: takes one reference exactly like a payload put
   // of `size` bytes (same outcome, same resurrection of a parked entry, same
@@ -152,7 +154,6 @@ class ChunkStore {
   std::uint64_t zero_ref_chunks() const;
   std::uint64_t zero_ref_bytes() const;
   StoreOccupancy occupancy() const;
-  bool deferred_reclaim() const { return deferred_reclaim_; }
 
  private:
   struct Entry {

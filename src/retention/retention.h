@@ -10,14 +10,16 @@
 //     store) and enter the graveyard stamped with the current epoch.
 //   * Sweeping. gc() advances the epoch and frees graveyard chunks whose
 //     zero-stamp precedes every active pin's epoch — any backup that could
-//     still resurrect the digest via add_ref was pinned after the chunk was
-//     parked and is ordered behind us. Chunks resurrected in the meantime
-//     (ref_count > 0 again) silently leave the graveyard.
+//     still resurrect the digest via add_ref or put was pinned after the
+//     chunk was parked and is ordered behind us. Chunks resurrected in the
+//     meantime (ref_count > 0 again) silently leave the graveyard.
 //
-// The data plane stays self-healing regardless: the dedup paths treat a
-// failed add_ref (index hit on a chunk GC freed between probe and take) as
-// a unique chunk and re-ship the payload, so even a mistimed sweep degrades
-// dedup ratio, never correctness.
+// The data plane stays self-healing regardless: the backup server's dedup
+// walk ships a pointer only when its put() finds a live entry. An index hit
+// on a chunk a delete parked (PutOutcome::kRevived) or GC swept (kInserted)
+// re-ships the payload, because the backup site frees a chunk at its own
+// delete. A mistimed sweep, or a backup between a delete and its gc(),
+// degrades dedup ratio, never correctness.
 //
 // All reclamation is cost-modelled on virtual time (one flash read per
 // container scanned, one flash write per container rewritten — the same

@@ -1,6 +1,6 @@
 // Tests for the dedup substrate: SHA-256, the repo's one content hash,
 // against the FIPS 180-4 vectors through both compression paths, chunk
-// index, content-addressed store, and the deduplicator.
+// index and content-addressed store.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "chunking/cdc.h"
 #include "common/rng.h"
-#include "dedup/dedup.h"
 #include "dedup/digest.h"
 #include "dedup/index.h"
 #include "dedup/sha256.h"
@@ -337,11 +335,14 @@ TEST_P(ChunkStoreLifecycle, DeferredReclaimParksAndResurrects) {
   EXPECT_TRUE(store.add_ref(da));
   EXPECT_EQ(store.ref_count(da), 1u);
   EXPECT_EQ(store.zero_ref_chunks(), 0u);
-  // Park again, then resurrect via put.
+  // Park again, then resurrect via put, which names the revival.
   EXPECT_EQ(store.release_ref(da), ReleaseOutcome::kDeferred);
-  EXPECT_EQ(put(store, da, a), PutOutcome::kRefAdded);
+  EXPECT_EQ(put(store, da, a), PutOutcome::kRevived);
   EXPECT_EQ(store.ref_count(da), 1u);
   EXPECT_EQ(store.zero_ref_bytes(), 0u);
+  // A put onto the live entry is a plain added reference.
+  EXPECT_EQ(put(store, da, a), PutOutcome::kRefAdded);
+  EXPECT_EQ(store.ref_count(da), 2u);
 }
 
 TEST_P(ChunkStoreLifecycle, SweepFreesOnlyUnkeptZeroRefChunks) {
@@ -522,85 +523,6 @@ TEST(ChunkStore, AppendToReadsParkedChunkLikeGet) {
   EXPECT_FALSE(store.append_to(d, out));
   EXPECT_FALSE(store.get(d).has_value());
   EXPECT_EQ(out, data);
-}
-
-// --- Deduplicator ---
-
-TEST(Deduplicator, FirstIngestAllUnique) {
-  const auto data = random_bytes(256 * 1024, 7);
-  chunking::ChunkerConfig cfg;
-  cfg.window = 16;
-  cfg.mask_bits = 8;
-  cfg.marker = 0x42;
-  const rabin::RabinTables tables(cfg.window);
-  const auto chunks = chunking::chunk_serial(tables, cfg, as_bytes(data));
-  Deduplicator dedup;
-  const auto stats = dedup.ingest(as_bytes(data), chunks);
-  EXPECT_EQ(stats.chunks_total, chunks.size());
-  EXPECT_EQ(stats.chunks_duplicate, 0u);
-  EXPECT_EQ(stats.bytes_total, data.size());
-  EXPECT_EQ(dedup.store().unique_bytes(), data.size());
-}
-
-TEST(Deduplicator, SecondIngestFullyDuplicate) {
-  const auto data = random_bytes(128 * 1024, 8);
-  chunking::ChunkerConfig cfg;
-  cfg.window = 16;
-  cfg.mask_bits = 8;
-  cfg.marker = 0x42;
-  const rabin::RabinTables tables(cfg.window);
-  const auto chunks = chunking::chunk_serial(tables, cfg, as_bytes(data));
-  Deduplicator dedup;
-  dedup.ingest(as_bytes(data), chunks);
-  const auto stats = dedup.ingest(as_bytes(data), chunks);
-  EXPECT_EQ(stats.bytes_duplicate, stats.bytes_total);
-  EXPECT_DOUBLE_EQ(stats.dedup_ratio(), 1.0);
-}
-
-TEST(Deduplicator, MutatedVersionMostlyDuplicate) {
-  // The end-to-end CDC dedup property on a 5% mutated payload.
-  const auto v1 = random_bytes(1 << 20, 9);
-  const auto v2 = mutate_bytes(as_bytes(v1), 0.05, 10);
-  chunking::ChunkerConfig cfg;
-  cfg.window = 32;
-  cfg.mask_bits = 11;  // ~2 KB chunks
-  cfg.marker = 0x42;
-  const rabin::RabinTables tables(cfg.window);
-  Deduplicator dedup;
-  dedup.ingest(as_bytes(v1), chunking::chunk_serial(tables, cfg, as_bytes(v1)));
-  const auto stats = dedup.ingest(
-      as_bytes(v2), chunking::chunk_serial(tables, cfg, as_bytes(v2)));
-  EXPECT_GT(stats.dedup_ratio(), 0.6);
-  EXPECT_LT(stats.dedup_ratio(), 1.0);
-}
-
-TEST(Deduplicator, RejectsOutOfRangeChunks) {
-  Deduplicator dedup;
-  const auto data = random_bytes(100, 11);
-  EXPECT_THROW(dedup.ingest(as_bytes(data), {{50, 100}}),
-               std::invalid_argument);
-}
-
-TEST(Deduplicator, ReconstructionFromStore) {
-  // Everything ingested can be reassembled from the content-addressed store:
-  // the backup-agent property.
-  const auto data = random_bytes(512 * 1024, 12);
-  chunking::ChunkerConfig cfg;
-  cfg.window = 16;
-  cfg.mask_bits = 9;
-  cfg.marker = 0x42;
-  const rabin::RabinTables tables(cfg.window);
-  const auto chunks = chunking::chunk_serial(tables, cfg, as_bytes(data));
-  Deduplicator dedup;
-  dedup.ingest(as_bytes(data), chunks);
-  ByteVec reassembled;
-  for (const auto& c : chunks) {
-    const auto payload = ByteSpan(data).subspan(c.offset, c.size);
-    const auto stored = dedup.store().get(ChunkHasher::hash(payload));
-    ASSERT_TRUE(stored.has_value());
-    reassembled.insert(reassembled.end(), stored->begin(), stored->end());
-  }
-  EXPECT_EQ(reassembled, data);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // dedup::Sha256 over the same chunks, for every backend (Shredder in all
 // GPU modes, the multi-tenant service) and every chunk shape (min/max
 // forced boundaries, chunks spanning buffers, empty streams, trailing
-// chunks), and the precomputed-digest paths through Deduplicator and
-// BackupServer must agree with their host-hashing twins. The end-to-end
-// case holds the >= 1.3x device-over-host backup bar and pins its outputs.
+// chunks), and the precomputed-digest path through BackupServer must agree
+// with its host-hashing twin. The end-to-end case holds the >= 1.3x
+// device-over-host backup bar and pins its outputs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include "chunking/cdc.h"
 #include "common/rng.h"
 #include "core/shredder.h"
-#include "dedup/dedup.h"
 #include "dedup/digest.h"
 #include "printed.h"
 #include "service/service.h"
@@ -240,27 +239,7 @@ TEST(Fingerprint, ServiceTenantsMatchHostSha256) {
   svc.shutdown();
 }
 
-// --- Precomputed digests through the dedup/backup consumers ---
-
-TEST(Fingerprint, DeduplicatorAcceptsDeviceDigests) {
-  ShredderConfig cfg = small_config();
-  Shredder shredder(cfg);
-  const auto data = random_bytes(256 * 1024, 59);
-  const auto result = shredder.run(as_bytes(data));
-
-  dedup::Deduplicator host_path, device_path;
-  const auto host_stats = host_path.ingest(as_bytes(data), result.chunks);
-  const auto dev_stats =
-      device_path.ingest(as_bytes(data), result.chunks, result.digests);
-  EXPECT_EQ(dev_stats.chunks_total, host_stats.chunks_total);
-  EXPECT_EQ(dev_stats.bytes_duplicate, host_stats.bytes_duplicate);
-  EXPECT_EQ(device_path.store().unique_bytes(),
-            host_path.store().unique_bytes());
-  // The debug-mode ChunkStore::put recheck ran on every insert above; a
-  // mismatched vector length must throw before any hashing happens.
-  EXPECT_THROW(device_path.ingest(as_bytes(data), result.chunks, {}),
-               std::invalid_argument);
-}
+// --- Precomputed digests through the backup server ---
 
 TEST(Fingerprint, BackupServerDeviceHashMatchesHostHash) {
   backup::ImageRepoConfig repo_cfg;

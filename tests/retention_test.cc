@@ -797,32 +797,169 @@ TEST(RetentionEndToEnd, ChurnReclaimsDeadBytesAndShrinksStoreAndLog) {
   EXPECT_EQ(printed(cs.virtual_seconds, 6), "0.001085");
 }
 
-TEST(RetentionEndToEnd, SelfHealingReshipsAfterOverzealousSweep) {
-  // Delete + GC everything, then back the same content up again: every index
-  // hit is now stale (the chunks are gone), so the self-healing dedup path
-  // must re-ship the full payload and the new backup must still verify.
+// Audit of the two sides: the server's references equal the occurrences in
+// its live manifests. Call it after a gc() with no backup in flight:
+// nothing is left parked, and the backup site holds exactly the chunks and
+// bytes the server's store accounts for.
+void expect_server_matches_backup_site(const backup::BackupServer& server,
+                                       const backup::BackupAgent& agent) {
+  std::uint64_t occurrences = 0;
+  for (const auto& [image, digests] :
+       server.retention().manifests().live_manifests()) {
+    occurrences += digests.size();
+  }
+  const auto occ = server.retention().store()->occupancy();
+  EXPECT_EQ(occ.refs, occurrences);
+  EXPECT_EQ(occ.zero_ref_chunks, 0u);
+  EXPECT_EQ(agent.unique_chunks(), occ.chunks);
+  EXPECT_EQ(agent.unique_bytes(), occ.bytes);
+}
+
+TEST_P(RetentionEndToEnd, SelfHealingReshipsAfterOverzealousSweep) {
+  // Delete an image on both sides, then back the same content up again to
+  // the same agent. With a gc() in between, every index hit is on a swept
+  // chunk; without one, every hit is on a chunk the server parked and the
+  // agent already freed. Either way the walk must re-ship every payload, and
+  // the new backup must verify.
   backup::ImageRepoConfig repo_cfg;
   repo_cfg.image_bytes = 1 * 1024 * 1024;
   repo_cfg.segment_bytes = 128 * 1024;
   repo_cfg.seed = 11;
   backup::ImageRepository repo(repo_cfg);
-  backup::BackupServer server(churn_server_config());
-  backup::BackupAgent agent_a;
   const auto image = repo.snapshot(0.0, 1);
-  const auto first = server.backup_image("v1", as_bytes(image), repo, agent_a);
-  ASSERT_TRUE(first.verified);
-  server.delete_image("v1");
-  agent_a.delete_image("v1");
-  ASSERT_GT(server.gc().chunks_freed, 0u);
-  EXPECT_EQ(server.retention().store()->occupancy().chunks, 0u);
+  for (const bool gc_between : {true, false}) {
+    SCOPED_TRACE(gc_between ? "gc() between delete and backup"
+                            : "no gc() between delete and backup");
+    backup::BackupServer server(churn_server_config(GetParam()));
+    backup::BackupAgent agent;
+    const auto first = server.backup_image("v1", as_bytes(image), repo, agent);
+    ASSERT_TRUE(first.verified);
+    server.delete_image("v1");
+    agent.delete_image("v1");
+    if (gc_between) {
+      ASSERT_GT(server.gc().chunks_freed, 0u);
+      EXPECT_EQ(server.retention().store()->occupancy().chunks, 0u);
+    } else {
+      EXPECT_EQ(server.retention().store()->occupancy().zero_ref_chunks,
+                first.chunks);
+    }
 
-  backup::BackupAgent agent_b;
-  const auto second = server.backup_image("v2", as_bytes(image), repo, agent_b);
-  EXPECT_TRUE(second.verified);
-  // No add_ref succeeded — every chunk re-shipped as unique.
-  EXPECT_EQ(second.duplicate_chunks, 0u);
-  EXPECT_EQ(second.unique_bytes, image.size());
-  EXPECT_EQ(agent_b.recreate("v2"), image);
+    const auto second = server.backup_image("v2", as_bytes(image), repo, agent);
+    EXPECT_TRUE(second.verified);
+    // No chunk counted as a duplicate — every one re-shipped as unique.
+    EXPECT_EQ(second.duplicate_chunks, 0u);
+    EXPECT_EQ(second.unique_bytes, image.size());
+    EXPECT_EQ(agent.recreate("v2"), image);
+    // The revived chunks are referenced again, so the next sweep frees none.
+    const auto gc = server.gc();
+    EXPECT_EQ(gc.chunks_freed, 0u);
+    EXPECT_EQ(gc.resurrected, gc_between ? 0u : first.chunks);
+    expect_server_matches_backup_site(server, agent);
+  }
+}
+
+// What a refused backup must leave as it was, on both sides.
+struct BackupState {
+  std::map<std::string, std::uint64_t> counts;
+  std::vector<std::pair<std::string, std::vector<ChunkDigest>>> manifests;
+};
+
+BackupState state_of(const backup::BackupServer& server,
+                     const backup::BackupAgent& agent) {
+  const auto occ = server.retention().store()->occupancy();
+  const auto index = server.index().stats();
+  const auto& manifests = server.retention().manifests();
+  return {{{"store.chunks", occ.chunks},
+           {"store.bytes", occ.bytes},
+           {"store.refs", occ.refs},
+           {"store.zero_ref_chunks", occ.zero_ref_chunks},
+           {"index.probes", index.probes},
+           {"index.inserts", index.inserts},
+           {"manifest.records", manifests.record_count()},
+           {"agent.chunks", agent.unique_chunks()},
+           {"agent.bytes", agent.unique_bytes()}},
+          manifests.live_manifests()};
+}
+
+void expect_unchanged(const BackupState& before, const BackupState& after) {
+  EXPECT_EQ(after.counts, before.counts);
+  EXPECT_TRUE(after.manifests == before.manifests);
+}
+
+TEST_P(RetentionEndToEnd, RefusesATakenIdBeforeTakingAnything) {
+  // An id the server's manifests hold live, or one the agent has sealed, is
+  // refused with a typed error before the walk takes a store reference or
+  // an index insert — through backup_image and backup_images alike, an id
+  // repeated within one batch included.
+  backup::ImageRepoConfig repo_cfg;
+  repo_cfg.image_bytes = 1 * 1024 * 1024;
+  repo_cfg.segment_bytes = 64 * 1024;
+  repo_cfg.seed = 13;
+  backup::ImageRepository repo(repo_cfg);
+  backup::BackupServer server(churn_server_config(GetParam()));
+  backup::BackupAgent agent;
+  const auto base = repo.snapshot(0.0, 1);
+  const auto changed = repo.snapshot(0.10, 2);
+  ASSERT_TRUE(
+      server.backup_image("a", as_bytes(base), repo, agent).verified);
+
+  const auto refused_as_live = [&](const std::function<void()>& backup) {
+    const BackupState before = state_of(server, agent);
+    try {
+      backup();
+      ADD_FAILURE() << "expected a RetentionError";
+    } catch (const RetentionError& e) {
+      EXPECT_EQ(e.violation(), RetentionViolation::kImageExists);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "expected a RetentionError, got: " << e.what();
+    }
+    expect_unchanged(before, state_of(server, agent));
+  };
+  refused_as_live(
+      [&] { server.backup_image("a", as_bytes(changed), repo, agent); });
+  refused_as_live([&] {
+    server.backup_images({{"a", as_bytes(changed)}}, repo, agent);
+  });
+
+  // A repeated id: the batch's first "b" backs up and stays backed up; its
+  // second is refused like any other live id.
+  EXPECT_EQ(violation_of([&] {
+              server.backup_images(
+                  {{"b", as_bytes(changed)}, {"b", as_bytes(base)}}, repo,
+                  agent);
+            }),
+            RetentionViolation::kImageExists);
+  ASSERT_TRUE(agent.image_sealed("b"));
+  EXPECT_EQ(agent.image_root("b"),
+            dedup::root_digest(
+                server.retention().manifests().digests("", "b")));
+  EXPECT_EQ(agent.recreate("b"), changed);
+  expect_server_matches_backup_site(server, agent);
+
+  // Deleted on the server only, "b" is still sealed at the backup site.
+  server.delete_image("b");
+  const BackupState before = state_of(server, agent);
+  try {
+    server.backup_image("b", as_bytes(changed), repo, agent);
+    ADD_FAILURE() << "expected a ProtocolError";
+  } catch (const backup::ProtocolError& e) {
+    EXPECT_EQ(e.violation(), backup::ProtocolViolation::kDuplicateImage);
+  }
+  expect_unchanged(before, state_of(server, agent));
+  agent.delete_image("b");
+
+  // Nothing leaked: once "a" is gone from both sides, a changed backup
+  // under the freed id verifies, and the two sides still agree.
+  server.delete_image("a");
+  agent.delete_image("a");
+  server.gc();
+  expect_server_matches_backup_site(server, agent);
+  const auto again =
+      server.backup_image("a", as_bytes(changed), repo, agent);
+  EXPECT_TRUE(again.verified);
+  EXPECT_EQ(agent.recreate("a"), changed);
+  server.gc();
+  expect_server_matches_backup_site(server, agent);
 }
 
 }  // namespace
