@@ -3,9 +3,10 @@
 // against the GPU versions (Basic, Streams, Streams + Memory coalescing).
 //
 // Every configuration chunks the same 1 GiB stream and must produce
-// identical chunks (asserted); throughputs are reported under the calibrated
-// 2012 testbed model (X5650 host + C2050 GPU) alongside this machine's real
-// wall-clock numbers for the CPU paths.
+// identical chunks (asserted); throughputs are reported on stdout under the
+// calibrated 2012 testbed model (X5650 host + C2050 GPU), and this machine's
+// real wall-clock throughputs on stderr, so stdout repeats byte for byte
+// (tests/golden/ pins it).
 #include <cstdio>
 
 #include "bench_util.h"
@@ -28,7 +29,8 @@ int main() {
   const ByteSpan span = as_bytes(data);
   chunking::ChunkerConfig chunker;  // 48-byte window, 13 bits, as in §3.1
 
-  TablePrinter t({"Configuration", "Calibrated", "ThisHost", "Chunks"}, 22);
+  TablePrinter t({"Configuration", "Calibrated", "Chunks"}, 22);
+  TablePrinter host({"Configuration", "ThisHost"}, 22);
   std::vector<chunking::Chunk> reference;
 
   auto add_cpu = [&](bool hoard) {
@@ -38,10 +40,12 @@ int main() {
     } else {
       SHREDDER_CHECK_MSG(r.chunks == reference, "CPU chunks diverged");
     }
-    t.add_row({hoard ? "CPU w/ Hoard" : "CPU w/o Hoard",
+    const char* label = hoard ? "CPU w/ Hoard" : "CPU w/o Hoard";
+    t.add_row({label,
                TablePrinter::fmt(r.virtual_throughput_bps / 1e9, 2) + " GB/s",
-               TablePrinter::fmt(r.wall_throughput_bps / 1e9, 2) + " GB/s",
                std::to_string(r.chunks.size())});
+    host.add_row(
+        {label, TablePrinter::fmt(r.wall_throughput_bps / 1e9, 2) + " GB/s"});
   };
   add_cpu(false);
   add_cpu(true);
@@ -56,10 +60,11 @@ int main() {
     SHREDDER_CHECK_MSG(r.chunks == reference, "GPU chunks diverged");
     t.add_row({label,
                TablePrinter::fmt(r.virtual_throughput_bps / 1e9, 2) + " GB/s",
-               TablePrinter::fmt(
-                   static_cast<double>(total) / r.wall_seconds / 1e9, 2) +
-                   " GB/s (sim)",
                std::to_string(r.chunks.size())});
+    host.add_row({label, TablePrinter::fmt(static_cast<double>(total) /
+                                               r.wall_seconds / 1e9,
+                                           2) +
+                             " GB/s (sim)"});
     return r.virtual_throughput_bps;
   };
   add_gpu(GpuMode::kBasic, "GPU Basic");
@@ -67,10 +72,11 @@ int main() {
   const double full = add_gpu(GpuMode::kStreamsCoalesced, "GPU Streams+Memory");
 
   t.print();
-  const auto host = chunk_on_host(span, chunker, gpu::HostSpec{}, true);
+  std::fputs(host.to_string().c_str(), stderr);
+  const auto hoard = chunk_on_host(span, chunker, gpu::HostSpec{}, true);
   std::printf("\nheadline: GPU Streams+Memory is %.1fx the optimized host-only "
               "implementation (paper: >5x)\n",
-              full / host.virtual_throughput_bps);
+              full / hoard.virtual_throughput_bps);
   std::printf("(all five configurations produced bit-identical chunk "
               "boundaries)\n");
   return 0;

@@ -229,17 +229,17 @@ std::vector<dedup::ChunkDigest> BackupAgent::receive_stripped(
 }
 
 bool BackupAgent::receive_repair(const dedup::ChunkDigest& digest,
-                                 ByteVec&& payload) {
+                                 ByteSpan payload) {
   const auto pending = pending_repair_.find(digest);
   if (pending == pending_repair_.end()) {
     return false;  // duplicated repair frame — already materialized
   }
-  if (dedup::ChunkHasher::hash(as_bytes(payload)) != digest) {
+  if (dedup::ChunkHasher::hash(payload) != digest) {
     throw digest_mismatch(digest);
   }
   const std::uint64_t refs = pending->second;
   pending_repair_.erase(pending);
-  store_.put(digest, std::move(payload));  // stores with one reference
+  store_.put(digest, payload);  // stores with one reference
   for (std::uint64_t r = 1; r < refs; ++r) store_.add_ref(digest);
   return true;
 }

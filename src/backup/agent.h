@@ -137,9 +137,7 @@ class BackupAgent {
   // digest is not pending (a duplicated repair frame — ignored). Throws
   // ProtocolError{kPayloadDigestMismatch} when the payload does not hash to
   // the digest (a corrupt or misdirected repair must not poison the store).
-  // The payload moves into the store — the transport owns the repair buffer
-  // and hands it over instead of copying.
-  bool receive_repair(const dedup::ChunkDigest& digest, ByteVec&& payload);
+  bool receive_repair(const dedup::ChunkDigest& digest, ByteSpan payload);
 
   // Digests referenced by the image's recipe whose payloads are still
   // repair-pending, deduplicated, in first-reference order. Empty once the

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -191,20 +192,6 @@ BackupRunStats BackupServer::dedup_and_ship(
     std::vector<dedup::ChunkDigest> digests,
     std::vector<std::size_t> batch_ends, double generation_seconds,
     double chunking_seconds, BackupAgent& agent) {
-  // Refuse a taken id before the walk takes anything: once it has taken
-  // store references and index inserts, a refusal would leave them with no
-  // manifest to account for them.
-  if (const auto state = retention_->manifests().state("", image_id);
-      state.has_value() && *state != retention::ImageState::kDeleted) {
-    throw retention::RetentionError(
-        retention::RetentionViolation::kImageExists,
-        "BackupServer: image is live: " + image_id);
-  }
-  if (agent.image_sealed(image_id)) {
-    throw ProtocolError(ProtocolViolation::kDuplicateImage,
-                        "BackupServer: backup site already sealed image: " +
-                            image_id);
-  }
   Stopwatch wall;
   BackupRunStats stats;
   stats.bytes = image.size();
@@ -319,7 +306,7 @@ BackupRunStats BackupServer::dedup_and_ship(
                             payload.end());
       }
     }
-    if (!wire.digests.empty()) transport.send_batch(image_id, std::move(wire));
+    if (!wire.digests.empty()) transport.send_batch(image_id, wire);
   }
   transport.end_image(image_id);
   transport.flush();
@@ -433,10 +420,29 @@ retention::RetentionManager::CompactStats BackupServer::compact_index() {
   return stats;
 }
 
+// Called before any chunking: once the walk has taken store references and
+// index inserts, a refusal would leave them with no manifest to account for
+// them, and chunking a refused image is wasted work.
+void BackupServer::refuse_taken_id(const std::string& image_id,
+                                   const BackupAgent& agent) const {
+  if (const auto state = retention_->manifests().state("", image_id);
+      state.has_value() && *state != retention::ImageState::kDeleted) {
+    throw retention::RetentionError(
+        retention::RetentionViolation::kImageExists,
+        "BackupServer: image is live: " + image_id);
+  }
+  if (agent.image_sealed(image_id)) {
+    throw ProtocolError(ProtocolViolation::kDuplicateImage,
+                        "BackupServer: backup site already sealed image: " +
+                            image_id);
+  }
+}
+
 BackupRunStats BackupServer::backup_image(const std::string& image_id,
                                           ByteSpan image,
                                           const ImageRepository& repo,
                                           BackupAgent& agent) {
+  refuse_taken_id(image_id, agent);
   Stopwatch wall;
   std::vector<chunking::Chunk> chunks;
   std::vector<dedup::ChunkDigest> digests;
@@ -454,6 +460,18 @@ BackupRunStats BackupServer::backup_image(const std::string& image_id,
 std::vector<BackupRunStats> BackupServer::backup_images(
     const std::vector<SnapshotJob>& jobs, const ImageRepository& repo,
     BackupAgent& agent) {
+  // The whole batch is refused before any job chunks: a taken id, or one
+  // repeated within `jobs`, which its earlier job would take.
+  std::unordered_set<std::string> ids;
+  for (const auto& job : jobs) {
+    refuse_taken_id(job.image_id, agent);
+    if (!ids.insert(job.image_id).second) {
+      throw retention::RetentionError(
+          retention::RetentionViolation::kImageExists,
+          "BackupServer: image id repeated within one batch: " +
+              job.image_id);
+    }
+  }
   std::vector<BackupRunStats> all;
   all.reserve(jobs.size());
   if (config_.backend != ChunkerBackend::kSharedService) {

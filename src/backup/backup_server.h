@@ -159,7 +159,7 @@ class BackupServer {
   // everything this server has backed up before. An id this server's
   // manifests hold live throws retention::RetentionError{kImageExists}, and
   // one the agent has sealed throws ProtocolError{kDuplicateImage}; both are
-  // refused before the walk takes any store reference or index insert.
+  // refused before the image is chunked.
   BackupRunStats backup_image(const std::string& image_id, ByteSpan image,
                               const ImageRepository& repo, BackupAgent& agent);
 
@@ -173,9 +173,9 @@ class BackupServer {
   // backend every snapshot chunks concurrently as its own service tenant;
   // the dedup/transfer stage then runs per image in `jobs` order (the index
   // walk stays deterministic). Other backends degrade to a serial loop.
-  // Each job's id is checked as backup_image checks it, when its walk
-  // starts, so an id repeated within `jobs` is refused at its second job;
-  // the jobs before a refused one stay backed up.
+  // Every job's id is checked as backup_image checks it, and an id repeated
+  // within `jobs` throws retention::RetentionError{kImageExists}, all before
+  // any job is chunked: a refused batch chunks and backs up nothing.
   std::vector<BackupRunStats> backup_images(const std::vector<SnapshotJob>& jobs,
                                             const ImageRepository& repo,
                                             BackupAgent& agent);
@@ -221,6 +221,10 @@ class BackupServer {
                      std::vector<chunking::Chunk>& chunks,
                      std::vector<dedup::ChunkDigest>& digests,
                      std::vector<std::size_t>& batch_ends);
+  // Throws as backup_image documents when `image_id` is taken: live in this
+  // server's manifests or sealed by `agent`.
+  void refuse_taken_id(const std::string& image_id,
+                       const BackupAgent& agent) const;
   // Index + transfer + verification stages shared by all paths. `digests`
   // are chunk_image's fingerprints, 1:1 with `chunks`; the hash stage is
   // priced from config_.fingerprint_on_device.

@@ -103,30 +103,6 @@ void Transport::send_batch(const std::string& image_id,
   pump(cfg_.window_frames);
 }
 
-void Transport::send_batch(const std::string& image_id,
-                           BackupAgent::ExtentBatch&& batch) {
-  if (batch.digests.empty()) return;
-  // Closed-form content size; batch.extents may be slightly less coalesced
-  // than what the segmenting path would rebuild, so this is conservative —
-  // a batch judged too big here just takes the copying path.
-  const std::size_t content =
-      batch.digests.size() * sizeof(dedup::ChunkDigest) +
-      batch.extents.size() * cfg_.link.extent_record_bytes +
-      batch.payload_sizes.size() * sizeof(std::uint32_t) +
-      batch.payload.size();
-  if (content > cfg_.max_frame_bytes) {
-    send_batch(image_id, batch);  // segmenting copy path
-    return;
-  }
-  image_chunks_[image_id] += batch.digests.size();
-  Frame f;
-  f.image_id = image_id;
-  f.content_bytes = content;
-  f.batch = std::move(batch);
-  enqueue(std::move(f));
-  pump(cfg_.window_frames);
-}
-
 void Transport::end_image(const std::string& image_id) {
   Frame f;
   f.kind = Frame::Kind::kEnd;
@@ -489,12 +465,10 @@ void Transport::send_repair_requests() {
 }
 
 void Transport::on_repair_data(
-    std::vector<std::pair<dedup::ChunkDigest, ByteVec>>&& repairs) {
-  for (auto& [digest, payload] : repairs) {
-    // The event owns this delivery's copy of the payload; hand it to the
-    // agent instead of re-copying. A duplicated repair frame returns false
-    // before touching the vector.
-    agent_.receive_repair(digest, std::move(payload));
+    const std::vector<std::pair<dedup::ChunkDigest, ByteVec>>& repairs) {
+  for (const auto& [digest, payload] : repairs) {
+    // A duplicated repair frame returns false before touching the payload.
+    agent_.receive_repair(digest, payload);
     repair_inflight_.erase(digest);
   }
 }
@@ -672,7 +646,7 @@ void Transport::pump(std::size_t target_backlog) {
         serve_repair(ev.digests);
         break;
       case Event::Kind::kRepairDataArrive:
-        on_repair_data(std::move(ev.repairs));
+        on_repair_data(ev.repairs);
         break;
       case Event::Kind::kApplyDone:
         if (apply_outstanding_ > 0) --apply_outstanding_;

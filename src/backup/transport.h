@@ -213,12 +213,6 @@ class Transport {
   // backpressured exactly like the agent backpressures the server.
   void send_batch(const std::string& image_id,
                   const BackupAgent::ExtentBatch& batch);
-  // Adopting overload: a batch that fits one data frame is moved into the
-  // frame whole — the payload bytes are never re-copied into frame storage
-  // (the frame then owns them for retransmission). Batches that must be
-  // segmented fall back to the copying path.
-  void send_batch(const std::string& image_id,
-                  BackupAgent::ExtentBatch&& batch);
 
   // Enqueues the end-of-image control frame carrying the total chunk count;
   // the agent seals the recipe on delivery and detects truncation.
@@ -306,7 +300,7 @@ class Transport {
   void queue_repair(std::vector<dedup::ChunkDigest> digests);
   void send_repair_requests();
   void on_repair_data(
-      std::vector<std::pair<dedup::ChunkDigest, ByteVec>>&& repairs);
+      const std::vector<std::pair<dedup::ChunkDigest, ByteVec>>& repairs);
 
   // --- wire + event machinery ---
   // Transmits `content` bytes in `dir` (0 = server→agent, 1 = agent→server),

@@ -1,7 +1,7 @@
 // Bounded, blocking multi-producer multi-consumer queue.
 //
-// Used as the conveyor belt between pipeline stages (Reader → Transfer →
-// Kernel → Store). close() lets producers signal end-of-stream; pop() then
+// Used as the conveyor belt between pipeline stages (Reader → Kernel →
+// Store). close() lets producers signal end-of-stream; pop() then
 // drains remaining items and returns std::nullopt once empty.
 //
 // Locking: every member below is guarded by mutex_ (thread-safety analysis

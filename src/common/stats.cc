@@ -38,89 +38,6 @@ double Summary::stddev() const noexcept {
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  if (bounds_.empty()) throw std::invalid_argument("Histogram: no buckets");
-  if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
-    throw std::invalid_argument("Histogram: bounds must be ascending");
-  }
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  // NaN compares false against every bound, so lower_bound would file it in
-  // the overflow bucket; count it separately and keep it out of total_ (and
-  // thus out of quantiles).
-  if (std::isnan(x)) {
-    ++nan_count_;
-    return;
-  }
-  // Bucket i holds values in (bounds[i-1], bounds[i]] — bounds are inclusive
-  // upper bounds.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
-  ++total_;
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bucket_count");
-  return counts_[i];
-}
-
-double Histogram::quantile(double q) const {
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q in [0,1]");
-  if (total_ == 0) return 0.0;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      // The overflow bucket has no upper edge; interpolating into an invented
-      // one would fabricate mass, so clamp its quantiles to the last bound.
-      if (i >= bounds_.size()) return bounds_.back();
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          counts_[i] == 0 ? 0.0 : (target - cum) / static_cast<double>(counts_[i]);
-      return lo + frac * (hi - lo);
-    }
-    cum = next;
-  }
-  return bounds_.back();
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (i < bounds_.size()) {
-      out << "<= " << bounds_[i];
-    } else {
-      out << " > " << bounds_.back();
-    }
-    out << ": " << counts_[i] << "\n";
-  }
-  return out.str();
-}
-
-std::vector<double> log_spaced_bounds(double lo, double hi,
-                                      std::size_t count) {
-  if (!(lo > 0.0) || !(hi > lo)) {
-    throw std::invalid_argument("log_spaced_bounds: need 0 < lo < hi");
-  }
-  if (count < 2) {
-    throw std::invalid_argument("log_spaced_bounds: need count >= 2");
-  }
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  const double step =
-      std::log(hi / lo) / static_cast<double>(count - 1);
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(lo * std::exp(step * static_cast<double>(i)));
-  }
-  bounds.back() = hi;  // exact endpoint despite float rounding
-  return bounds;
-}
-
 TablePrinter::TablePrinter(std::vector<std::string> headers, int col_width)
     : headers_(std::move(headers)), col_width_(col_width) {
   SHREDDER_CHECK_MSG(!headers_.empty(), "table needs at least one column");

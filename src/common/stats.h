@@ -1,4 +1,4 @@
-// Summary statistics and fixed-bucket histograms for benches and tests.
+// Summary statistics and a fixed-width table printer for benches and tests.
 #pragma once
 
 #include <cstdint>
@@ -43,42 +43,6 @@ class Summary {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-// Histogram with caller-supplied bucket upper bounds (last bucket is
-// unbounded). Used to inspect chunk-size and latency distributions.
-//
-// NaN observations are counted separately (nan_count) instead of being
-// bucketed: every comparison against NaN is false, so lower_bound would
-// silently file them in the overflow bucket and skew quantiles.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void add(double x) noexcept;
-
-  std::uint64_t bucket_count(std::size_t i) const;
-  std::size_t num_buckets() const noexcept { return counts_.size(); }
-  std::uint64_t total() const noexcept { return total_; }
-  std::uint64_t nan_count() const noexcept { return nan_count_; }
-  const std::vector<double>& bounds() const noexcept { return bounds_; }
-
-  // Approximate quantile (linear within buckets). q in [0,1].
-  double quantile(double q) const;
-
-  std::string to_string() const;
-
- private:
-  std::vector<double> bounds_;  // ascending
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t nan_count_ = 0;
-};
-
-// `count` geometrically spaced bucket bounds from `lo` to `hi` inclusive —
-// the natural shape for latency histograms, whose interesting structure
-// spans orders of magnitude. Requires 0 < lo < hi and count >= 2.
-std::vector<double> log_spaced_bounds(double lo, double hi,
-                                      std::size_t count);
 
 // Table printer: fixed-width columns for figure reproduction output.
 class TablePrinter {

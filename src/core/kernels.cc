@@ -33,20 +33,17 @@ ThreadRange thread_range(std::size_t payload_begin, std::size_t payload_end,
 
 }  // namespace
 
-GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
-                            std::size_t data_len, std::size_t carry,
+GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
+                            std::uint64_t device_addr, std::size_t carry,
                             std::uint64_t base_offset,
                             const rabin::RabinTables& tables,
                             const chunking::ChunkerConfig& config,
                             const KernelParams& params) {
   config.validate();
-  if (data_len > buf.size()) {
-    throw std::invalid_argument("chunk_on_gpu: data_len exceeds buffer");
-  }
+  const std::size_t data_len = data.size();
   if (carry > data_len) {
-    throw std::invalid_argument("chunk_on_gpu: carry exceeds data_len");
+    throw std::invalid_argument("chunk_on_gpu: carry exceeds the data");
   }
-  const ByteSpan data = buf.span().first(data_len);
   const std::size_t w = tables.window();
   const int total_threads = params.blocks * params.threads_per_block;
 
@@ -74,7 +71,6 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
   const auto kernel = [&](gpu::BlockCtx& ctx) {
     const std::size_t tpb = static_cast<std::size_t>(ctx.threads_per_block());
     const int first = ctx.block_idx() * ctx.threads_per_block();
-    const std::uint64_t dev_base = buf.device_addr();
     // Accounting: each thread's sub-stream, walked the way the modelled
     // kernel reads it. The record calls (and so exact_dram traces) follow
     // the per-thread, per-tile order of the device.
@@ -85,7 +81,7 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
       if (!params.coalesced) {
         // Direct global-memory walk, one 16 B segment per thread at a time,
         // warm-up bytes included.
-        ctx.record_global_read(dev_base + r.scan_begin,
+        ctx.record_global_read(device_addr + r.scan_begin,
                                r.emit_end - r.scan_begin);
         ctx.record_processed(r.emit_end - r.scan_begin);
         continue;
@@ -104,7 +100,7 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
         const std::size_t payload =
             std::min(r.emit_end - pos, std::max<std::size_t>(64, fit));
         const std::size_t len = halo + payload;
-        ctx.record_global_read(dev_base + (pos - halo), len);
+        ctx.record_global_read(device_addr + (pos - halo), len);
         ctx.record_processed(len);
         // A tile larger than the slice (tiny shared configs) is scanned
         // straight from global memory, unstaged.
@@ -145,23 +141,19 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
 }
 
 GpuFingerprintResult fingerprint_on_gpu(
-    gpu::Device& device, const gpu::DeviceBuffer& buf, std::size_t data_len,
+    gpu::Device& device, ByteSpan data, std::uint64_t device_addr,
     std::size_t carry, std::uint64_t base_offset,
     const std::vector<std::uint64_t>& cuts, dedup::ChunkHasher& carry_ctx,
     const KernelParams& params) {
-  if (data_len > buf.size()) {
-    throw std::invalid_argument("fingerprint_on_gpu: data_len exceeds buffer");
-  }
-  if (carry > data_len) {
-    throw std::invalid_argument("fingerprint_on_gpu: carry exceeds data_len");
+  if (carry > data.size()) {
+    throw std::invalid_argument("fingerprint_on_gpu: carry exceeds the data");
   }
   const std::uint64_t hash_begin = base_offset + carry;
-  const std::uint64_t hash_end = base_offset + data_len;
+  const std::uint64_t hash_end = base_offset + data.size();
   if (!std::is_sorted(cuts.begin(), cuts.end()) ||
       (!cuts.empty() && (cuts.front() <= hash_begin || cuts.back() > hash_end))) {
     throw std::invalid_argument("fingerprint_on_gpu: cuts out of range");
   }
-  const ByteSpan data = buf.span().first(data_len);
 
   // Hash tasks over the payload: task k < cuts.size() closes the chunk
   // ending at cuts[k]; the final task absorbs the open tail into the ctx
@@ -197,14 +189,13 @@ GpuFingerprintResult fingerprint_on_gpu(
     const std::size_t per = (n_tasks + nb - 1) / nb;
     const std::size_t first = std::min(n_tasks, b * per);
     const std::size_t last = std::min(n_tasks, (b + 1) * per);
-    const std::uint64_t dev_base = buf.device_addr();
     for (std::size_t t = first; t < last; ++t) {
       const std::uint64_t seg_begin = t == 0 ? hash_begin : cuts[t - 1];
       const std::uint64_t seg_end = t < cuts.size() ? cuts[t] : hash_end;
       const std::size_t off = static_cast<std::size_t>(seg_begin - base_offset);
       const std::size_t len = static_cast<std::size_t>(seg_end - seg_begin);
       if (len > 0) {
-        ctx.record_global_read(dev_base + off, len);
+        ctx.record_global_read(device_addr + off, len);
         ctx.record_processed(len);
       }
       if (t < cuts.size()) {

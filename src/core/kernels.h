@@ -20,14 +20,15 @@
 //    Each tile restages the w-1 bytes before its payload (the halo), and a
 //    tile that does not fit the thread's slice of shared memory is read
 //    straight from global memory. The simulator counts tiles, halos and
-//    staged bytes but copies nothing: the block's scan reads the resident
-//    buffer.
+//    staged bytes but copies nothing: the block's scan reads the staged
+//    bytes in place.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "chunking/chunk.h"
+#include "common/bytes.h"
 #include "dedup/digest.h"
 #include "gpusim/device.h"
 #include "rabin/rabin.h"
@@ -47,11 +48,13 @@ struct GpuChunkResult {
   gpu::KernelRunStats stats;
 };
 
-// Chunks buf[0, data_len). The first `carry` bytes are window context from
-// the previous buffer (boundaries inside them are not re-emitted);
-// `base_offset` is the absolute stream offset of buf[0].
-GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
-                            std::size_t data_len, std::size_t carry,
+// Chunks `data`, the staged bytes read in place. The first `carry` bytes are
+// window context from the previous buffer (boundaries inside them are not
+// re-emitted); `base_offset` is the absolute stream offset of data[0].
+// `device_addr` is the simulated device address of data[0]; only the exact
+// DRAM accounting (params.exact_dram) reads it.
+GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
+                            std::uint64_t device_addr, std::size_t carry,
                             std::uint64_t base_offset,
                             const rabin::RabinTables& tables,
                             const chunking::ChunkerConfig& config,
@@ -65,16 +68,17 @@ struct GpuFingerprintResult {
 };
 
 // Fingerprint kernel (§4.3-style second device stage): hashes the payload
-// bytes buf[carry, data_len) — still resident from the chunking kernel —
-// into per-chunk SHA-256 digests. `cuts` are the resolved chunk end offsets
-// (absolute, ascending, each in (base_offset+carry, base_offset+data_len]).
+// bytes data[carry, data.size()) — the bytes the chunking kernel read —
+// into per-chunk SHA-256 digests. `device_addr` is as for chunk_on_gpu.
+// `cuts` are the resolved chunk end offsets (absolute, ascending, each in
+// (base_offset+carry, base_offset+data.size()]).
 // `carry_ctx` is the running hash of the open chunk's bytes from previous
 // buffers; on return it holds the bytes after the last cut, so chunks that
 // span buffers hash incrementally without re-reading evicted data. Each
 // closed chunk is an independent hash task, mapped one-per-thread across the
 // launch's blocks.
 GpuFingerprintResult fingerprint_on_gpu(
-    gpu::Device& device, const gpu::DeviceBuffer& buf, std::size_t data_len,
+    gpu::Device& device, ByteSpan data, std::uint64_t device_addr,
     std::size_t carry, std::uint64_t base_offset,
     const std::vector<std::uint64_t>& cuts, dedup::ChunkHasher& carry_ctx,
     const KernelParams& params);

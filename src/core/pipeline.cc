@@ -66,10 +66,18 @@ PipelineEngine::PipelineEngine(const PipelineEngineConfig& config,
       kparams_(config.kernel),
       host_kind_(config.mode != GpuMode::kBasic ? gpu::HostMemKind::kPinned
                                                 : gpu::HostMemKind::kPageable),
-      to_transfer_(config.mode != GpuMode::kBasic ? config.ring_slots : 1),
-      to_kernel_(config.mode != GpuMode::kBasic ? 2 : 1),
+      to_kernel_(config.mode != GpuMode::kBasic ? config.ring_slots : 1),
       to_store_(config.mode != GpuMode::kBasic ? 2 : 1) {
   config_.validate();
+  // The engine's device buffers, two in the pipelined modes (double
+  // buffering, §4.1.1) and one in basic, must fit the device's global
+  // memory. Checked before the ring is built, so a refused configuration
+  // allocates nothing.
+  if ((pipelined() ? 2 : 1) * static_cast<std::uint64_t>(config_.slot_bytes) >
+      device_.spec().global_mem_bytes) {
+    throw std::invalid_argument(
+        "PipelineEngine: buffers exceed the device's global memory");
+  }
   kparams_.coalesced = config_.mode == GpuMode::kStreamsCoalesced;
   if (config_.registry != nullptr) {
     obs::Registry& reg = *config_.registry;
@@ -89,29 +97,15 @@ PipelineEngine::PipelineEngine(const PipelineEngineConfig& config,
             : nullptr);
     init_seconds_ = pool_->construction_cost_seconds();
   }
-  // Device twin buffers (double buffering, §4.1.1).
-  const std::size_t n_twins = pipelined() ? 2 : 1;
-  for (std::size_t i = 0; i < n_twins; ++i) {
-    twins_.push_back(device_.alloc(config_.slot_bytes));
-  }
-  twins_free_ = n_twins;
-  transfer_thread_ = std::thread([this] { transfer_loop(); });
   kernel_thread_ = std::thread([this] { kernel_loop(); });
 }
 
 PipelineEngine::~PipelineEngine() { stop(); }
 
 void PipelineEngine::stop() {
-  stopping_.store(true);
   if (pool_ != nullptr) pool_->stop();
-  {
-    MutexLock lock(twin_mutex_);
-  }
-  twin_cv_.notify_all();
-  to_transfer_.close();
   to_kernel_.close();
   to_store_.close();
-  if (transfer_thread_.joinable()) transfer_thread_.join();
   if (kernel_thread_.joinable()) kernel_thread_.join();
 }
 
@@ -119,37 +113,15 @@ std::size_t PipelineEngine::slots_leased() const {
   return pool_ != nullptr ? pool_->leased() : 0;
 }
 
-bool PipelineEngine::acquire_twin() {
-  MutexLock lock(twin_mutex_);
-  while (twins_free_ == 0 && !stopping_.load()) twin_cv_.wait(twin_mutex_);
-  if (twins_free_ == 0) return false;
-  --twins_free_;
-  return true;
-}
-
-void PipelineEngine::release_twin() {
-  {
-    MutexLock lock(twin_mutex_);
-    ++twins_free_;
-  }
-  twin_cv_.notify_one();
-}
-
-// Called from a stage thread's catch block: store the exception for
-// next_batch() and unblock every other party — producers waiting on a slot
-// lease or a full queue, and the peer stage thread waiting on a twin.
+// Called from the kernel thread's catch block: store the exception for
+// next_batch() and unblock every producer waiting on a slot lease or a full
+// queue.
 void PipelineEngine::record_error_and_unblock() {
   {
     MutexLock lock(error_mutex_);
     if (!error_) error_ = std::current_exception();
   }
-  stopping_.store(true);
   if (pool_ != nullptr) pool_->stop();
-  {
-    MutexLock lock(twin_mutex_);
-  }
-  twin_cv_.notify_all();
-  to_transfer_.close();
   to_kernel_.close();
   to_store_.close();
 }
@@ -230,32 +202,10 @@ bool PipelineEngine::submit(const StreamBuffer& buf) {
   }
   // On push failure the moved-from item is destroyed inside push(); its
   // lease drops and the slot recycles automatically.
-  return to_transfer_.push(std::move(item));
+  return to_kernel_.push(std::move(item));
 }
 
-void PipelineEngine::close() { to_transfer_.close(); }
-
-void PipelineEngine::transfer_loop() {
-  try {
-    std::size_t next_twin = 0;
-    while (auto item = to_transfer_.pop()) {
-      if (item->eos) {
-        if (!to_kernel_.push(std::move(*item))) return;
-        continue;
-      }
-      if (!acquire_twin()) return;
-      item->dev_slot = next_twin;
-      next_twin = (next_twin + 1) % twins_.size();
-      item->transfer_seconds = device_.memcpy_h2d(
-          twins_[item->dev_slot], 0, item->lease.bytes(), host_kind_);
-      // The slot is NOT released here: the lease rides to the kernel stage.
-      if (!to_kernel_.push(std::move(*item))) return;
-    }
-    to_kernel_.close();
-  } catch (...) {
-    record_error_and_unblock();
-  }
-}
+void PipelineEngine::close() { to_kernel_.close(); }
 
 PipelineEngine::FingerprintSession& PipelineEngine::fp_session(
     std::uint32_t stream_id) {
@@ -270,15 +220,15 @@ PipelineEngine::FingerprintSession& PipelineEngine::fp_session(
 }
 
 // Runs the fingerprint kernel for one chunked buffer: resolve the chunk ends
-// this buffer makes final, hash them over the resident device twin, and
-// attach (ends, digests, stage seconds) to the batch.
+// this buffer makes final, hash them over the staged slot the chunking
+// kernel read, and attach (ends, digests, stage seconds) to the batch.
 void PipelineEngine::fingerprint_batch(StagedItem& item, BoundaryBatch& batch) {
   FingerprintSession& s = fp_session(item.stream_id);
   s.pending.clear();
   for (const std::uint64_t b : batch.boundaries) s.cutter.push(b);
   s.cutter.drain_forced(batch.payload_end);
   GpuFingerprintResult fr = fingerprint_on_gpu(
-      device_, twins_[item.dev_slot], item.lease.size(), item.carry,
+      device_, item.lease.bytes(), /*device_addr=*/0, item.carry,
       item.base_offset, s.pending, s.ctx, kparams_);
   batch.stages.fingerprint = fr.stats.virtual_seconds;
   batch.fingerprint_stats = fr.stats;
@@ -324,11 +274,15 @@ void PipelineEngine::kernel_loop() {
         if (!to_store_.push(std::move(batch))) return;
         continue;
       }
+      // The kernels read the leased slot in place; the H2D DMA that would
+      // have carried it to the device is priced, not performed.
       GpuChunkResult kr = chunk_on_gpu(
-          device_, twins_[item->dev_slot], item->lease.size(), item->carry,
+          device_, item->lease.bytes(), /*device_addr=*/0, item->carry,
           item->base_offset, tables_, chunker_, kparams_);
       batch.stages.reader = item->reader_seconds;
-      batch.stages.transfer = item->transfer_seconds;
+      batch.stages.transfer =
+          gpu::dma_seconds(device_.spec(), item->lease.size(),
+                           gpu::Direction::kHostToDevice, host_kind_);
       batch.stages.kernel = kr.stats.virtual_seconds;
       batch.kernel_stats = kr.stats;
       batch.boundaries = std::move(kr.boundaries);
@@ -341,15 +295,12 @@ void PipelineEngine::kernel_loop() {
         m_kernel_s_->observe(batch.stages.kernel);
       }
       if (config_.fingerprint) {
-        // The hash kernel reads the same resident twin, so it must finish
-        // before the twin is released; the next buffer's H2D still overlaps
-        // on the other twin — exactly the copy/compute overlap of §4.1.1.
+        // The hash kernel reads the same slot, still leased by the item.
         fingerprint_batch(*item, batch);
         if (m_fingerprint_s_ != nullptr) {
           m_fingerprint_s_->observe(batch.stages.fingerprint);
         }
       }
-      release_twin();
       // The item, and with it the slot's lease, ends after the push: while
       // a stalled consumer keeps to_store_ full, this thread holds the slot.
       if (!to_store_.push(std::move(batch))) return;

@@ -14,17 +14,24 @@
 // Stage layout (each arrow is a bounded queue; depth bounds the buffers in
 // flight, exactly like Figure 8's ring):
 //
-//   submit() ──copy carry ++ payload into leased pinned slot──► transfer thread
-//     (H2D DMA into a free device twin)
-//   ──► kernel thread (chunk_on_gpu [+ fingerprint_on_gpu]; the slot's
-//       lease ends here) ──► next_batch() on the caller
+//   submit() ──copy carry ++ payload into leased pinned slot──► kernel thread
+//     (prices the H2D DMA; chunk_on_gpu [+ fingerprint_on_gpu] read the
+//      slot in place; the slot's lease ends here) ──► next_batch() on the
+//      caller
+//
+// The simulated device holds no bytes. Each buffer's H2D DMA is a priced
+// stage (gpu::dma_seconds of the staged bytes, StageSeconds::transfer), and
+// both kernels read the leased slot where submit() staged it. Double
+// buffering (§4.1.1), buffer i+1's H2D overlapping buffer i's kernel, is
+// priced in virtual time where the stages are composed: pipeline_makespan
+// over the ring in Shredder, twin GpuTimeline streams per tenant in the
+// service.
 //
 // With config.fingerprint set, the kernel thread runs a second device
 // kernel per buffer: it resolves the final (min/max-filtered) chunk ends on
-// the device side and SHA-256-hashes each chunk over the still-resident
-// twin, so batches come back with chunk+digest pairs and the host never
-// rehashes. The hash kernel of buffer i overlaps the H2D of buffer i+1 on
-// the other twin (docs/fingerprint.md has the timeline).
+// the device side and SHA-256-hashes each chunk over the same staged bytes,
+// so batches come back with chunk+digest pairs and the host never rehashes
+// (docs/fingerprint.md has the timeline).
 //
 // Staged bytes never leave the engine. Each buffer's pinned-ring slot is
 // leased (core/lease.h) from submit() until the kernel stage finishes with
@@ -37,7 +44,6 @@
 // slots in flight.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -66,10 +72,11 @@ namespace shredder::core {
 // Operating modes exposing the paper's optimization ladder (Fig 12).
 enum class GpuMode { kBasic, kStreams, kStreamsCoalesced };
 
-// Per-buffer virtual durations of the pipeline stages. `fingerprint` is the
-// on-device hash kernel (zero unless the engine fingerprints); it runs on
-// the compute engine right after the chunking kernel, overlapping the next
-// buffer's H2D exactly like the chunking kernel does.
+// Per-buffer virtual durations of the pipeline stages. `transfer` is the
+// buffer's H2D DMA. `fingerprint` is the on-device hash kernel (zero unless
+// the engine fingerprints); it runs on the compute engine right after the
+// chunking kernel, overlapping the next buffer's H2D exactly like the
+// chunking kernel does.
 struct StageSeconds {
   double reader = 0;
   double transfer = 0;
@@ -142,8 +149,8 @@ struct PipelineEngineConfig {
   std::size_t ring_slots = 4;  // pinned ring = number of leasable slots
   KernelParams kernel;         // coalesced flag is derived from `mode`
   // Adds the on-device fingerprint stage: after the chunking kernel, a
-  // SHA-256 kernel hashes every resolved chunk over the still-resident
-  // buffer and the digests ride back with the batch; the trailing chunk
+  // SHA-256 kernel hashes every resolved chunk over the same staged bytes
+  // and the digests ride back with the batch; the trailing chunk
   // closes on the stream's eos StreamBuffer, which every producer submits.
   bool fingerprint = false;
   // Optional metrics registry (borrowed; must outlive the engine). The
@@ -158,7 +165,10 @@ struct PipelineEngineConfig {
 class PipelineEngine {
  public:
   // The engine borrows `device`, `tables` and `chunker`; all three must
-  // outlive it. Throws std::invalid_argument on bad configuration.
+  // outlive it. Throws std::invalid_argument on bad configuration, and when
+  // the engine's device buffers (two in the pipelined modes, one in basic)
+  // of slot_bytes each exceed the device's global memory; both are checked
+  // before the ring is built.
   PipelineEngine(const PipelineEngineConfig& config, gpu::Device& device,
                  const rabin::RabinTables& tables,
                  const chunking::ChunkerConfig& chunker);
@@ -168,7 +178,7 @@ class PipelineEngine {
   PipelineEngine& operator=(const PipelineEngine&) = delete;
 
   // Stages `buf` behind its stream's window carry and hands it to the
-  // transfer thread: leases a pinned slot (blocking while all slots are in
+  // kernel thread: leases a pinned slot (blocking while all slots are in
   // flight — this is the backpressure point) and copies carry ++ payload
   // into it, or into one owned vector in basic mode. An eos buffer closes
   // the stream and drops its staging state. Returns false if the engine was
@@ -185,8 +195,8 @@ class PipelineEngine {
   std::optional<BoundaryBatch> next_batch();
 
   // Hard-stops the pipeline: wakes any producer blocked on a slot lease
-  // (their submit returns false), closes every queue and joins the stage
-  // threads. Idempotent; also runs from the destructor.
+  // (their submit returns false), closes every queue and joins the kernel
+  // thread. Idempotent; also runs from the destructor.
   void stop();
 
   // One-time pinned-ring construction cost (streams modes only).
@@ -217,8 +227,6 @@ class PipelineEngine {
     double reader_seconds = 0;
     double sched_credit = 0;
     std::uint32_t queue_depth = 0;
-    std::size_t dev_slot = 0;
-    double transfer_seconds = 0;
   };
 
   // One open stream's staging state: the last w-1 staged bytes (fewer at
@@ -240,10 +248,7 @@ class PipelineEngine {
   void finish_fingerprint(std::uint32_t stream_id, std::uint64_t total,
                           BoundaryBatch& batch);
 
-  bool acquire_twin();
-  void release_twin();
   void record_error_and_unblock();
-  void transfer_loop();
   void kernel_loop();
 
   PipelineEngineConfig config_;
@@ -266,7 +271,6 @@ class PipelineEngine {
   // threads, so every lease an item still holds returns to it before it
   // dies. Null in basic mode (no ring; payloads stage into owned vectors).
   std::unique_ptr<detail::SlotPool> pool_;
-  std::atomic<bool> stopping_{false};  // wakes twin waiters at shutdown
 
   // Staging state of every stream that has submitted data and not yet its
   // eos, keyed by stream id.
@@ -274,12 +278,6 @@ class PipelineEngine {
   std::unordered_map<std::uint32_t, StreamCursor> cursors_
       GUARDED_BY(cursors_mutex_);
 
-  std::vector<gpu::DeviceBuffer> twins_;
-  Mutex twin_mutex_;
-  CondVar twin_cv_;
-  std::size_t twins_free_ GUARDED_BY(twin_mutex_) = 0;
-
-  BoundedQueue<StagedItem> to_transfer_;
   BoundedQueue<StagedItem> to_kernel_;
   BoundedQueue<BoundaryBatch> to_store_;
 
@@ -289,7 +287,6 @@ class PipelineEngine {
 
   Mutex error_mutex_;
   std::exception_ptr error_ GUARDED_BY(error_mutex_);
-  std::thread transfer_thread_;
   std::thread kernel_thread_;
 };
 

@@ -57,8 +57,9 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
   // --- The pipeline ---
   // The Reader stage runs on one thread: it takes each buffer from the
   // source as a view and submits it, and submit() copies it into the
-  // pinned ring. The transfer and kernel threads live inside the engine;
-  // the Store stage runs on this thread, matching Figure 8's four stages.
+  // pinned ring. The kernel thread, which also prices each buffer's H2D,
+  // lives inside the engine; the Store stage runs on this thread, matching
+  // Figure 8's four stages.
   std::vector<StageSeconds> stage_log;
   std::uint64_t total_bytes = 0;
   std::uint64_t n_buffers = 0;

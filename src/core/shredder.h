@@ -5,13 +5,15 @@
 // producer thread a run starts, takes the input stream from its DataSource
 // one buffer-sized view at a time and submits each view to the pipeline
 // engine, which copies it behind the stream's last w-1 bytes into the pinned
-// ring (for in-memory input the only host copy). A Transfer thread DMAs the
-// staged buffers into device memory (double-buffered twins), the chunking
-// kernel finds raw content boundaries in parallel on the (simulated) GPU,
-// and the Store stage on the calling thread copies boundaries back, applies
-// min/max sizes and hands finished chunks to the application's ChunkSink
-// one batch per buffer (core::StreamStore, the Store stage the multi-tenant
-// service runs per tenant too).
+// ring (for in-memory input the only host copy). The engine's kernel thread
+// prices each staged buffer's H2D DMA and runs the chunking kernel over the
+// slot in place, finding raw content boundaries in parallel on the
+// (simulated) GPU; the H2D of one buffer overlapping the kernel of the one
+// before (double buffering) is priced by the pipeline makespan. The Store
+// stage on the calling thread copies boundaries back, applies min/max sizes
+// and hands finished chunks to the application's ChunkSink one batch per
+// buffer (core::StreamStore, the Store stage the multi-tenant service runs
+// per tenant too).
 //
 // Three operating modes expose the paper's optimization ladder (Fig 12):
 //   kBasic            serialized stages, pageable host memory, direct
@@ -117,7 +119,6 @@ class Shredder {
 
   const ShredderConfig& config() const noexcept { return config_; }
   const rabin::RabinTables& tables() const noexcept { return tables_; }
-  gpu::Device& device() noexcept { return *device_; }
 
  private:
   ShredderResult run_impl(DataSource& source, ChunkSink* sink);

@@ -58,16 +58,6 @@ PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteSpan data) {
                     Entry{ByteVec(data.begin(), data.end()), data.size()});
 }
 
-PutOutcome ChunkStore::put(const ChunkDigest& digest, ByteVec&& data) {
-#ifndef NDEBUG
-  SHREDDER_CHECK_MSG(ChunkHasher::hash(as_bytes(data)) == digest,
-                     "ChunkStore::put digest mismatch");
-#endif
-  const std::uint64_t size = data.size();
-  MutexLock lock(mutex_);
-  return put_locked(digest, Entry{std::move(data), size});
-}
-
 PutOutcome ChunkStore::put(const ChunkDigest& digest, std::uint64_t size) {
   MutexLock lock(mutex_);
   return put_locked(digest, Entry{{}, size, 1, /*has_payload=*/false});

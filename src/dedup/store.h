@@ -91,10 +91,6 @@ class ChunkStore {
   // builds, including digests precomputed on the device by the fingerprint
   // stage.
   PutOutcome put(const ChunkDigest& digest, ByteSpan data);
-  // Adopting overload: moves `data` into the store when the chunk is new,
-  // avoiding the copy on the zero-copy wire path. On kRefAdded and kRevived
-  // the vector is simply dropped.
-  PutOutcome put(const ChunkDigest& digest, ByteVec&& data);
   // Reference-only overload: takes one reference exactly like a payload put
   // of `size` bytes (same outcome, same resurrection of a parked entry, same
   // accounting) but stores no bytes. A payload put onto a reference-only

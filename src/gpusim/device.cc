@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
+#include <vector>
 
-#include "common/check.h"
 #include "common/timer.h"
 
 namespace shredder::gpu {
@@ -31,82 +30,8 @@ void BlockCtx::record_global_read(std::uint64_t addr,
   }
 }
 
-DeviceBuffer::DeviceBuffer(Device* device, std::size_t size, std::uint64_t addr)
-    : device_(device), data_(size), device_addr_(addr) {}
-
-DeviceBuffer::DeviceBuffer(DeviceBuffer&& other) noexcept
-    : device_(other.device_),
-      data_(std::move(other.data_)),
-      device_addr_(other.device_addr_) {
-  other.device_ = nullptr;
-  other.data_.clear();
-}
-
-DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& other) noexcept {
-  if (this != &other) {
-    if (device_ != nullptr) device_->release(data_.size());
-    device_ = other.device_;
-    data_ = std::move(other.data_);
-    device_addr_ = other.device_addr_;
-    other.device_ = nullptr;
-    other.data_.clear();
-  }
-  return *this;
-}
-
-DeviceBuffer::~DeviceBuffer() {
-  if (device_ != nullptr) device_->release(data_.size());
-}
-
 Device::Device(DeviceSpec spec, std::size_t worker_threads)
     : spec_(spec), pool_(worker_threads) {}
-
-DeviceBuffer Device::alloc(std::size_t size) {
-  if (size == 0) throw std::invalid_argument("Device::alloc: size 0");
-  std::uint64_t addr = 0;
-  {
-    MutexLock lock(mutex_);
-    if (allocated_ + size > spec_.global_mem_bytes) {
-      throw std::runtime_error(
-          "Device::alloc: out of device memory (2.6 GB simulated capacity)");
-    }
-    allocated_ += size;
-    // Device addresses are row-aligned so buffers start on a fresh row.
-    addr = next_addr_;
-    const std::uint64_t align = spec_.row_bytes;
-    next_addr_ += (size + align - 1) / align * align;
-  }
-  return DeviceBuffer(this, size, addr);
-}
-
-std::uint64_t Device::allocated_bytes() const noexcept {
-  MutexLock lock(mutex_);
-  return allocated_;
-}
-
-void Device::release(std::uint64_t bytes) noexcept {
-  MutexLock lock(mutex_);
-  SHREDDER_CHECK(allocated_ >= bytes);
-  allocated_ -= bytes;
-}
-
-double Device::memcpy_h2d(DeviceBuffer& dst, std::size_t dst_offset,
-                          ByteSpan src, HostMemKind kind) {
-  if (dst_offset + src.size() > dst.size()) {
-    throw std::invalid_argument("memcpy_h2d: out of range");
-  }
-  std::memcpy(dst.span().data() + dst_offset, src.data(), src.size());
-  return dma_seconds(spec_, src.size(), Direction::kHostToDevice, kind);
-}
-
-double Device::memcpy_d2h(MutableByteSpan dst, const DeviceBuffer& src,
-                          std::size_t src_offset, HostMemKind kind) {
-  if (src_offset + dst.size() > src.size()) {
-    throw std::invalid_argument("memcpy_d2h: out of range");
-  }
-  std::memcpy(dst.data(), src.span().data() + src_offset, dst.size());
-  return dma_seconds(spec_, dst.size(), Direction::kDeviceToHost, kind);
-}
 
 KernelRunStats Device::launch(const LaunchConfig& config, const KernelFn& fn) {
   if (config.blocks <= 0 || config.threads_per_block <= 0) {

@@ -1,20 +1,16 @@
-// Device facade: allocation of device (global) memory, DMA copies, and
-// kernel launches — the simulated equivalent of the CUDA runtime surface
-// Shredder uses.
+// Device facade: kernel launches on the simulated C2050, the simulated
+// equivalent of the CUDA runtime surface Shredder uses.
 //
-// Real data always moves (copies are real memcpys; kernels do real work);
-// every operation additionally returns its *virtual* duration under the
-// DeviceSpec timing model. Virtual-time composition across operations is the
-// caller's job, via GpuTimeline (double buffering) or pipeline_makespan.
+// Kernels read host-staged bytes in place (a launch's callable does real
+// work on them; the device holds no copy), and every transfer is priced by
+// dma_seconds (gpusim/dma.h) without moving a byte. Each launch also
+// returns its *virtual* duration under the DeviceSpec timing model.
+// Virtual-time composition across operations is the caller's job, via
+// GpuTimeline (double buffering) or pipeline_makespan.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/annotations.h"
-#include "common/bytes.h"
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "gpusim/dma.h"
 #include "gpusim/dram.h"
@@ -22,35 +18,6 @@
 #include "gpusim/spec.h"
 
 namespace shredder::gpu {
-
-class Device;
-
-// Global-memory buffer. Holds real host storage standing in for GDDR5.
-// The owning Device must outlive its buffers.
-class DeviceBuffer {
- public:
-  DeviceBuffer() = default;
-  DeviceBuffer(DeviceBuffer&&) noexcept;
-  DeviceBuffer& operator=(DeviceBuffer&&) noexcept;
-  DeviceBuffer(const DeviceBuffer&) = delete;
-  DeviceBuffer& operator=(const DeviceBuffer&) = delete;
-  ~DeviceBuffer();
-
-  MutableByteSpan span() noexcept { return {data_.data(), data_.size()}; }
-  ByteSpan span() const noexcept { return {data_.data(), data_.size()}; }
-  std::size_t size() const noexcept { return data_.size(); }
-  // Base device address of this buffer in the simulated address space
-  // (used by the DRAM bank model).
-  std::uint64_t device_addr() const noexcept { return device_addr_; }
-
- private:
-  friend class Device;
-  DeviceBuffer(Device* device, std::size_t size, std::uint64_t addr);
-
-  Device* device_ = nullptr;
-  std::vector<std::uint8_t> data_;
-  std::uint64_t device_addr_ = 0;
-};
 
 class Device {
  public:
@@ -60,32 +27,13 @@ class Device {
 
   const DeviceSpec& spec() const noexcept { return spec_; }
 
-  // Allocates global memory; throws std::bad_alloc-like std::runtime_error
-  // when the 2.6 GB device capacity would be exceeded.
-  DeviceBuffer alloc(std::size_t size);
-
-  std::uint64_t allocated_bytes() const noexcept;
-
-  // Synchronous copies: real memcpy + modelled DMA seconds returned.
-  double memcpy_h2d(DeviceBuffer& dst, std::size_t dst_offset, ByteSpan src,
-                    HostMemKind kind);
-  double memcpy_d2h(MutableByteSpan dst, const DeviceBuffer& src,
-                    std::size_t src_offset, HostMemKind kind);
-
   // Runs `fn` once per block on the worker pool and converts the recorded
   // work into virtual time.
   KernelRunStats launch(const LaunchConfig& config, const KernelFn& fn);
 
  private:
-  friend class DeviceBuffer;
-  void release(std::uint64_t bytes) noexcept;
-
   DeviceSpec spec_;
   ThreadPool pool_;
-  mutable Mutex mutex_;
-  std::uint64_t allocated_ GUARDED_BY(mutex_) = 0;
-  // Bump allocator for device addresses.
-  std::uint64_t next_addr_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace shredder::gpu

@@ -12,8 +12,8 @@
 //                 row-switch fraction for the launch's access pattern.
 //
 // Shared-memory tile staging is accounting only: a kernel reports the tiles
-// it would stage (record_shared_stage) and reads the resident global buffer
-// directly, so a launch allocates no per-block shared memory on the host.
+// it would stage (record_shared_stage) and reads its host-staged input in
+// place, so a launch allocates no per-block shared memory on the host.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,7 @@ class BlockCtx {
   // Accounts data staged into the SM's shared memory by a cooperative fetch.
   // Staging is accounting only: the simulated SM has no shared-memory bytes
   // (at most DeviceSpec::shared_mem_per_sm per block on the modelled card),
-  // and kernels read the resident global buffer instead.
+  // and kernels read their host-staged input in place instead.
   void record_shared_stage(std::uint64_t bytes) noexcept { staged_ += bytes; }
 
   std::uint64_t bytes_processed() const noexcept { return processed_; }

@@ -42,10 +42,4 @@ PinnedRing::PinnedRing(const DeviceSpec& spec, std::size_t slots,
   }
 }
 
-PinnedRing::Slot PinnedRing::acquire() noexcept {
-  const std::size_t index = next_;
-  next_ = (next_ + 1) % buffers_.size();
-  return Slot{index, buffers_[index].span()};
-}
-
 }  // namespace shredder::gpu

@@ -49,11 +49,10 @@ class PinnedBuffer {
 };
 
 // Circular ring of pinned buffers (§4.1.2, Figure 7): allocated once at
-// construction and handed out round-robin, so the per-iteration pinned-
-// allocation cost drops to zero after startup. `acquire` returns the next
-// slot; the caller is responsible for not reusing a slot that is still in
-// flight (the Shredder pipeline guarantees this by sizing the ring to the
-// number of in-flight pipeline stages).
+// construction and reused, so the per-iteration pinned-allocation cost
+// drops to zero after startup. The ring hands out storage only; which slots
+// are in flight is its owner's bookkeeping (core/lease.h's SlotPool leases
+// the PipelineEngine's slots).
 class PinnedRing {
  public:
   // Throws std::invalid_argument if slots == 0 or slot_size == 0.
@@ -65,14 +64,7 @@ class PinnedRing {
   // Modelled one-time construction cost (all slots pinned at startup).
   double construction_cost_seconds() const noexcept { return construction_cost_s_; }
 
-  struct Slot {
-    std::size_t index;
-    MutableByteSpan span;
-  };
-  Slot acquire() noexcept;
-
-  // Direct access to one slot's storage, for callers that manage slot
-  // ownership themselves (the PipelineEngine leases indices explicitly).
+  // One slot's storage.
   MutableByteSpan slot_span(std::size_t index) noexcept {
     return buffers_[index].span();
   }
@@ -80,7 +72,6 @@ class PinnedRing {
  private:
   std::size_t slot_size_;
   std::vector<PinnedBuffer> buffers_;
-  std::size_t next_ = 0;
   double construction_cost_s_ = 0.0;
 };
 

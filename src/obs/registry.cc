@@ -72,16 +72,10 @@ std::string metric_key(const std::string& name, const Labels& labels) {
 
 // --- Timing ----------------------------------------------------------------
 
-Timing::Timing(const std::atomic<bool>* enabled, std::vector<double> bounds)
-    : enabled_(enabled), has_buckets_(!bounds.empty()) {
-  if (has_buckets_) hist_.emplace(std::move(bounds));
-}
-
 void Timing::observe(double v) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
   MutexLock lock(mu_);
   summary_.add(v);
-  if (hist_.has_value()) hist_->add(v);
 }
 
 Summary Timing::summary() const {
@@ -89,16 +83,10 @@ Summary Timing::summary() const {
   return summary_;
 }
 
-std::optional<Histogram> Timing::histogram() const {
-  MutexLock lock(mu_);
-  return hist_;
-}
-
 // --- Registry --------------------------------------------------------------
 
 Registry::Entry& Registry::entry(MetricSample::Type type,
-                                 const std::string& name, Labels labels,
-                                 std::vector<double> bounds) {
+                                 const std::string& name, Labels labels) {
   sort_labels(labels);
   const std::string key = metric_key(name, labels);
   MutexLock lock(mu_);
@@ -122,7 +110,7 @@ Registry::Entry& Registry::entry(MetricSample::Type type,
       e->gauge.reset(new Gauge(&enabled_));
       break;
     case MetricSample::Type::kTiming:
-      e->timing.reset(new Timing(&enabled_, std::move(bounds)));
+      e->timing.reset(new Timing(&enabled_));
       break;
   }
   Entry* p = e.get();
@@ -132,19 +120,15 @@ Registry::Entry& Registry::entry(MetricSample::Type type,
 }
 
 Counter& Registry::counter(const std::string& name, Labels labels) {
-  return *entry(MetricSample::Type::kCounter, name, std::move(labels), {})
-              .counter;
+  return *entry(MetricSample::Type::kCounter, name, std::move(labels)).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, Labels labels) {
-  return *entry(MetricSample::Type::kGauge, name, std::move(labels), {}).gauge;
+  return *entry(MetricSample::Type::kGauge, name, std::move(labels)).gauge;
 }
 
-Timing& Registry::timing(const std::string& name, Labels labels,
-                         std::vector<double> bounds) {
-  return *entry(MetricSample::Type::kTiming, name, std::move(labels),
-                std::move(bounds))
-              .timing;
+Timing& Registry::timing(const std::string& name, Labels labels) {
+  return *entry(MetricSample::Type::kTiming, name, std::move(labels)).timing;
 }
 
 std::vector<MetricSample> Registry::snapshot() const {
@@ -170,17 +154,9 @@ std::vector<MetricSample> Registry::snapshot() const {
       case MetricSample::Type::kGauge:
         s.value = e->gauge->value();
         break;
-      case MetricSample::Type::kTiming: {
+      case MetricSample::Type::kTiming:
         s.summary = e->timing->summary();
-        if (const auto hist = e->timing->histogram(); hist.has_value()) {
-          s.bounds.assign(hist->bounds().begin(), hist->bounds().end());
-          for (std::size_t i = 0; i < hist->num_buckets(); ++i) {
-            s.buckets.push_back(hist->bucket_count(i));
-          }
-          s.nan_count = hist->nan_count();
-        }
         break;
-      }
     }
     out.push_back(std::move(s));
   }
@@ -219,13 +195,6 @@ std::vector<MetricSample> Registry::delta(
                                      s.summary.max());
           }
           d.summary = w;
-          if (!s.bounds.empty() && s.bounds == b.bounds &&
-              s.buckets.size() == b.buckets.size()) {
-            for (std::size_t i = 0; i < d.buckets.size(); ++i) {
-              d.buckets[i] = s.buckets[i] - b.buckets[i];
-            }
-            d.nan_count = s.nan_count - b.nan_count;
-          }
           break;
         }
       }
@@ -278,23 +247,6 @@ std::string Registry::to_json(const std::vector<MetricSample>& samples) {
       append_number(out, s.summary.count() > 0 ? s.summary.max() : 0.0);
       out += ",\"stddev\":";
       append_number(out, s.summary.stddev());
-      if (!s.bounds.empty()) {
-        out += ",\"buckets\":[";
-        for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-          if (b > 0) out += ',';
-          out += "{\"le\":";
-          if (b < s.bounds.size()) {
-            append_number(out, s.bounds[b]);
-          } else {
-            out += "\"inf\"";
-          }
-          out += ",\"count\":";
-          append_number(out, static_cast<double>(s.buckets[b]));
-          out += '}';
-        }
-        out += "],\"nan_count\":";
-        append_number(out, static_cast<double>(s.nan_count));
-      }
     } else {
       out += ",\"value\":";
       append_number(out, s.value);

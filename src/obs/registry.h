@@ -29,7 +29,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -91,11 +90,10 @@ class Gauge {
 };
 
 // Distribution of observed values (stage seconds, chunk sizes): a Summary
-// plus an optional fixed-bucket Histogram under one mutex. Every timing the
-// repo registers has one writer at a time (a pipeline stage, a store
-// caller, one snapshot), so the lock is contended only by a concurrent
-// snapshot, and the sum is the observations' sum in the order they were
-// made, whichever threads made them.
+// under one mutex. Every timing the repo registers has one writer at a time
+// (a pipeline stage, a store caller, one snapshot), so the lock is contended
+// only by a concurrent snapshot, and the sum is the observations' sum in the
+// order they were made, whichever threads made them.
 class Timing {
  public:
   Timing(const Timing&) = delete;
@@ -104,19 +102,14 @@ class Timing {
   void observe(double v) EXCLUDES(mu_);
 
   Summary summary() const EXCLUDES(mu_);
-  // nullopt without bounds.
-  std::optional<Histogram> histogram() const EXCLUDES(mu_);
-  bool has_buckets() const noexcept { return has_buckets_; }
 
  private:
   friend class Registry;
-  Timing(const std::atomic<bool>* enabled, std::vector<double> bounds);
+  explicit Timing(const std::atomic<bool>* enabled) : enabled_(enabled) {}
 
   const std::atomic<bool>* enabled_;
-  const bool has_buckets_;
   mutable Mutex mu_;
   Summary summary_ GUARDED_BY(mu_);
-  std::optional<Histogram> hist_ GUARDED_BY(mu_);
 };
 
 // One metric's state at snapshot time.
@@ -128,9 +121,6 @@ struct MetricSample {
   Type type = Type::kCounter;
   double value = 0;   // counter (as double) or gauge
   Summary summary;    // timing only
-  std::vector<double> bounds;            // timing with buckets
-  std::vector<std::uint64_t> buckets;    // bounds.size() + 1 (overflow last)
-  std::uint64_t nan_count = 0;
 };
 
 class Registry {
@@ -153,16 +143,13 @@ class Registry {
   // references stay valid for the registry's lifetime.
   Counter& counter(const std::string& name, Labels labels = {});
   Gauge& gauge(const std::string& name, Labels labels = {});
-  // `bounds` (ascending histogram upper bounds) only applies on first
-  // registration; see log_spaced_bounds() for latency-style buckets.
-  Timing& timing(const std::string& name, Labels labels = {},
-                 std::vector<double> bounds = {});
+  Timing& timing(const std::string& name, Labels labels = {});
 
   // All metrics in registration order.
   std::vector<MetricSample> snapshot() const;
 
   // now - base, matched by (name, labels): counters and timing
-  // count/sum/bucket deltas subtract; gauges pass through; a timing delta's
+  // count/sum deltas subtract; gauges pass through; a timing delta's
   // mean is recomputed from the window while min/max stay run-cumulative
   // (windowed extrema are not recoverable from two cumulative snapshots).
   // Metrics born after `base` delta against zero.
@@ -190,7 +177,7 @@ class Registry {
   };
 
   Entry& entry(MetricSample::Type type, const std::string& name,
-               Labels labels, std::vector<double> bounds) EXCLUDES(mu_);
+               Labels labels) EXCLUDES(mu_);
 
   mutable Mutex mu_;
   // Registration order; entries are never removed, so pointers handed out by

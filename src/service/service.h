@@ -4,15 +4,15 @@
 // Shredder's premise (paper §3–§5) is that the device chunks far faster than
 // any single client produces data, so a dedicated per-stream pipeline leaves
 // the GPU idle between buffers. ChunkingService closes that gap: it keeps
-// one core::PipelineEngine (pinned ring + device twins + kernel) alive for
-// the process lifetime and multiplexes N concurrent tenant streams over it.
+// one core::PipelineEngine (pinned ring + kernel thread) alive for the
+// process lifetime and multiplexes N concurrent tenant streams over it.
 //
 // Architecture (docs/service.md has the full design):
 //
 //   client threads ──submit()──► per-tenant BoundedQueue  (backpressure #1)
 //        scheduler thread: weighted-fair pick ──► engine.submit()
 //                                  (pinned-slot lease = backpressure #2)
-//        engine: transfer thread ─► kernel thread  (tagged BoundaryBatches)
+//        engine: kernel thread  (H2D priced; tagged BoundaryBatches)
 //        store thread: one core::StreamStore per tenant (chunk resolution,
 //          sink batches), virtual-time composition, stats
 //

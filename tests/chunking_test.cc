@@ -542,15 +542,13 @@ TEST_P(CrossBackendEquivalence, GpuKernelsBitIdentical) {
     const auto data = random_bytes(size, seed++);
     const ByteSpan span = as_bytes(data);
     const auto oracle = oracle_raw(tables, config, span);
-    auto buf = device.alloc(data.size());
-    device.memcpy_h2d(buf, 0, span, gpu::HostMemKind::kPinned);
     for (const bool coalesced : {false, true}) {
       core::KernelParams params;
       params.blocks = 4;
       params.threads_per_block = 16;
       params.coalesced = coalesced;
-      const auto result = core::chunk_on_gpu(device, buf, data.size(), 0, 0,
-                                             tables, config, params);
+      const auto result =
+          core::chunk_on_gpu(device, span, 0, 0, 0, tables, config, params);
       EXPECT_EQ(result.boundaries, oracle)
           << "gpu coalesced=" << coalesced << ", size " << size;
     }
@@ -560,8 +558,8 @@ TEST_P(CrossBackendEquivalence, GpuKernelsBitIdentical) {
     tiny_stage.blocks = 1;
     tiny_stage.threads_per_block = 768;
     tiny_stage.coalesced = true;
-    const auto overflow = core::chunk_on_gpu(device, buf, data.size(), 0, 0,
-                                             tables, config, tiny_stage);
+    const auto overflow =
+        core::chunk_on_gpu(device, span, 0, 0, 0, tables, config, tiny_stage);
     EXPECT_EQ(overflow.boundaries, oracle) << "tiny stage, size " << size;
   }
 }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <thread>
 
 #include "common/bytes.h"
@@ -129,37 +128,6 @@ TEST(Summary, StddevZeroForConstantLargeValues) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(Histogram, BucketsAndQuantiles) {
-  Histogram h({10, 20, 30});
-  for (int i = 1; i <= 30; ++i) h.add(i);
-  EXPECT_EQ(h.bucket_count(0), 10u);
-  EXPECT_EQ(h.bucket_count(1), 10u);
-  EXPECT_EQ(h.bucket_count(2), 10u);
-  EXPECT_EQ(h.bucket_count(3), 0u);
-  EXPECT_NEAR(h.quantile(0.5), 15.0, 2.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram({}), std::invalid_argument);
-  EXPECT_THROW(Histogram({3, 2, 1}), std::invalid_argument);
-}
-
-TEST(Histogram, OverflowBucketQuantileClampsToLastBound) {
-  // All mass lands past the last bound: the overflow bucket has no upper
-  // edge, so quantiles must clamp to the bound instead of interpolating
-  // into an invented 2x edge.
-  Histogram h({10, 20, 30});
-  for (int i = 0; i < 7; ++i) h.add(1000.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 30.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 30.0);
-  // Mixed mass: quantiles inside real buckets still interpolate.
-  Histogram m({10, 20});
-  m.add(5.0);
-  m.add(500.0);
-  EXPECT_LE(m.quantile(0.25), 10.0);
-  EXPECT_DOUBLE_EQ(m.quantile(1.0), 20.0);
-}
-
 TEST(SummaryFromWindow, CarriesFirstMomentsOnly) {
   const Summary w = Summary::from_window(4, 10.0, 1.0, 4.0);
   EXPECT_EQ(w.count(), 4u);
@@ -168,41 +136,6 @@ TEST(SummaryFromWindow, CarriesFirstMomentsOnly) {
   EXPECT_DOUBLE_EQ(w.min(), 1.0);
   EXPECT_DOUBLE_EQ(w.max(), 4.0);
   EXPECT_DOUBLE_EQ(w.stddev(), 0.0);  // m2 not recoverable from a window
-}
-
-TEST(Histogram, NanCountedSeparately) {
-  // Regression: lower_bound files NaN into the overflow bucket (every
-  // comparison is false), silently skewing totals and quantiles.
-  Histogram h({10, 20});
-  h.add(5.0);
-  h.add(15.0);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.nan_count(), 1u);
-  EXPECT_EQ(h.bucket_count(2), 0u);  // overflow bucket untouched
-  EXPECT_LE(h.quantile(1.0), 20.0);
-}
-
-TEST(LogSpacedBounds, GeometricAndInclusive) {
-  const auto b = log_spaced_bounds(1e-6, 1.0, 7);
-  ASSERT_EQ(b.size(), 7u);
-  EXPECT_DOUBLE_EQ(b.front(), 1e-6);
-  EXPECT_DOUBLE_EQ(b.back(), 1.0);  // exact, not accumulated rounding
-  for (std::size_t i = 1; i < b.size(); ++i) {
-    EXPECT_GT(b[i], b[i - 1]);
-    EXPECT_NEAR(b[i] / b[i - 1], 10.0, 1e-6);  // 6 decades over 6 steps
-  }
-  Histogram h(log_spaced_bounds(1e-6, 1.0, 7));  // valid histogram bounds
-  h.add(3e-4);
-  EXPECT_EQ(h.total(), 1u);
-}
-
-TEST(LogSpacedBounds, RejectsBadArguments) {
-  EXPECT_THROW(log_spaced_bounds(0.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(log_spaced_bounds(-1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(log_spaced_bounds(2.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(log_spaced_bounds(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(log_spaced_bounds(1.0, 2.0, 1), std::invalid_argument);
 }
 
 TEST(TablePrinter, FormatsRows) {

@@ -116,8 +116,6 @@ TEST_P(KernelEquivalence, MatchesSerialRawBoundaries) {
   const auto data = random_bytes(300000, 9);
 
   gpu::Device device(gpu::DeviceSpec{}, 4);
-  auto buf = device.alloc(data.size());
-  device.memcpy_h2d(buf, 0, as_bytes(data), gpu::HostMemKind::kPinned);
 
   KernelParams params;
   params.blocks = 12;
@@ -130,7 +128,7 @@ TEST_P(KernelEquivalence, MatchesSerialRawBoundaries) {
     SCOPED_TRACE("mask bits " + std::to_string(mask_bits));
     config.mask_bits = mask_bits;
     config.marker = mask_bits == 8u ? 0x42 : 1;
-    const auto result = chunk_on_gpu(device, buf, data.size(), 0, 0, tables,
+    const auto result = chunk_on_gpu(device, as_bytes(data), 0, 0, 0, tables,
                                      config, params);
     EXPECT_EQ(result.boundaries,
               chunking::find_raw_boundaries(tables, config, as_bytes(data)));
@@ -156,13 +154,11 @@ TEST(Kernels, CarryContextSuppressesAndWarms) {
   // Buffer 2 = carry + second half.
   ByteVec buf2(data.begin() + static_cast<std::ptrdiff_t>(cut - carry),
                data.end());
-  auto dev2 = device.alloc(buf2.size());
-  device.memcpy_h2d(dev2, 0, as_bytes(buf2), gpu::HostMemKind::kPinned);
   KernelParams params;
   params.blocks = 4;
   params.threads_per_block = 16;
   const auto result =
-      chunk_on_gpu(device, dev2, buf2.size(), carry,
+      chunk_on_gpu(device, as_bytes(buf2), 0, carry,
                    /*base_offset=*/cut - carry, tables, config, params);
   std::vector<std::uint64_t> expected;
   for (auto b : whole) {
@@ -176,8 +172,6 @@ TEST(Kernels, CoalescedReportsSharedStagingAndFewerConflicts) {
   const rabin::RabinTables tables(config.window);
   const auto data = random_bytes(1 << 20, 11);
   gpu::Device device(gpu::DeviceSpec{}, 4);
-  auto buf = device.alloc(data.size());
-  device.memcpy_h2d(buf, 0, as_bytes(data), gpu::HostMemKind::kPinned);
 
   KernelParams basic;
   basic.blocks = 14;
@@ -186,9 +180,9 @@ TEST(Kernels, CoalescedReportsSharedStagingAndFewerConflicts) {
   KernelParams coal = basic;
   coal.coalesced = true;
 
-  const auto rb = chunk_on_gpu(device, buf, data.size(), 0, 0, tables, config,
+  const auto rb = chunk_on_gpu(device, as_bytes(data), 0, 0, 0, tables, config,
                                basic);
-  const auto rc = chunk_on_gpu(device, buf, data.size(), 0, 0, tables, config,
+  const auto rc = chunk_on_gpu(device, as_bytes(data), 0, 0, 0, tables, config,
                                coal);
   EXPECT_EQ(rb.boundaries, rc.boundaries);
   EXPECT_EQ(rb.stats.shared_staged_bytes, 0u);
@@ -204,11 +198,10 @@ TEST(Kernels, ValidatesArguments) {
   const auto config = small_chunker();
   const rabin::RabinTables tables(config.window);
   gpu::Device device(gpu::DeviceSpec{}, 2);
-  auto buf = device.alloc(1000);
+  const ByteVec data(500);
   KernelParams params;
-  EXPECT_THROW(chunk_on_gpu(device, buf, 2000, 0, 0, tables, config, params),
-               std::invalid_argument);
-  EXPECT_THROW(chunk_on_gpu(device, buf, 500, 600, 0, tables, config, params),
+  EXPECT_THROW(chunk_on_gpu(device, ByteSpan(data), 0, 600, 0, tables, config,
+                            params),
                std::invalid_argument);
 }
 
@@ -253,8 +246,6 @@ std::vector<gpu::KernelRunStats> run_accounting_cases() {
     gpu::DeviceSpec spec;
     if (g.shared_mem_per_sm != 0) spec.shared_mem_per_sm = g.shared_mem_per_sm;
     gpu::Device device(spec, 2);
-    auto buf = device.alloc(data.size());
-    device.memcpy_h2d(buf, 0, ByteSpan(data), gpu::HostMemKind::kPinned);
     for (const bool exact : {false, true}) {
       for (const bool coalesced : {false, true}) {
         KernelParams params;
@@ -263,11 +254,11 @@ std::vector<gpu::KernelRunStats> run_accounting_cases() {
         params.coalesced = coalesced;
         params.exact_dram = exact;
         const GpuChunkResult chunked = chunk_on_gpu(
-            device, buf, data.size(), carry, base_offset, tables, chunker,
+            device, ByteSpan(data), 0, carry, base_offset, tables, chunker,
             params);
         dedup::ChunkHasher ctx;
         const GpuFingerprintResult hashed = fingerprint_on_gpu(
-            device, buf, data.size(), carry, base_offset, chunked.boundaries,
+            device, ByteSpan(data), 0, carry, base_offset, chunked.boundaries,
             ctx, params);
         out.push_back(chunked.stats);
         out.push_back(hashed.stats);
@@ -469,6 +460,30 @@ TEST(Shredder, ConfigValidation) {
   cfg = small_config();
   cfg.kernel.blocks = 0;
   EXPECT_THROW(Shredder{cfg}, std::invalid_argument);
+}
+
+TEST(Shredder, RefusesBuffersBeyondDeviceMemory) {
+  // A run's engine holds one device buffer in basic mode and two (double
+  // buffering) in the pipelined modes, each buffer_bytes + w-1 bytes, and
+  // they must fit the device's global memory. A refused run builds no ring
+  // and registers no metric.
+  const auto data = random_bytes(200000, 31);
+  for (const GpuMode mode : {GpuMode::kBasic, GpuMode::kStreams}) {
+    SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode));
+    ShredderConfig cfg = small_config();
+    cfg.mode = mode;
+    const std::uint64_t need = (mode == GpuMode::kBasic ? 1u : 2u) *
+                               (cfg.buffer_bytes + cfg.chunker.window - 1);
+    obs::Registry reg;
+    cfg.registry = &reg;
+    cfg.device.global_mem_bytes = need - 1;
+    Shredder refused(cfg);
+    EXPECT_THROW(refused.run(as_bytes(data)), std::invalid_argument);
+    EXPECT_TRUE(reg.snapshot().empty());
+    cfg.device.global_mem_bytes = need;
+    Shredder fits(cfg);
+    EXPECT_EQ(fits.run(as_bytes(data)).total_bytes, data.size());
+  }
 }
 
 // --- Host chunker comparison path ---

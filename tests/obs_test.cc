@@ -154,21 +154,6 @@ TEST(Registry, SnapshotRacesShardWriters) {
             static_cast<std::uint64_t>(kWriters * kPerWriter));
 }
 
-TEST(Registry, TimingHistogramBuckets) {
-  Registry reg;
-  Timing& t = reg.timing("lat", {}, {1.0, 10.0, 100.0});
-  ASSERT_TRUE(t.has_buckets());
-  t.observe(0.5);
-  t.observe(5.0);
-  t.observe(5000.0);
-  const auto hist = t.histogram();
-  ASSERT_TRUE(hist.has_value());
-  EXPECT_EQ(hist->total(), 3u);
-  EXPECT_EQ(hist->bucket_count(0), 1u);
-  EXPECT_EQ(hist->bucket_count(1), 1u);
-  EXPECT_EQ(hist->bucket_count(3), 1u);  // overflow
-}
-
 TEST(Registry, CounterSumRollsUpLabelSets) {
   Registry reg;
   reg.counter("svc.retx_total", {{"tenant", "a"}}).add(2);

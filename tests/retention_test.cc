@@ -888,9 +888,9 @@ void expect_unchanged(const BackupState& before, const BackupState& after) {
 
 TEST_P(RetentionEndToEnd, RefusesATakenIdBeforeTakingAnything) {
   // An id the server's manifests hold live, or one the agent has sealed, is
-  // refused with a typed error before the walk takes a store reference or
-  // an index insert — through backup_image and backup_images alike, an id
-  // repeated within one batch included.
+  // refused with a typed error before the image is chunked, so the refusal
+  // takes no store reference or index insert — through backup_image and
+  // backup_images alike, an id repeated within one batch included.
   backup::ImageRepoConfig repo_cfg;
   repo_cfg.image_bytes = 1 * 1024 * 1024;
   repo_cfg.segment_bytes = 64 * 1024;
@@ -921,14 +921,20 @@ TEST_P(RetentionEndToEnd, RefusesATakenIdBeforeTakingAnything) {
     server.backup_images({{"a", as_bytes(changed)}}, repo, agent);
   });
 
-  // A repeated id: the batch's first "b" backs up and stays backed up; its
-  // second is refused like any other live id.
-  EXPECT_EQ(violation_of([&] {
-              server.backup_images(
-                  {{"b", as_bytes(changed)}, {"b", as_bytes(base)}}, repo,
-                  agent);
-            }),
-            RetentionViolation::kImageExists);
+  // A batch holding a taken id, or one id twice, is refused whole before
+  // any job chunks: its free jobs back up nothing either.
+  refused_as_live([&] {
+    server.backup_images({{"b", as_bytes(changed)}, {"a", as_bytes(changed)}},
+                         repo, agent);
+  });
+  refused_as_live([&] {
+    server.backup_images({{"b", as_bytes(changed)}, {"b", as_bytes(base)}},
+                         repo, agent);
+  });
+  EXPECT_FALSE(agent.image_sealed("b"));
+
+  ASSERT_TRUE(
+      server.backup_image("b", as_bytes(changed), repo, agent).verified);
   ASSERT_TRUE(agent.image_sealed("b"));
   EXPECT_EQ(agent.image_root("b"),
             dedup::root_digest(
