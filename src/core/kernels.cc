@@ -34,8 +34,7 @@ ThreadRange thread_range(std::size_t payload_begin, std::size_t payload_end,
 }  // namespace
 
 GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
-                            std::uint64_t device_addr, std::size_t carry,
-                            std::uint64_t base_offset,
+                            std::size_t carry, std::uint64_t base_offset,
                             const rabin::RabinTables& tables,
                             const chunking::ChunkerConfig& config,
                             const KernelParams& params) {
@@ -81,8 +80,7 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
       if (!params.coalesced) {
         // Direct global-memory walk, one 16 B segment per thread at a time,
         // warm-up bytes included.
-        ctx.record_global_read(device_addr + r.scan_begin,
-                               r.emit_end - r.scan_begin);
+        ctx.record_global_read(r.scan_begin, r.emit_end - r.scan_begin);
         ctx.record_processed(r.emit_end - r.scan_begin);
         continue;
       }
@@ -100,7 +98,7 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
         const std::size_t payload =
             std::min(r.emit_end - pos, std::max<std::size_t>(64, fit));
         const std::size_t len = halo + payload;
-        ctx.record_global_read(device_addr + (pos - halo), len);
+        ctx.record_global_read(pos - halo, len);
         ctx.record_processed(len);
         // A tile larger than the slice (tiny shared configs) is scanned
         // straight from global memory, unstaged.
@@ -141,10 +139,9 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
 }
 
 GpuFingerprintResult fingerprint_on_gpu(
-    gpu::Device& device, ByteSpan data, std::uint64_t device_addr,
-    std::size_t carry, std::uint64_t base_offset,
-    const std::vector<std::uint64_t>& cuts, dedup::ChunkHasher& carry_ctx,
-    const KernelParams& params) {
+    gpu::Device& device, ByteSpan data, std::size_t carry,
+    std::uint64_t base_offset, const std::vector<std::uint64_t>& cuts,
+    dedup::ChunkHasher& carry_ctx, const KernelParams& params) {
   if (carry > data.size()) {
     throw std::invalid_argument("fingerprint_on_gpu: carry exceeds the data");
   }
@@ -195,7 +192,7 @@ GpuFingerprintResult fingerprint_on_gpu(
       const std::size_t off = static_cast<std::size_t>(seg_begin - base_offset);
       const std::size_t len = static_cast<std::size_t>(seg_end - seg_begin);
       if (len > 0) {
-        ctx.record_global_read(device_addr + off, len);
+        ctx.record_global_read(off, len);
         ctx.record_processed(len);
       }
       if (t < cuts.size()) {

@@ -51,11 +51,9 @@ struct GpuChunkResult {
 // Chunks `data`, the staged bytes read in place. The first `carry` bytes are
 // window context from the previous buffer (boundaries inside them are not
 // re-emitted); `base_offset` is the absolute stream offset of data[0].
-// `device_addr` is the simulated device address of data[0]; only the exact
-// DRAM accounting (params.exact_dram) reads it.
+// Global reads are recorded at their offsets within `data`.
 GpuChunkResult chunk_on_gpu(gpu::Device& device, ByteSpan data,
-                            std::uint64_t device_addr, std::size_t carry,
-                            std::uint64_t base_offset,
+                            std::size_t carry, std::uint64_t base_offset,
                             const rabin::RabinTables& tables,
                             const chunking::ChunkerConfig& config,
                             const KernelParams& params);
@@ -69,7 +67,7 @@ struct GpuFingerprintResult {
 
 // Fingerprint kernel (§4.3-style second device stage): hashes the payload
 // bytes data[carry, data.size()) — the bytes the chunking kernel read —
-// into per-chunk SHA-256 digests. `device_addr` is as for chunk_on_gpu.
+// into per-chunk SHA-256 digests.
 // `cuts` are the resolved chunk end offsets (absolute, ascending, each in
 // (base_offset+carry, base_offset+data.size()]).
 // `carry_ctx` is the running hash of the open chunk's bytes from previous
@@ -78,9 +76,8 @@ struct GpuFingerprintResult {
 // closed chunk is an independent hash task, mapped one-per-thread across the
 // launch's blocks.
 GpuFingerprintResult fingerprint_on_gpu(
-    gpu::Device& device, ByteSpan data, std::uint64_t device_addr,
-    std::size_t carry, std::uint64_t base_offset,
-    const std::vector<std::uint64_t>& cuts, dedup::ChunkHasher& carry_ctx,
-    const KernelParams& params);
+    gpu::Device& device, ByteSpan data, std::size_t carry,
+    std::uint64_t base_offset, const std::vector<std::uint64_t>& cuts,
+    dedup::ChunkHasher& carry_ctx, const KernelParams& params);
 
 }  // namespace shredder::core

@@ -228,8 +228,8 @@ void PipelineEngine::fingerprint_batch(StagedItem& item, BoundaryBatch& batch) {
   for (const std::uint64_t b : batch.boundaries) s.cutter.push(b);
   s.cutter.drain_forced(batch.payload_end);
   GpuFingerprintResult fr = fingerprint_on_gpu(
-      device_, item.lease.bytes(), /*device_addr=*/0, item.carry,
-      item.base_offset, s.pending, s.ctx, kparams_);
+      device_, item.lease.bytes(), item.carry, item.base_offset, s.pending,
+      s.ctx, kparams_);
   batch.stages.fingerprint = fr.stats.virtual_seconds;
   batch.fingerprint_stats = fr.stats;
   batch.chunk_ends = std::move(s.pending);
@@ -277,8 +277,8 @@ void PipelineEngine::kernel_loop() {
       // The kernels read the leased slot in place; the H2D DMA that would
       // have carried it to the device is priced, not performed.
       GpuChunkResult kr = chunk_on_gpu(
-          device_, item->lease.bytes(), /*device_addr=*/0, item->carry,
-          item->base_offset, tables_, chunker_, kparams_);
+          device_, item->lease.bytes(), item->carry, item->base_offset,
+          tables_, chunker_, kparams_);
       batch.stages.reader = item->reader_seconds;
       batch.stages.transfer =
           gpu::dma_seconds(device_.spec(), item->lease.size(),

@@ -548,7 +548,7 @@ TEST_P(CrossBackendEquivalence, GpuKernelsBitIdentical) {
       params.threads_per_block = 16;
       params.coalesced = coalesced;
       const auto result =
-          core::chunk_on_gpu(device, span, 0, 0, 0, tables, config, params);
+          core::chunk_on_gpu(device, span, 0, 0, tables, config, params);
       EXPECT_EQ(result.boundaries, oracle)
           << "gpu coalesced=" << coalesced << ", size " << size;
     }
@@ -559,7 +559,7 @@ TEST_P(CrossBackendEquivalence, GpuKernelsBitIdentical) {
     tiny_stage.threads_per_block = 768;
     tiny_stage.coalesced = true;
     const auto overflow =
-        core::chunk_on_gpu(device, span, 0, 0, 0, tables, config, tiny_stage);
+        core::chunk_on_gpu(device, span, 0, 0, tables, config, tiny_stage);
     EXPECT_EQ(overflow.boundaries, oracle) << "tiny stage, size " << size;
   }
 }

@@ -128,7 +128,7 @@ TEST_P(KernelEquivalence, MatchesSerialRawBoundaries) {
     SCOPED_TRACE("mask bits " + std::to_string(mask_bits));
     config.mask_bits = mask_bits;
     config.marker = mask_bits == 8u ? 0x42 : 1;
-    const auto result = chunk_on_gpu(device, as_bytes(data), 0, 0, 0, tables,
+    const auto result = chunk_on_gpu(device, as_bytes(data), 0, 0, tables,
                                      config, params);
     EXPECT_EQ(result.boundaries,
               chunking::find_raw_boundaries(tables, config, as_bytes(data)));
@@ -158,7 +158,7 @@ TEST(Kernels, CarryContextSuppressesAndWarms) {
   params.blocks = 4;
   params.threads_per_block = 16;
   const auto result =
-      chunk_on_gpu(device, as_bytes(buf2), 0, carry,
+      chunk_on_gpu(device, as_bytes(buf2), carry,
                    /*base_offset=*/cut - carry, tables, config, params);
   std::vector<std::uint64_t> expected;
   for (auto b : whole) {
@@ -180,9 +180,9 @@ TEST(Kernels, CoalescedReportsSharedStagingAndFewerConflicts) {
   KernelParams coal = basic;
   coal.coalesced = true;
 
-  const auto rb = chunk_on_gpu(device, as_bytes(data), 0, 0, 0, tables, config,
+  const auto rb = chunk_on_gpu(device, as_bytes(data), 0, 0, tables, config,
                                basic);
-  const auto rc = chunk_on_gpu(device, as_bytes(data), 0, 0, 0, tables, config,
+  const auto rc = chunk_on_gpu(device, as_bytes(data), 0, 0, tables, config,
                                coal);
   EXPECT_EQ(rb.boundaries, rc.boundaries);
   EXPECT_EQ(rb.stats.shared_staged_bytes, 0u);
@@ -200,7 +200,7 @@ TEST(Kernels, ValidatesArguments) {
   gpu::Device device(gpu::DeviceSpec{}, 2);
   const ByteVec data(500);
   KernelParams params;
-  EXPECT_THROW(chunk_on_gpu(device, ByteSpan(data), 0, 600, 0, tables, config,
+  EXPECT_THROW(chunk_on_gpu(device, ByteSpan(data), 600, 0, tables, config,
                             params),
                std::invalid_argument);
 }
@@ -254,11 +254,11 @@ std::vector<gpu::KernelRunStats> run_accounting_cases() {
         params.coalesced = coalesced;
         params.exact_dram = exact;
         const GpuChunkResult chunked = chunk_on_gpu(
-            device, ByteSpan(data), 0, carry, base_offset, tables, chunker,
+            device, ByteSpan(data), carry, base_offset, tables, chunker,
             params);
         dedup::ChunkHasher ctx;
         const GpuFingerprintResult hashed = fingerprint_on_gpu(
-            device, ByteSpan(data), 0, carry, base_offset, chunked.boundaries,
+            device, ByteSpan(data), carry, base_offset, chunked.boundaries,
             ctx, params);
         out.push_back(chunked.stats);
         out.push_back(hashed.stats);

@@ -896,15 +896,27 @@ TEST_P(RetentionEndToEnd, RefusesATakenIdBeforeTakingAnything) {
   repo_cfg.segment_bytes = 64 * 1024;
   repo_cfg.seed = 13;
   backup::ImageRepository repo(repo_cfg);
-  backup::BackupServer server(churn_server_config(GetParam()));
+  // The engine-backed backends count the bytes their pipeline chunks, which
+  // a refused backup must leave unchanged (the CPU backend counts none).
+  backup::BackupServerConfig server_cfg = churn_server_config(GetParam());
+  obs::Registry own_registry;
+  if (!server_cfg.service) server_cfg.registry = &own_registry;
+  obs::Counter& chunked_bytes =
+      (server_cfg.service ? server_cfg.service->registry() : own_registry)
+          .counter("pipeline.bytes_total");
+  backup::BackupServer server(server_cfg);
   backup::BackupAgent agent;
   const auto base = repo.snapshot(0.0, 1);
   const auto changed = repo.snapshot(0.10, 2);
   ASSERT_TRUE(
       server.backup_image("a", as_bytes(base), repo, agent).verified);
+  if (GetParam() != backup::ChunkerBackend::kPthreadsCpu) {
+    ASSERT_EQ(chunked_bytes.value(), base.size());
+  }
 
   const auto refused_as_live = [&](const std::function<void()>& backup) {
     const BackupState before = state_of(server, agent);
+    const std::uint64_t chunked_before = chunked_bytes.value();
     try {
       backup();
       ADD_FAILURE() << "expected a RetentionError";
@@ -914,6 +926,7 @@ TEST_P(RetentionEndToEnd, RefusesATakenIdBeforeTakingAnything) {
       ADD_FAILURE() << "expected a RetentionError, got: " << e.what();
     }
     expect_unchanged(before, state_of(server, agent));
+    EXPECT_EQ(chunked_bytes.value(), chunked_before) << "a refusal chunked";
   };
   refused_as_live(
       [&] { server.backup_image("a", as_bytes(changed), repo, agent); });
