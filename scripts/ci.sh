@@ -37,9 +37,9 @@ echo "=== golden model outputs (tests/golden/) ==="
 # Each tests/golden/<binary>.txt is <binary>'s stdout at its default
 # arguments. Every number it prints comes from the virtual cost model or
 # from counting, so it repeats byte for byte from run to run, and a change
-# that moves one printed digit fails here. fig6 and fig12 print their
-# host-measured columns on stderr, so their stdout is pinned too; fig15's
-# speedups are wall-clock and stay out. Re-baselining:
+# that moves one printed digit fails here. fig6, fig12 and fig15 print their
+# host-measured columns on stderr (fig15's wall-clock speedups; it takes
+# about 26 s), so their stdout is pinned too. Re-baselining:
 # tests/golden/README.md.
 for golden in tests/golden/*.txt; do
   bin="$(basename "$golden" .txt)"
@@ -125,11 +125,15 @@ echo "=== TSan build (queues, thread pool, device, obs, service, transport, hash
 # ThreadPool stress), gpusim_test (sim pool threads flush their blocks'
 # tallies into one launch's totals), obs_test (timings observed while a
 # snapshot reads them, tracer), service_test (N producer threads over one
-# engine), core_test (slots leased on producer threads and released on the
-# kernel thread, in-engine backpressure from a stalled consumer, concurrent
-# submitters of different engine streams), transport_test (the agent
+# engine whose kernel thread runs every tenant's Store stage, and a sink
+# failure surfacing on the waiting threads), core_test (slots leased on
+# producer threads and released on the kernel thread after its consumer
+# returns, in-engine backpressure from a consumer blocked on the kernel
+# thread, concurrent submitters of different engine streams, a sink failure
+# rethrown on Shredder::run's calling thread), transport_test (the agent
 # hashes each frame's unique payloads on its own pool, one range on the
-# calling thread) and sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
+# calling thread) and sink_test (sink delivery on the kernel thread),
+# retention_test (pins vs GC sweeps over
 # the shared store), dedup_test and fingerprint_test (the device hash kernel
 # runs on many sim_threads workers, so the first SHA-256 calls race through
 # the one-time CPUID dispatch), backup_test (the CPU backend hashes every

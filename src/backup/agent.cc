@@ -156,23 +156,53 @@ void BackupAgent::verify_payloads(const ExtentBatch& batch) {
   }
 }
 
+void BackupAgent::check_pointers(const ExtentBatch& batch) const {
+  // Each unique digest of the frame and the index of its first occurrence,
+  // built on the first pointer neither table resolves.
+  std::unordered_map<dedup::ChunkDigest, std::uint32_t, dedup::ChunkDigestHash>
+      uniques;
+  for (const auto& e : batch.extents) {
+    if (e.unique) continue;
+    for (std::uint32_t i = e.first; i < e.first + e.count; ++i) {
+      const dedup::ChunkDigest& digest = batch.digests[i];
+      if (pending_repair_.count(digest) != 0 || store_.contains(digest)) {
+        continue;
+      }
+      if (uniques.empty()) {
+        for (const auto& u : batch.extents) {
+          if (!u.unique) continue;
+          for (std::uint32_t j = u.first; j < u.first + u.count; ++j) {
+            uniques.try_emplace(batch.digests[j], j);
+          }
+        }
+      }
+      const auto earlier = uniques.find(digest);
+      if (earlier == uniques.end() || earlier->second > i) {
+        throw ProtocolError(
+            ProtocolViolation::kUnknownPointer,
+            "BackupAgent: pointer to unknown chunk (protocol violation)");
+      }
+    }
+  }
+}
+
 void BackupAgent::reference_pointer(const dedup::ChunkDigest& digest) {
   if (const auto pending = pending_repair_.find(digest);
       pending != pending_repair_.end()) {
     // The chunk's payload is still in flight on the repair path: defer the
     // reference until the repair lands.
     ++pending->second;
-  } else if (!store_.add_ref(digest)) {
-    throw ProtocolError(
-        ProtocolViolation::kUnknownPointer,
-        "BackupAgent: pointer to unknown chunk (protocol violation)");
+    return;
   }
+  const bool held = store_.add_ref(digest);
+  SHREDDER_CHECK_MSG(held, "BackupAgent: a checked pointer lost its chunk");
 }
 
 void BackupAgent::receive_batch(const std::string& image_id,
                                 const ExtentBatch& batch) {
   auto& recipe = open_recipe(image_id);
   validate_batch(batch, /*stripped=*/false);
+  check_pointers(batch);
   verify_payloads(batch);
 
   // Unique payloads are read as views into the wire buffer;
@@ -199,6 +229,7 @@ std::vector<dedup::ChunkDigest> BackupAgent::receive_stripped(
     const std::string& image_id, const ExtentBatch& batch) {
   auto& recipe = open_recipe(image_id);
   validate_batch(batch, /*stripped=*/true);
+  check_pointers(batch);
 
   std::vector<dedup::ChunkDigest> newly_missing;
   for (const auto& e : batch.extents) {

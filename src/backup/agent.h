@@ -116,17 +116,18 @@ class BackupAgent {
 
   // Appends a whole extent batch to the image. Before anything is applied
   // it checks the framing (extents partition the digests, payload sizes
-  // slice the payload, no zero-byte unique chunk) and hashes every unique
-  // payload against its digest, in parallel on the agent's pool; a failure
-  // throws ProtocolError ({kPayloadDigestMismatch} for a hash) and leaves
-  // the recipe and the store untouched. A pointer to an unknown digest
-  // throws too, but the batch may then be partially applied; the
-  // connection is considered broken either way.
+  // slice the payload, no zero-byte unique chunk), checks every pointer
+  // (check_pointers) and hashes every unique payload against its digest,
+  // in parallel on the agent's pool. A failure throws ProtocolError
+  // ({kUnknownPointer} for a pointer, {kPayloadDigestMismatch} for a hash)
+  // and leaves the recipe, the store and the pending-repair table
+  // untouched.
   void receive_batch(const std::string& image_id, const ExtentBatch& batch);
 
-  // Appends a payload-stripped batch: same framing as receive_batch but
-  // `payload` must be empty (`payload_sizes` still advertises the chunk
-  // sizes). Recipe entries are recorded; unique chunks whose payload the
+  // Appends a payload-stripped batch: same framing and pointer checks as
+  // receive_batch, with the same all-or-nothing refusal, but `payload` must
+  // be empty (`payload_sizes` still advertises the chunk sizes). Recipe
+  // entries are recorded; unique chunks whose payload the
   // agent does not already hold become repair-pending. Returns the digests
   // that newly entered the pending-repair table, in stream order — the gaps
   // the agent must re-request from the server by digest.
@@ -186,11 +187,15 @@ class BackupAgent {
   // does not hash to the digest the batch files it under.
   void verify_payloads(const ExtentBatch& batch);
 
-  // Takes the recipe reference a duplicate pointer names: deferred while
-  // the chunk is repair-pending, else a store reference. The content-
-  // addressed store answers membership, so a pointer to a digest it does not
-  // hold (never shipped, or reclaimed by delete_image) throws
-  // ProtocolError{kUnknownPointer}.
+  // Refuses a frame, before any of it is applied, with
+  // ProtocolError{kUnknownPointer} when a duplicate pointer names a digest
+  // that is neither repair-pending, nor held by the content-addressed store
+  // (never shipped, or reclaimed by delete_image), nor carried by a unique
+  // chunk earlier in the same frame.
+  void check_pointers(const ExtentBatch& batch) const;
+
+  // Takes the recipe reference a checked duplicate pointer names: deferred
+  // while the chunk is repair-pending, else a store reference.
   void reference_pointer(const dedup::ChunkDigest& digest);
 
   dedup::ChunkStore store_;

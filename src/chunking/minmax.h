@@ -1,12 +1,12 @@
 // Min/max chunk-size post-processing (paper §2.1 and §7.3).
 //
 // The GPU pipeline computes *raw* content boundaries and only afterwards does
-// the Store thread (a) discard boundaries closer than `min_size` to the last
+// the Store stage (a) discard boundaries closer than `min_size` to the last
 // accepted boundary and (b) force a boundary whenever `max_size` bytes pass
 // without one. We adopt that post-filter as the canonical min/max semantics
 // for every backend so outputs are comparable bit-for-bit.
 //
-// MinMaxFilter is the streaming form used by the Store thread (emit chunks as
+// MinMaxFilter is the streaming form used by the Store stage (emit chunks as
 // soon as they are final); apply_min_max is the batch convenience wrapper.
 #pragma once
 
@@ -42,8 +42,6 @@ class MinMaxFilter {
   // fingerprint stage cut chunk hashes while the buffer is still resident
   // on the device. No-op when max_size == 0.
   void drain_forced(std::uint64_t upto);
-
-  std::uint64_t last_accepted() const noexcept { return last_; }
 
  private:
   void force_up_to(std::uint64_t target);

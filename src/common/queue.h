@@ -1,8 +1,9 @@
 // Bounded, blocking multi-producer multi-consumer queue.
 //
-// Used as the conveyor belt between pipeline stages (Reader → Kernel →
-// Store). close() lets producers signal end-of-stream; pop() then
-// drains remaining items and returns std::nullopt once empty.
+// Feeds the pipeline engine's kernel thread, the service's per-tenant
+// dispatch and the thread pool's workers. close() lets producers signal
+// end-of-stream; pop() then drains remaining items and returns
+// std::nullopt once empty.
 //
 // Locking: every member below is guarded by mutex_ (thread-safety analysis
 // enforces this under clang); condition waits are predicate loops inside the

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace shredder {
 
@@ -11,30 +10,13 @@ class Stopwatch {
  public:
   Stopwatch() noexcept : start_(Clock::now()) {}
 
-  void restart() noexcept { start_ = Clock::now(); }
-
   double elapsed_seconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  std::uint64_t elapsed_nanos() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start_)
-            .count());
   }
 
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
-
-// Measures the wall-clock duration of a callable, in seconds.
-template <typename F>
-double time_seconds(F&& fn) {
-  Stopwatch sw;
-  fn();
-  return sw.elapsed_seconds();
-}
 
 }  // namespace shredder

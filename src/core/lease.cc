@@ -54,7 +54,6 @@ std::size_t SlotPool::leased() const {
 SlotLease::SlotLease(SlotLease&& other) noexcept
     : pool_(std::exchange(other.pool_, nullptr)),
       slot_(other.slot_),
-      owned_(std::move(other.owned_)),
       span_(std::exchange(other.span_, {})) {}
 
 SlotLease& SlotLease::operator=(SlotLease&& other) noexcept {
@@ -62,17 +61,9 @@ SlotLease& SlotLease::operator=(SlotLease&& other) noexcept {
     reset();
     pool_ = std::exchange(other.pool_, nullptr);
     slot_ = other.slot_;
-    owned_ = std::move(other.owned_);
     span_ = std::exchange(other.span_, {});
   }
   return *this;
-}
-
-SlotLease SlotLease::from_owned(ByteVec bytes) {
-  SlotLease lease;
-  lease.owned_ = std::move(bytes);
-  lease.span_ = lease.owned_;
-  return lease;
 }
 
 SlotLease SlotLease::from_slot(detail::SlotPool& pool, std::size_t slot,
@@ -89,7 +80,6 @@ SlotLease SlotLease::from_slot(detail::SlotPool& pool, std::size_t slot,
 
 void SlotLease::reset() noexcept {
   if (pool_ != nullptr) std::exchange(pool_, nullptr)->release(slot_);
-  owned_ = {};
   span_ = {};
 }
 

@@ -2,12 +2,13 @@
 // (docs/zero_copy.md).
 //
 // Every submitted buffer is staged once, carry ++ payload, into a leased
-// pinned ring slot (or, in basic/pageable mode, into one owned vector). The
-// lease travels inside the engine with its work item through the H2D DMA
-// and the chunking kernel, and ends when the kernel stage finishes with the
-// item: no lease leaves the engine, so none outlives it. submit() blocks
-// while every slot is leased, which is the engine-level backpressure point;
-// the pipeline.slots_leased gauge tracks the slots in flight.
+// ring slot, in every GpuMode. The lease travels inside the engine with its
+// work item through the priced H2D DMA, the kernels and the Store stage,
+// and ends when the kernel thread has handed the item's batch to the
+// consumer: no lease leaves the engine, so none outlives it. submit()
+// blocks while every slot is leased, which is the engine-level
+// backpressure point; the pipeline.slots_leased gauge tracks the slots in
+// flight.
 #pragma once
 
 #include <cstddef>
@@ -64,9 +65,9 @@ class SlotPool {
 
 }  // namespace detail
 
-// Move-only ownership of one staged buffer's bytes: a leased pinned slot,
-// released back to its pool at destruction, reset() or move-assignment, or
-// an owned vector (basic mode). The pool must outlive the lease.
+// Move-only ownership of one staged buffer's bytes: a leased ring slot,
+// released back to its pool at destruction, reset() or move-assignment.
+// The pool must outlive the lease.
 class SlotLease {
  public:
   SlotLease() = default;
@@ -76,9 +77,6 @@ class SlotLease {
   SlotLease& operator=(const SlotLease&) = delete;
   SlotLease(SlotLease&& other) noexcept;
   SlotLease& operator=(SlotLease&& other) noexcept;
-
-  // Wraps bytes the lease owns outright (pageable-mode staging).
-  static SlotLease from_owned(ByteVec bytes);
 
   // Takes `pool`'s already-acquired slot `slot`, viewing its first `len`
   // bytes.
@@ -93,7 +91,6 @@ class SlotLease {
  private:
   detail::SlotPool* pool_ = nullptr;  // non-null while holding a slot
   std::size_t slot_ = 0;
-  ByteVec owned_;
   ByteSpan span_;
 };
 

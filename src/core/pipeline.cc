@@ -58,16 +58,17 @@ void PipelineEngineConfig::validate() const {
 PipelineEngine::PipelineEngine(const PipelineEngineConfig& config,
                                gpu::Device& device,
                                const rabin::RabinTables& tables,
-                               const chunking::ChunkerConfig& chunker)
+                               const chunking::ChunkerConfig& chunker,
+                               BatchConsumer consumer)
     : config_(config),
       device_(device),
       tables_(tables),
       chunker_(chunker),
+      consumer_(std::move(consumer)),
       kparams_(config.kernel),
       host_kind_(config.mode != GpuMode::kBasic ? gpu::HostMemKind::kPinned
                                                 : gpu::HostMemKind::kPageable),
-      to_kernel_(config.mode != GpuMode::kBasic ? config.ring_slots : 1),
-      to_store_(config.mode != GpuMode::kBasic ? 2 : 1) {
+      to_kernel_(config.ring_slots) {
   config_.validate();
   // The engine's device buffers, two in the pipelined modes (double
   // buffering, §4.1.1) and one in basic, must fit the device's global
@@ -89,41 +90,45 @@ PipelineEngine::PipelineEngine(const PipelineEngineConfig& config,
     m_fingerprint_s_ =
         &reg.timing("pipeline.stage_seconds", {{"stage", "fingerprint"}});
   }
-  if (pipelined()) {
-    pool_ = std::make_unique<detail::SlotPool>(
-        device_.spec(), config_.ring_slots, config_.slot_bytes,
-        config_.registry != nullptr
-            ? &config_.registry->gauge("pipeline.slots_leased")
-            : nullptr);
-    init_seconds_ = pool_->construction_cost_seconds();
-  }
+  // Basic mode stages through the same ring but models pageable memory: no
+  // pinned-ring construction cost, pageable DMA pricing.
+  pool_ = std::make_unique<detail::SlotPool>(
+      device_.spec(), config_.ring_slots, config_.slot_bytes,
+      config_.registry != nullptr
+          ? &config_.registry->gauge("pipeline.slots_leased")
+          : nullptr);
+  if (pipelined()) init_seconds_ = pool_->construction_cost_seconds();
   kernel_thread_ = std::thread([this] { kernel_loop(); });
 }
 
 PipelineEngine::~PipelineEngine() { stop(); }
 
 void PipelineEngine::stop() {
-  if (pool_ != nullptr) pool_->stop();
+  stopped_.store(true);
+  pool_->stop();
   to_kernel_.close();
-  to_store_.close();
   if (kernel_thread_.joinable()) kernel_thread_.join();
 }
 
-std::size_t PipelineEngine::slots_leased() const {
-  return pool_ != nullptr ? pool_->leased() : 0;
+void PipelineEngine::drain() {
+  to_kernel_.close();
+  if (kernel_thread_.joinable()) kernel_thread_.join();
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-// Called from the kernel thread's catch block: store the exception for
-// next_batch() and unblock every producer waiting on a slot lease or a full
-// queue.
-void PipelineEngine::record_error_and_unblock() {
-  {
-    MutexLock lock(error_mutex_);
-    if (!error_) error_ = std::current_exception();
-  }
-  if (pool_ != nullptr) pool_->stop();
+std::size_t PipelineEngine::slots_leased() const { return pool_->leased(); }
+
+// Called from the kernel thread's catch block: keep the exception for
+// drain(), unblock every producer waiting on a slot lease or the full input
+// queue, drop the queued buffers (their slots return to the ring) and tell
+// the consumer.
+void PipelineEngine::fail() {
+  error_ = std::current_exception();
+  pool_->stop();
   to_kernel_.close();
-  to_store_.close();
+  while (to_kernel_.try_pop().has_value()) {
+  }
+  if (consumer_.on_failure) consumer_.on_failure(error_);
 }
 
 bool PipelineEngine::submit(const StreamBuffer& buf) {
@@ -151,13 +156,9 @@ bool PipelineEngine::submit(const StreamBuffer& buf) {
     }
     // Lease the slot before taking the cursor lock: acquire() blocks on
     // backpressure, and other streams' submitters must not wait behind it.
-    std::optional<std::size_t> slot;
-    if (pipelined()) {
-      slot = pool_->acquire();
-      if (!slot.has_value()) return false;
-    }
+    const std::optional<std::size_t> slot = pool_->acquire();
+    if (!slot.has_value()) return false;
     MutableByteSpan staged;
-    ByteVec owned;  // basic mode: pageable DMA source, one contiguous span
     {
       MutexLock lock(cursors_mutex_);
       StreamCursor& c = cursors_[buf.stream_id];
@@ -167,12 +168,7 @@ bool PipelineEngine::submit(const StreamBuffer& buf) {
       const std::size_t len = item.carry + buf.payload.size();
       SHREDDER_CHECK_MSG(len <= config_.slot_bytes,
                          "PipelineEngine: buffer exceeds the staging slot");
-      if (slot.has_value()) {
-        staged = pool_->slot_span(*slot).first(len);
-      } else {
-        owned.resize(len);
-        staged = owned;
-      }
+      staged = pool_->slot_span(*slot).first(len);
       if (item.carry > 0) {
         std::memcpy(staged.data(), c.carry.data(), item.carry);
       }
@@ -195,17 +191,13 @@ bool PipelineEngine::submit(const StreamBuffer& buf) {
                   buf.payload.size());
     }
     // The staged bytes are the engine's only host copy; the lease travels
-    // with the item until the kernel stage is done with it.
-    item.lease = slot.has_value()
-                     ? SlotLease::from_slot(*pool_, *slot, staged.size())
-                     : SlotLease::from_owned(std::move(owned));
+    // with the item until the consumer is done with its batch.
+    item.lease = SlotLease::from_slot(*pool_, *slot, staged.size());
   }
   // On push failure the moved-from item is destroyed inside push(); its
   // lease drops and the slot recycles automatically.
   return to_kernel_.push(std::move(item));
 }
-
-void PipelineEngine::close() { to_kernel_.close(); }
 
 PipelineEngine::FingerprintSession& PipelineEngine::fp_session(
     std::uint32_t stream_id) {
@@ -260,6 +252,7 @@ void PipelineEngine::finish_fingerprint(std::uint32_t stream_id,
 void PipelineEngine::kernel_loop() {
   try {
     while (auto item = to_kernel_.pop()) {
+      if (stopped_.load()) continue;  // stop() drops what is still queued
       BoundaryBatch batch;
       batch.stream_id = item->stream_id;
       batch.seq = item->seq;
@@ -271,7 +264,7 @@ void PipelineEngine::kernel_loop() {
         if (config_.fingerprint) {
           finish_fingerprint(batch.stream_id, batch.payload_end, batch);
         }
-        if (!to_store_.push(std::move(batch))) return;
+        consumer_.on_batch(batch);
         continue;
       }
       // The kernels read the leased slot in place; the H2D DMA that would
@@ -301,27 +294,13 @@ void PipelineEngine::kernel_loop() {
           m_fingerprint_s_->observe(batch.stages.fingerprint);
         }
       }
-      // The item, and with it the slot's lease, ends after the push: while
-      // a stalled consumer keeps to_store_ full, this thread holds the slot.
-      if (!to_store_.push(std::move(batch))) return;
+      // The Store stage. The item, and with it the slot's lease, ends after
+      // it returns, so a stalled consumer holds the slot.
+      consumer_.on_batch(batch);
     }
-    to_store_.close();
   } catch (...) {
-    record_error_and_unblock();
+    fail();
   }
-}
-
-std::optional<BoundaryBatch> PipelineEngine::next_batch() {
-  auto batch = to_store_.pop();
-  if (!batch.has_value()) {
-    MutexLock lock(error_mutex_);
-    if (error_) {
-      auto err = error_;
-      error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  }
-  return batch;
 }
 
 StreamStore::StreamStore(const PipelineEngine& engine, std::uint32_t stream_id,

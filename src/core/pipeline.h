@@ -1,31 +1,34 @@
 // Reusable GPU chunking pipeline engine (paper §4.1–4.2, Figure 8).
 //
-// PipelineEngine is the transfer→kernel core of Shredder's 4-stage pipeline,
-// factored out of core::Shredder so that *any* number of producers can share
-// one device: every work item is tagged with the client stream that produced
-// it, flows through the pinned staging ring, the H2D DMA and the chunking
-// kernel in submission order, and comes back out as a BoundaryBatch carrying
-// the same tag. Single-stream Shredder::run and the multi-tenant
+// PipelineEngine runs the transfer→kernel→store core of Shredder's 4-stage
+// pipeline, factored out of core::Shredder so that *any* number of
+// producers can share one device: every work item is tagged with the client
+// stream that produced it, flows through the staging ring, the H2D DMA and
+// the chunking kernel in submission order, and comes back out as a
+// BoundaryBatch carrying the same tag, handed to the frontend's Store stage
+// (a BatchConsumer). Single-stream Shredder::run and the multi-tenant
 // service::ChunkingService are both thin shells around this engine, and
 // both run each stream's Store stage through one StreamStore (below).
 // Producers hand in only new payload bytes; the engine owns each stream's
 // staging state — its window carry, offset and sequence number.
 //
-// Stage layout (each arrow is a bounded queue; depth bounds the buffers in
-// flight, exactly like Figure 8's ring):
+// Stage layout (one host thread, the kernel thread, runs every stage after
+// the copy; the input queue and the ring bound the buffers in flight,
+// exactly like Figure 8's ring):
 //
-//   submit() ──copy carry ++ payload into leased pinned slot──► kernel thread
+//   submit() ──copy carry ++ payload into a leased ring slot──► kernel thread
 //     (prices the H2D DMA; chunk_on_gpu [+ fingerprint_on_gpu] read the
-//      slot in place; the slot's lease ends here) ──► next_batch() on the
-//      caller
+//      slot in place; consumer.on_batch(batch), the Store stage; the
+//      slot's lease ends here)
 //
-// The simulated device holds no bytes. Each buffer's H2D DMA is a priced
-// stage (gpu::dma_seconds of the staged bytes, StageSeconds::transfer), and
-// both kernels read the leased slot where submit() staged it. Double
-// buffering (§4.1.1), buffer i+1's H2D overlapping buffer i's kernel, is
-// priced in virtual time where the stages are composed: pipeline_makespan
-// over the ring in Shredder, twin GpuTimeline streams per tenant in the
-// service.
+// A stage is a priced cost, not a host thread. The simulated device holds
+// no bytes. Each buffer's H2D DMA is a priced stage (gpu::dma_seconds of
+// the staged bytes, StageSeconds::transfer), both kernels read the leased
+// slot where submit() staged it, and the Store stage prices its D2H
+// readback. Double buffering (§4.1.1), buffer i+1's H2D overlapping buffer
+// i's kernel, and the overlap of every other stage are priced in virtual
+// time where the stages are composed: pipeline_makespan over the ring in
+// Shredder, twin GpuTimeline streams per tenant in the service.
 //
 // With config.fingerprint set, the kernel thread runs a second device
 // kernel per buffer: it resolves the final (min/max-filtered) chunk ends on
@@ -33,19 +36,21 @@
 // so batches come back with chunk+digest pairs and the host never rehashes
 // (docs/fingerprint.md has the timeline).
 //
-// Staged bytes never leave the engine. Each buffer's pinned-ring slot is
-// leased (core/lease.h) from submit() until the kernel stage finishes with
-// it; a BoundaryBatch carries boundaries, digests and stage timings only.
+// Staged bytes never leave the engine. Every GpuMode stages each buffer
+// into a leased slot of the engine's ring (core/lease.h), held from
+// submit() until the consumer returns from the buffer's batch; a
+// BoundaryBatch carries boundaries, digests and stage timings only.
 // submit() blocks while every slot is in flight, which is the engine-level
 // backpressure the service relies on when clients outrun the device. A
-// stalled consumer reaches producers the same way: it fills the to-store
-// queue, the kernel thread then waits holding its item's slot, and the
-// ring runs out of free slots. The pipeline.slots_leased gauge tracks the
-// slots in flight.
+// stalled consumer reaches producers the same way: it holds its item's
+// slot, and the ring runs out of free slots. The pipeline.slots_leased
+// gauge tracks the slots in flight.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -87,6 +92,14 @@ struct StageSeconds {
   double sum() const noexcept {
     return reader + transfer + kernel + fingerprint + store;
   }
+  StageSeconds& operator+=(const StageSeconds& other) noexcept {
+    reader += other.reader;
+    transfer += other.transfer;
+    kernel += other.kernel;
+    fingerprint += other.fingerprint;
+    store += other.store;
+    return *this;
+  }
 };
 
 // One producer submission: the next payload bytes of one client stream.
@@ -100,7 +113,7 @@ struct StreamBuffer {
   double reader_seconds = 0;      // modelled producer time for the payload
   bool eos = false;               // end-of-stream marker; payload is empty
   // Scheduler context stamped by the producer (the service's dispatch path)
-  // and echoed back on the BoundaryBatch, so the store thread can emit
+  // and echoed back on the BoundaryBatch, so the Store stage can emit
   // credit/queue-depth trace points at the batch's virtual completion time.
   double sched_credit = 0;
   std::uint32_t queue_depth = 0;
@@ -162,41 +175,51 @@ struct PipelineEngineConfig {
   void validate() const;
 };
 
+// The frontend's Store stage. Both callbacks run on the engine's kernel
+// thread. on_batch receives every batch, in global submission order, while
+// the batch's item still leases its slot; a throw from it fails the engine
+// the way a failing kernel does. on_failure (optional) hears the engine's
+// first failure once, after every queued buffer has been dropped; it must
+// not throw. Neither may call back into the engine.
+struct BatchConsumer {
+  std::function<void(BoundaryBatch&)> on_batch;
+  std::function<void(std::exception_ptr)> on_failure = nullptr;
+};
+
 class PipelineEngine {
  public:
   // The engine borrows `device`, `tables` and `chunker`; all three must
-  // outlive it. Throws std::invalid_argument on bad configuration, and when
-  // the engine's device buffers (two in the pipelined modes, one in basic)
-  // of slot_bytes each exceed the device's global memory; both are checked
-  // before the ring is built.
+  // outlive it, and so must everything `consumer` touches. Throws
+  // std::invalid_argument on bad configuration, and when the engine's
+  // device buffers (two in the pipelined modes, one in basic) of
+  // slot_bytes each exceed the device's global memory; both are checked
+  // before the ring is built and the kernel thread starts.
   PipelineEngine(const PipelineEngineConfig& config, gpu::Device& device,
                  const rabin::RabinTables& tables,
-                 const chunking::ChunkerConfig& chunker);
+                 const chunking::ChunkerConfig& chunker,
+                 BatchConsumer consumer);
   ~PipelineEngine();
 
   PipelineEngine(const PipelineEngine&) = delete;
   PipelineEngine& operator=(const PipelineEngine&) = delete;
 
   // Stages `buf` behind its stream's window carry and hands it to the
-  // kernel thread: leases a pinned slot (blocking while all slots are in
+  // kernel thread: leases a ring slot (blocking while all slots are in
   // flight — this is the backpressure point) and copies carry ++ payload
-  // into it, or into one owned vector in basic mode. An eos buffer closes
-  // the stream and drops its staging state. Returns false if the engine was
-  // shut down. Each stream has one submitting thread, which submits its
-  // buffers in stream order; different streams may submit concurrently.
+  // into it. An eos buffer closes the stream and drops its staging state.
+  // Returns false once the engine has failed or stopped. Each stream has
+  // one submitting thread, which submits its buffers in stream order;
+  // different streams may submit concurrently.
   bool submit(const StreamBuffer& buf);
 
-  // Signals end of all submissions; next_batch() drains and then returns
-  // nullopt.
-  void close();
-
-  // Next finished batch in global submission order; nullopt once closed and
-  // drained. Rethrows any pipeline-thread failure.
-  std::optional<BoundaryBatch> next_batch();
+  // End of input: closes it, waits until the consumer has had every
+  // submitted batch, joins the kernel thread and rethrows the engine's
+  // failure, if any (once). Call it after the last submit() returns.
+  void drain();
 
   // Hard-stops the pipeline: wakes any producer blocked on a slot lease
-  // (their submit returns false), closes every queue and joins the kernel
-  // thread. Idempotent; also runs from the destructor.
+  // (their submit returns false), drops the buffers still queued and joins
+  // the kernel thread. Idempotent; also runs from the destructor.
   void stop();
 
   // One-time pinned-ring construction cost (streams modes only).
@@ -206,15 +229,14 @@ class PipelineEngine {
   bool fingerprints() const noexcept { return config_.fingerprint; }
   const gpu::DeviceSpec& device_spec() const noexcept { return device_.spec(); }
   const chunking::ChunkerConfig& chunker() const noexcept { return chunker_; }
-  // Pinned slots currently leased: buffers between submit() and the end of
-  // their kernel stage. 0 in basic mode and after full drains.
+  // Ring slots currently leased: buffers between submit() and the end of
+  // their Store stage. 0 after full drains.
   std::size_t slots_leased() const;
 
  private:
   // A submitted buffer on its way through the stages. `lease` holds the
-  // staged bytes (carry ++ payload): a leased pinned slot in streams modes,
-  // or an owned vector in basic mode. It ends with the item, when the
-  // kernel stage has handed the item's batch on.
+  // staged bytes (carry ++ payload) in a leased ring slot. It ends with the
+  // item, when the consumer has returned from the item's batch.
   struct StagedItem {
     std::uint32_t stream_id = 0;
     std::uint64_t seq = 0;
@@ -248,13 +270,14 @@ class PipelineEngine {
   void finish_fingerprint(std::uint32_t stream_id, std::uint64_t total,
                           BoundaryBatch& batch);
 
-  void record_error_and_unblock();
+  void fail();
   void kernel_loop();
 
   PipelineEngineConfig config_;
   gpu::Device& device_;
   const rabin::RabinTables& tables_;
   const chunking::ChunkerConfig& chunker_;
+  const BatchConsumer consumer_;
   // Metric handles resolved once at construction (null when no registry):
   // submit() and the kernel thread touch them lock-free on the hot path.
   obs::Counter* m_buffers_ = nullptr;
@@ -267,9 +290,9 @@ class PipelineEngine {
   gpu::HostMemKind host_kind_;
   double init_seconds_ = 0;
 
-  // The pinned ring + free-slot accounting. Declared before the queues and
-  // threads, so every lease an item still holds returns to it before it
-  // dies. Null in basic mode (no ring; payloads stage into owned vectors).
+  // The staging ring + free-slot accounting, in every mode. Declared before
+  // the queue and the thread, so every lease an item still holds returns to
+  // it before it dies.
   std::unique_ptr<detail::SlotPool> pool_;
 
   // Staging state of every stream that has submitted data and not yet its
@@ -279,14 +302,16 @@ class PipelineEngine {
       GUARDED_BY(cursors_mutex_);
 
   BoundedQueue<StagedItem> to_kernel_;
-  BoundedQueue<BoundaryBatch> to_store_;
 
   // Kernel-thread-only: one fingerprint session per live stream.
   std::unordered_map<std::uint32_t, std::unique_ptr<FingerprintSession>>
       fp_sessions_;
 
-  Mutex error_mutex_;
-  std::exception_ptr error_ GUARDED_BY(error_mutex_);
+  // Set by stop(): the kernel thread drops what is still queued.
+  std::atomic<bool> stopped_{false};
+  // The first failure: written by the kernel thread, read by drain() after
+  // the join.
+  std::exception_ptr error_;
   std::thread kernel_thread_;
 };
 

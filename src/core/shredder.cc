@@ -1,8 +1,8 @@
 #include "core/shredder.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "chunking/parallel.h"
 #include "common/check.h"
@@ -36,9 +36,19 @@ Shredder::Shredder(ShredderConfig config)
 ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
   const Stopwatch wall;
   ShredderResult result;
-  const bool pipelined = config_.mode != GpuMode::kBasic;
   const bool fingerprint = config_.fingerprint_on_device;
 
+  // The Store stage, run by the engine's kernel thread after each buffer's
+  // kernels. It touches only what is declared before the engine, so the
+  // engine's destructor joins the kernel thread before any of it dies, on
+  // every exit path.
+  std::optional<StreamStore> store;
+  obs::Timing* m_store_s = nullptr;
+  StageSeconds stage_sums;  // over every stage entry, in delivery order
+  const auto log_stages = [&](const StageSeconds& s) {
+    stage_sums += s;
+    result.serialized_seconds += s.sum();
+  };
   PipelineEngineConfig engine_cfg;
   engine_cfg.mode = config_.mode;
   engine_cfg.slot_bytes = config_.buffer_bytes + config_.chunker.window - 1;
@@ -46,93 +56,57 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
   engine_cfg.kernel = config_.kernel;
   engine_cfg.fingerprint = fingerprint;
   engine_cfg.registry = config_.registry;
-  PipelineEngine engine(engine_cfg, *device_, tables_, config_.chunker);
+  PipelineEngine engine(
+      engine_cfg, *device_, tables_, config_.chunker,
+      {.on_batch = [&](BoundaryBatch& batch) {
+        result.total_bytes = batch.payload_end;
+        const double store_seconds = store->consume(batch);
+        if (batch.eos) {
+          // Only a trailing digest's D2H makes the eos batch a stage entry.
+          if (!batch.digests.empty()) log_stages(batch.stages);
+          return;
+        }
+        if (m_store_s != nullptr) m_store_s->observe(store_seconds);
+        result.raw_boundaries += batch.boundaries.size();
+        ++result.n_buffers;
+        log_stages(batch.stages);
+        result.kernel_totals += batch.kernel_stats;
+        if (fingerprint) result.fingerprint_totals += batch.fingerprint_stats;
+      }});
+  // Built after the engine, which refuses a bad configuration first.
+  store.emplace(engine, /*stream_id=*/0, sink);
+  if (config_.registry != nullptr) {
+    m_store_s = &config_.registry->timing("core.store_seconds");
+  }
   result.init_seconds = engine.init_seconds();
-  obs::Timing* m_store_s =
-      config_.registry != nullptr
-          ? &config_.registry->timing("core.store_seconds")
-          : nullptr;
-  StreamStore store(engine, /*stream_id=*/0, sink);
 
   // --- The pipeline ---
-  // The Reader stage runs on one thread: it takes each buffer from the
-  // source as a view and submits it, and submit() copies it into the
-  // pinned ring. The kernel thread, which also prices each buffer's H2D,
-  // lives inside the engine; the Store stage runs on this thread, matching
-  // Figure 8's four stages.
-  std::vector<StageSeconds> stage_log;
-  std::uint64_t total_bytes = 0;
-  std::uint64_t n_buffers = 0;
-
-  std::exception_ptr read_error;
-  std::thread reader([&] {
-    try {
-      StreamBuffer sb;
-      for (;;) {
-        const ByteSpan got = source.next(config_.buffer_bytes);
-        if (got.empty()) break;
-        sb.payload = got;
-        sb.reader_seconds = source.read_seconds(got.size());
-        if (!engine.submit(sb)) return;
-      }
-      // The stream ends on an eos marker, which closes its trailing chunk.
-      StreamBuffer eos;
-      eos.eos = true;
-      if (!engine.submit(eos)) return;
-      engine.close();
-    } catch (...) {
-      read_error = std::current_exception();
-      engine.close();
-    }
-  });
-
-  // Store stage runs on this thread. A pipeline-stage failure surfaces as a
-  // rethrow from next_batch(); capture it so the reader thread can be
-  // unblocked and joined before the exception propagates.
-  std::exception_ptr store_error;
-  try {
-    while (auto batch = engine.next_batch()) {
-      total_bytes = batch->payload_end;
-      const double store_seconds = store.consume(*batch);
-      if (batch->eos) {
-        // Only a trailing digest's D2H makes the eos batch a stage entry.
-        if (!batch->digests.empty()) stage_log.push_back(batch->stages);
-        continue;
-      }
-      if (m_store_s != nullptr) m_store_s->observe(store_seconds);
-      result.raw_boundaries += batch->boundaries.size();
-      ++n_buffers;
-      stage_log.push_back(batch->stages);
-      // Aggregate kernel statistics across buffers.
-      result.kernel_totals += batch->kernel_stats;
-      if (fingerprint) {
-        result.fingerprint_totals += batch->fingerprint_stats;
-      }
-    }
-  } catch (...) {
-    store_error = std::current_exception();
-    engine.stop();  // wakes a reader blocked on a slot lease
+  // This thread is the Reader stage: it takes each buffer from the source
+  // as a view and submits it, and submit() copies it into the ring. The
+  // kernel thread prices each buffer's H2D, runs the kernels and then the
+  // Store stage above: Figure 8's four stages on two host threads, their
+  // overlap priced by the makespan below. A failed engine refuses the next
+  // submit, and drain() rethrows its failure.
+  StreamBuffer sb;
+  for (;;) {
+    const ByteSpan got = source.next(config_.buffer_bytes);
+    if (got.empty()) break;
+    sb.payload = got;
+    sb.reader_seconds = source.read_seconds(got.size());
+    if (!engine.submit(sb)) break;
   }
-  reader.join();
-  if (store_error) std::rethrow_exception(store_error);
-  if (read_error) std::rethrow_exception(read_error);
+  // The stream ends on an eos marker, which closes its trailing chunk.
+  StreamBuffer eos;
+  eos.eos = true;
+  engine.submit(eos);
+  engine.drain();
 
   // --- Reporting ---
-  result.chunks = store.take_chunks();
-  result.digests = store.take_digests();
-  result.total_bytes = total_bytes;
-  result.n_buffers = n_buffers;
-  StageSeconds mean;
-  for (const auto& s : stage_log) {
-    mean.reader += s.reader;
-    mean.transfer += s.transfer;
-    mean.kernel += s.kernel;
-    mean.fingerprint += s.fingerprint;
-    mean.store += s.store;
-    result.serialized_seconds += s.sum();
-  }
-  if (n_buffers > 0) {
-    const auto n = static_cast<double>(n_buffers);
+  result.chunks = store->take_chunks();
+  result.digests = store->take_digests();
+  StageSeconds mean = stage_sums;
+  if (result.n_buffers > 0) {
+    const auto n = static_cast<double>(result.n_buffers);
     mean.reader /= n;
     mean.transfer /= n;
     mean.kernel /= n;
@@ -140,20 +114,20 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink) {
     mean.store /= n;
   }
   result.mean_stage_seconds = mean;
-  if (pipelined) {
+  if (config_.mode != GpuMode::kBasic) {
     // Chunk and hash kernels share the one compute engine, so they form a
     // single pipeline stage: buffer i+1's chunk kernel cannot start while
     // buffer i's hash kernel holds the engine.
     result.virtual_seconds = gpu::pipeline_makespan(
         {mean.reader, mean.transfer, mean.kernel + mean.fingerprint,
          mean.store},
-        n_buffers, config_.ring_slots);
+        result.n_buffers, config_.ring_slots);
   } else {
     result.virtual_seconds = result.serialized_seconds;
   }
   result.virtual_throughput_bps =
       result.virtual_seconds > 0
-          ? static_cast<double>(total_bytes) / result.virtual_seconds
+          ? static_cast<double>(result.total_bytes) / result.virtual_seconds
           : 0.0;
   result.wall_seconds = wall.elapsed_seconds();
   return result;

@@ -1,19 +1,19 @@
 // Shredder: the GPU-accelerated content-based chunking service
 // (paper §3–§5). This is the library's primary public API.
 //
-// The workflow matches Figure 2/8 of the paper: a Reader thread, the one
-// producer thread a run starts, takes the input stream from its DataSource
-// one buffer-sized view at a time and submits each view to the pipeline
-// engine, which copies it behind the stream's last w-1 bytes into the pinned
-// ring (for in-memory input the only host copy). The engine's kernel thread
-// prices each staged buffer's H2D DMA and runs the chunking kernel over the
-// slot in place, finding raw content boundaries in parallel on the
-// (simulated) GPU; the H2D of one buffer overlapping the kernel of the one
-// before (double buffering) is priced by the pipeline makespan. The Store
-// stage on the calling thread copies boundaries back, applies min/max sizes
-// and hands finished chunks to the application's ChunkSink one batch per
-// buffer (core::StreamStore, the Store stage the multi-tenant service runs
-// per tenant too).
+// The workflow matches Figure 2/8 of the paper. The calling thread is the
+// Reader: it takes the input stream from its DataSource one buffer-sized
+// view at a time and submits each view to the pipeline engine, which copies
+// it behind the stream's last w-1 bytes into the pinned ring (for in-memory
+// input the only host copy). The engine's kernel thread, the one thread a
+// run starts, prices each staged buffer's H2D DMA and runs the chunking
+// kernel over the slot in place, finding raw content boundaries in parallel
+// on the (simulated) GPU. It then runs the Store stage, which prices the
+// boundaries' readback, applies min/max sizes and hands finished chunks to
+// the application's ChunkSink one batch per buffer (core::StreamStore, the
+// Store stage the multi-tenant service runs per tenant too). The stages'
+// overlap, including double buffering (one buffer's H2D under the kernel of
+// the one before), is priced by the pipeline makespan.
 //
 // Three operating modes expose the paper's optimization ladder (Fig 12):
 //   kBasic            serialized stages, pageable host memory, direct

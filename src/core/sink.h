@@ -36,8 +36,10 @@ struct ChunkBatchView {
   std::span<const dedup::ChunkDigest> digests;
 };
 
-// The batch consumer interface. on_batch runs on the producer's store
-// thread, in stream order; it must not re-enter the producer.
+// The batch consumer interface. on_batch runs on the pipeline engine's
+// kernel thread (core/pipeline.h), in stream order, for both frontends; it
+// must not re-enter the producer. An exception it throws fails the run:
+// Shredder::run rethrows it, and so do the service's wait() and shutdown().
 class ChunkSink {
  public:
   virtual ~ChunkSink() = default;

@@ -1,10 +1,11 @@
-// Data sources for the Shredder Reader thread (paper §3.1, §5.2.1).
+// Data sources for the Shredder Reader stage (paper §3.1, §5.2.1).
 //
 // The paper's Reader consumes a SAN stream at ~2 GB/s via asynchronous I/O.
 // Here a DataSource hands out sequential views of the stream and reports the
-// *modelled* read time per buffer. Shredder::run's Reader thread takes one
-// view at a time and submits it into the pinned ring, so the ring's free
-// slots are the read-ahead depth: the lio_listio-style overlap of §5.2.1.
+// *modelled* read time per buffer. Shredder::run's calling thread is the
+// Reader: it takes one view at a time and submits it into the pinned ring,
+// so the ring's free slots are the read-ahead depth: the lio_listio-style
+// overlap of §5.2.1.
 #pragma once
 
 #include <cstdint>

@@ -59,11 +59,6 @@ void NameNode::remove(const std::string& name) {
   files_.erase(name);
 }
 
-std::uint64_t NameNode::file_count() const {
-  MutexLock lock(mutex_);
-  return files_.size();
-}
-
 std::uint64_t NameNode::next_block_id() {
   MutexLock lock(mutex_);
   return next_block_id_++;

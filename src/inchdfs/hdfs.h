@@ -58,7 +58,6 @@ class NameNode {
   // Block list of a file; throws std::out_of_range if missing.
   std::vector<BlockRef> lookup(const std::string& name) const;
   void remove(const std::string& name);
-  std::uint64_t file_count() const;
 
   std::uint64_t next_block_id();
 
@@ -76,9 +75,6 @@ class MiniHdfs {
 
   NameNode& namenode() noexcept { return namenode_; }
   DataNode& datanode(std::uint32_t id);
-  std::uint32_t num_datanodes() const noexcept {
-    return static_cast<std::uint32_t>(datanodes_.size());
-  }
 
   // Writes pre-chunked blocks as a file, placing them round-robin.
   void write_file(const std::string& name,

@@ -7,12 +7,7 @@ namespace shredder::inchdfs {
 MemoServer::MapOutputPtr MemoServer::get_map(const dedup::ChunkDigest& key) {
   MutexLock lock(mutex_);
   const auto it = map_memo_.find(key);
-  if (it == map_memo_.end()) {
-    ++map_misses_;
-    return nullptr;
-  }
-  ++map_hits_;
-  return it->second;
+  return it == map_memo_.end() ? nullptr : it->second;
 }
 
 void MemoServer::put_map(const dedup::ChunkDigest& key, MapOutputPtr value) {
@@ -24,11 +19,7 @@ std::optional<std::map<std::string, std::string>> MemoServer::get_reduce(
     const dedup::ChunkDigest& key) {
   MutexLock lock(mutex_);
   const auto it = reduce_memo_.find(key);
-  if (it == reduce_memo_.end()) {
-    ++reduce_misses_;
-    return std::nullopt;
-  }
-  ++reduce_hits_;
+  if (it == reduce_memo_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -61,27 +52,6 @@ std::uint64_t MemoServer::combine_hits() const {
 std::uint64_t MemoServer::combine_misses() const {
   MutexLock lock(mutex_);
   return combine_misses_;
-}
-
-std::uint64_t MemoServer::map_hits() const {
-  MutexLock lock(mutex_);
-  return map_hits_;
-}
-std::uint64_t MemoServer::map_misses() const {
-  MutexLock lock(mutex_);
-  return map_misses_;
-}
-std::uint64_t MemoServer::reduce_hits() const {
-  MutexLock lock(mutex_);
-  return reduce_hits_;
-}
-std::uint64_t MemoServer::reduce_misses() const {
-  MutexLock lock(mutex_);
-  return reduce_misses_;
-}
-std::uint64_t MemoServer::entries() const {
-  MutexLock lock(mutex_);
-  return map_memo_.size() + reduce_memo_.size();
 }
 
 }  // namespace shredder::inchdfs

@@ -49,12 +49,6 @@ class MemoServer {
   std::uint64_t combine_hits() const;
   std::uint64_t combine_misses() const;
 
-  std::uint64_t map_hits() const;
-  std::uint64_t map_misses() const;
-  std::uint64_t reduce_hits() const;
-  std::uint64_t reduce_misses() const;
-  std::uint64_t entries() const;
-
  private:
   mutable Mutex mutex_;
   std::unordered_map<dedup::ChunkDigest, MapOutputPtr, dedup::ChunkDigestHash>
@@ -66,10 +60,6 @@ class MemoServer {
       combine_memo_ GUARDED_BY(mutex_);
   std::uint64_t combine_hits_ GUARDED_BY(mutex_) = 0;
   std::uint64_t combine_misses_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t map_hits_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t map_misses_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t reduce_hits_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t reduce_misses_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace shredder::inchdfs

@@ -51,11 +51,13 @@ ChunkingService::ChunkingService(ServiceConfig config)
   engine_cfg.kernel = config_.kernel;
   engine_cfg.fingerprint = config_.fingerprint_on_device;
   engine_cfg.registry = registry_;
-  engine_ = std::make_unique<core::PipelineEngine>(engine_cfg, *device_,
-                                                   tables_, config_.chunker);
+  engine_ = std::make_unique<core::PipelineEngine>(
+      engine_cfg, *device_, tables_, config_.chunker,
+      core::BatchConsumer{
+          [this](core::BoundaryBatch& batch) { store_batch(batch); },
+          [this](std::exception_ptr error) { fail(std::move(error)); }});
   aggregate_.init_seconds = engine_->init_seconds();
   scheduler_thread_ = std::thread([this] { scheduler_loop(); });
-  store_thread_ = std::thread([this] { store_loop(); });
 }
 
 ChunkingService::~ChunkingService() {
@@ -67,12 +69,11 @@ ChunkingService::~ChunkingService() {
   }
   if (!stopped) {
     // Best-effort teardown for services abandoned without shutdown():
-    // stop the engine (unblocks a scheduler parked on a slot lease and the
-    // store thread parked on next_batch), then join our threads.
+    // stop the engine (unblocks a scheduler parked on a slot lease and
+    // joins the kernel thread), then join the scheduler.
     sched_cv_.notify_all();
     engine_->stop();
     if (scheduler_thread_.joinable()) scheduler_thread_.join();
-    if (store_thread_.joinable()) store_thread_.join();
   }
 }
 
@@ -266,7 +267,7 @@ void ChunkingService::dispatch(Session& s, bool send_eos) {
                      "ChunkingService: scheduler raced an empty queue");
   sb.payload = pending->payload;
   sb.reader_seconds = pending->reader_seconds;
-  // Scheduler context rides with the buffer so the store thread can stamp
+  // Scheduler context rides with the buffer so the Store stage can stamp
   // credit/queue-depth trace points at the buffer's virtual time. Both are
   // scheduler-thread state: credit was charged in pick_locked, the queue
   // only shrinks from this thread.
@@ -285,112 +286,99 @@ void ChunkingService::scheduler_loop() {
       for (;;) {
         pick = pick_locked(&send_eos);
         if (pick != nullptr) break;
-        if (draining_) {
-          lock.unlock();
-          engine_->close();
-          return;
-        }
+        if (draining_) return;
         sched_cv_.wait(mu_);
       }
     }
-    // Dispatch outside the lock: engine_->submit may block on a pinned-slot
-    // lease, and the store thread needs mu_ to make progress meanwhile.
+    // Dispatch outside the lock: engine_->submit may block on a slot lease,
+    // and the Store stage on the kernel thread needs mu_ to make progress
+    // meanwhile.
     dispatch(*pick, send_eos);
   }
 }
 
-void ChunkingService::store_loop() {
-  try {
-    while (auto batch = engine_->next_batch()) {
-      Session* s;
-      {
-        MutexLock lock(mu_);
-        const auto it = sessions_.find(batch->stream_id);
-        SHREDDER_CHECK_MSG(it != sessions_.end(),
-                           "ChunkingService: batch for unknown session");
-        s = it->second.get();
-      }
-      const double store_seconds = s->store->consume(*batch);
-      if (batch->eos) {
-        // The trailing chunk's digest still crosses the bus: extend the
-        // tenant's timeline with its D2H before closing the session.
-        if (!batch->digests.empty() &&
-            s->tl_base != static_cast<std::size_t>(-1)) {
-          s->last_finish_v = timeline_.enqueue(
-              s->tl_base + static_cast<std::size_t>(batch->seq % 2),
-              gpu::EngineKind::kCopyD2H, store_seconds);
-          s->report.stage_totals.store += store_seconds;
-          if (tracer_ != nullptr) {
-            tracer_->span("engine/d2h", "trailing_digest_d2h",
-                          s->last_finish_v - store_seconds, s->last_finish_v,
-                          {{"tenant", s->report.name},
-                           {"seq", std::to_string(batch->seq)}});
-          }
-        }
-        if (tracer_ != nullptr) {
-          tracer_->instant("tenant/" + s->report.name, "eos",
-                           s->last_finish_v);
-        }
-        finalize_session(*s, batch->payload_end);
-        continue;
-      }
-
-      // Virtual-time composition: the tenant's twin timeline streams model
-      // per-stream double buffering; the three engines are shared. The hash
-      // kernel is a second compute-engine op right after the chunk kernel —
-      // it overlaps the next buffer's H2D exactly like compute always has.
-      if (s->tl_base == static_cast<std::size_t>(-1)) {
-        s->tl_base = timeline_.add_stream();
-        timeline_.add_stream();
-      }
-      s->ready_v += batch->stages.reader;
-      const std::size_t tl_stream =
-          s->tl_base + static_cast<std::size_t>(batch->seq % 2);
-      const double h2d_finish =
-          timeline_.enqueue(tl_stream, gpu::EngineKind::kCopyH2D,
-                            batch->stages.transfer, s->ready_v);
-      if (s->report.n_buffers == 0) {
-        s->first_start_v = h2d_finish - batch->stages.transfer;
-      }
-      const double kernel_finish = timeline_.enqueue(
-          tl_stream, gpu::EngineKind::kCompute, batch->stages.kernel);
-      double fp_finish = kernel_finish;
-      if (batch->stages.fingerprint > 0) {
-        fp_finish = timeline_.enqueue(tl_stream, gpu::EngineKind::kCompute,
-                                      batch->stages.fingerprint);
-      }
+void ChunkingService::store_batch(core::BoundaryBatch& batch) {
+  Session* s;
+  {
+    MutexLock lock(mu_);
+    const auto it = sessions_.find(batch.stream_id);
+    SHREDDER_CHECK_MSG(it != sessions_.end(),
+                       "ChunkingService: batch for unknown session");
+    s = it->second.get();
+  }
+  const double store_seconds = s->store->consume(batch);
+  if (batch.eos) {
+    // The trailing chunk's digest still crosses the bus: extend the
+    // tenant's timeline with its D2H before closing the session.
+    if (!batch.digests.empty() &&
+        s->tl_base != static_cast<std::size_t>(-1)) {
       s->last_finish_v = timeline_.enqueue(
-          tl_stream, gpu::EngineKind::kCopyD2H, batch->stages.store);
+          s->tl_base + static_cast<std::size_t>(batch.seq % 2),
+          gpu::EngineKind::kCopyD2H, store_seconds);
+      s->report.stage_totals.store += store_seconds;
       if (tracer_ != nullptr) {
-        trace_batch(*s, *batch, h2d_finish, kernel_finish, fp_finish,
-                    s->last_finish_v);
-      }
-
-      auto& r = s->report;
-      r.n_buffers += 1;
-      r.raw_boundaries += batch->boundaries.size();
-      r.stage_totals.reader += batch->stages.reader;
-      r.stage_totals.transfer += batch->stages.transfer;
-      r.stage_totals.kernel += batch->stages.kernel;
-      r.stage_totals.fingerprint += batch->stages.fingerprint;
-      r.stage_totals.store += batch->stages.store;
-      {
-        MutexLock lock(mu_);
-        aggregate_.n_buffers += 1;
+        tracer_->span("engine/d2h", "trailing_digest_d2h",
+                      s->last_finish_v - store_seconds, s->last_finish_v,
+                      {{"tenant", s->report.name},
+                       {"seq", std::to_string(batch.seq)}});
       }
     }
-  } catch (...) {
-    // Fail the whole service: wake producers blocked in submit() (their
-    // queue push fails), let the scheduler drain out, and surface the
-    // error from wait()/shutdown().
-    engine_->stop();
-    MutexLock lock(mu_);
-    store_error_ = std::current_exception();
-    draining_ = true;
-    for (auto& [id, session] : sessions_) session->queue->close();
-    sched_cv_.notify_all();
-    complete_cv_.notify_all();
+    if (tracer_ != nullptr) {
+      tracer_->instant("tenant/" + s->report.name, "eos", s->last_finish_v);
+    }
+    finalize_session(*s, batch.payload_end);
+    return;
   }
+
+  // Virtual-time composition: the tenant's twin timeline streams model
+  // per-stream double buffering; the three engines are shared. The hash
+  // kernel is a second compute-engine op right after the chunk kernel —
+  // it overlaps the next buffer's H2D exactly like compute always has.
+  if (s->tl_base == static_cast<std::size_t>(-1)) {
+    s->tl_base = timeline_.add_stream();
+    timeline_.add_stream();
+  }
+  s->ready_v += batch.stages.reader;
+  const std::size_t tl_stream =
+      s->tl_base + static_cast<std::size_t>(batch.seq % 2);
+  const double h2d_finish =
+      timeline_.enqueue(tl_stream, gpu::EngineKind::kCopyH2D,
+                        batch.stages.transfer, s->ready_v);
+  if (s->report.n_buffers == 0) {
+    s->first_start_v = h2d_finish - batch.stages.transfer;
+  }
+  const double kernel_finish = timeline_.enqueue(
+      tl_stream, gpu::EngineKind::kCompute, batch.stages.kernel);
+  double fp_finish = kernel_finish;
+  if (batch.stages.fingerprint > 0) {
+    fp_finish = timeline_.enqueue(tl_stream, gpu::EngineKind::kCompute,
+                                  batch.stages.fingerprint);
+  }
+  s->last_finish_v = timeline_.enqueue(tl_stream, gpu::EngineKind::kCopyD2H,
+                                       batch.stages.store);
+  if (tracer_ != nullptr) {
+    trace_batch(*s, batch, h2d_finish, kernel_finish, fp_finish,
+                s->last_finish_v);
+  }
+
+  auto& r = s->report;
+  r.n_buffers += 1;
+  r.raw_boundaries += batch.boundaries.size();
+  r.stage_totals += batch.stages;
+  MutexLock lock(mu_);
+  aggregate_.n_buffers += 1;
+}
+
+void ChunkingService::fail(std::exception_ptr error) {
+  // Fail the whole service: wake producers blocked in submit() (their
+  // queue push fails), let the scheduler drain out, and surface the error
+  // from wait()/shutdown(). The engine has already stopped taking buffers.
+  MutexLock lock(mu_);
+  store_error_ = std::move(error);
+  draining_ = true;
+  for (auto& [id, session] : sessions_) session->queue->close();
+  sched_cv_.notify_all();
+  complete_cv_.notify_all();
 }
 
 void ChunkingService::trace_batch(const Session& s,
@@ -477,15 +465,12 @@ ServiceReport ChunkingService::shutdown() {
     draining_ = true;
   }
   sched_cv_.notify_all();
-  scheduler_thread_.join();  // closes the engine on exit
-  store_thread_.join();
-  std::exception_ptr err;
+  scheduler_thread_.join();
   {
     MutexLock lock(mu_);
     stopped_ = true;
-    err = store_error_;
   }
-  if (err) std::rethrow_exception(err);
+  engine_->drain();  // rethrows a kernel or Store-stage failure
 
   ServiceReport report = std::move(aggregate_);
   report.virtual_seconds = timeline_.makespan();

@@ -12,9 +12,13 @@
 //   client threads ──submit()──► per-tenant BoundedQueue  (backpressure #1)
 //        scheduler thread: weighted-fair pick ──► engine.submit()
 //                                  (pinned-slot lease = backpressure #2)
-//        engine: kernel thread  (H2D priced; tagged BoundaryBatches)
-//        store thread: one core::StreamStore per tenant (chunk resolution,
-//          sink batches), virtual-time composition, stats
+//        engine: kernel thread  (H2D priced; tagged BoundaryBatches), then
+//          the Store stage on the same thread: one core::StreamStore per
+//          tenant (chunk resolution, sink batches), virtual-time
+//          composition, stats
+//
+// The service runs two threads of its own, the scheduler and the engine's
+// kernel thread, beside the simulated device's worker pool.
 //
 // Each tenant is one engine stream (the engine keeps its Rabin carry across
 // buffers, offset and sequence numbers) drained by the same StreamStore a
@@ -84,7 +88,7 @@ struct ServiceConfig {
   // publishes service.* counters and forwards the registry to its pipeline
   // engine (pipeline.* metrics).
   obs::Registry* registry = nullptr;
-  // Optional virtual-time tracer (borrowed). When set, the store thread
+  // Optional virtual-time tracer (borrowed). When set, the Store stage
   // emits one span per pipeline stage per buffer on the shared engine
   // tracks ("engine/h2d", "engine/compute", "engine/d2h") and per-tenant
   // tracks, plus scheduler credit/queue-depth counter series — Chrome
@@ -99,9 +103,10 @@ struct TenantOptions {
   std::uint32_t weight = 1;  // weighted-fair share of device dispatches
   double channel_bw = 0;     // modelled client channel, B/s; 0 = reader_bw
   // Streaming consumer: one ChunkBatchView (chunks and digests) per drained
-  // buffer that finalized chunks plus an eos batch, delivered on the store
-  // thread in stream order. Not owned; must outlive the session. Null = no
-  // streaming consumer; the chunks still arrive in the TenantResult.
+  // buffer that finalized chunks plus an eos batch, delivered on the
+  // engine's kernel thread in stream order. Not owned; must outlive the
+  // session. Null = no streaming consumer; the chunks still arrive in the
+  // TenantResult.
   ChunkSink* sink = nullptr;
 };
 
@@ -232,12 +237,16 @@ class ChunkingService {
   Session* pick_locked(bool* send_eos) REQUIRES(mu_);
   void dispatch(Session& s, bool send_eos);
   void scheduler_loop();
-  void store_loop();
+  // The engine's consumer, both on its kernel thread: store_batch is the
+  // Store stage of every tenant, fail records a kernel or Store-stage
+  // failure for wait() and shutdown().
+  void store_batch(core::BoundaryBatch& batch);
+  void fail(std::exception_ptr error);
   // Emits one buffer's stage spans: engine tracks use the exact start/finish
   // the timeline assigned (so Tracer::track_busy("engine/X") equals
   // GpuTimeline::engine_busy by construction), tenant tracks get the
   // client-side reader span and the device-residency span, and the sched
-  // track gets credit/queue-depth counter points. Store thread only.
+  // track gets credit/queue-depth counter points. Store stage only.
   void trace_batch(const Session& s, const core::BoundaryBatch& batch,
                    double h2d_finish, double kernel_finish, double fp_finish,
                    double d2h_finish);
@@ -269,10 +278,9 @@ class ChunkingService {
   std::exception_ptr store_error_ GUARDED_BY(mu_);
 
   gpu::GpuTimeline timeline_;
-  ServiceReport aggregate_;  // store thread only, until shutdown
+  ServiceReport aggregate_;  // Store stage only, until shutdown
 
   std::thread scheduler_thread_;
-  std::thread store_thread_;
 };
 
 }  // namespace shredder::service

@@ -220,6 +220,79 @@ TEST(BackupAgent, PointerToUnknownChunkThrows) {
                std::invalid_argument);
 }
 
+TEST(BackupAgent, RefusedFrameAppliesNothing) {
+  // A frame [unique A, pointer to unknown B] is refused before A is stored,
+  // sent full and sent stripped: the agent's chunks, bytes, pending repairs
+  // and recipe stay as they were. A pointer to a unique chunk earlier in the
+  // same frame and a pointer to a repair-pending digest are accepted, so a
+  // correct frame then lands and the image seals at the old count plus its
+  // chunks.
+  const auto kept = random_bytes(70, 41);
+  const auto pending = random_bytes(60, 42);
+  const auto a = random_bytes(100, 43);
+  const auto b = random_bytes(80, 44);
+  const auto hash = [](const ByteVec& bytes) {
+    return dedup::ChunkHasher::hash(as_bytes(bytes));
+  };
+  for (const bool stripped : {false, true}) {
+    SCOPED_TRACE(stripped ? "stripped" : "full");
+    const auto receive = [stripped](BackupAgent& agent,
+                                    BackupAgent::ExtentBatch batch) {
+      if (stripped) {
+        batch.payload.clear();
+        agent.receive_stripped("img", batch);
+      } else {
+        agent.receive_batch("img", batch);
+      }
+    };
+    BackupAgent agent;
+    agent.begin_image("img");
+    agent.receive_batch("img", one_chunk(kept));
+    // A stripped unique chunk the store lacks becomes repair-pending.
+    BackupAgent::ExtentBatch gap = one_chunk(pending);
+    gap.payload.clear();
+    ASSERT_EQ(agent.receive_stripped("img", gap).size(), 1u);
+    const auto chunks = agent.unique_chunks();
+    const auto bytes = agent.unique_bytes();
+    ASSERT_EQ(agent.pending_repairs(), 1u);
+
+    BackupAgent::ExtentBatch bad;
+    bad.digests = {hash(a), hash(b)};
+    bad.extents = {{0, 1, true}, {1, 1, false}};
+    bad.payload_sizes = {static_cast<std::uint32_t>(a.size())};
+    bad.payload = a;
+    try {
+      receive(agent, bad);
+      ADD_FAILURE() << "expected ProtocolError";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.violation(), ProtocolViolation::kUnknownPointer);
+    }
+    EXPECT_EQ(agent.unique_chunks(), chunks);
+    EXPECT_EQ(agent.unique_bytes(), bytes);
+    EXPECT_EQ(agent.pending_repairs(), 1u);
+    EXPECT_EQ(agent.missing_chunks("img"),
+              std::vector<dedup::ChunkDigest>{hash(pending)});
+
+    BackupAgent::ExtentBatch good;
+    good.digests = {hash(a), hash(a), hash(pending)};
+    good.extents = {{0, 1, true}, {1, 2, false}};
+    good.payload_sizes = {static_cast<std::uint32_t>(a.size())};
+    good.payload = a;
+    receive(agent, good);
+    agent.end_image("img", 2 + 3);
+    EXPECT_TRUE(agent.receive_repair(hash(pending), as_bytes(pending)));
+    if (stripped) {
+      EXPECT_TRUE(agent.receive_repair(hash(a), as_bytes(a)));
+    }
+    ByteVec expect;
+    for (const ByteVec* chunk : {&kept, &pending, &a, &a, &pending}) {
+      expect.insert(expect.end(), chunk->begin(), chunk->end());
+    }
+    EXPECT_EQ(agent.recreate("img"), expect);
+    EXPECT_EQ(agent.unique_chunks(), 3u);
+  }
+}
+
 TEST(BackupAgent, UnknownImageThrows) {
   BackupAgent agent;
   EXPECT_THROW(agent.recreate("nope"), std::invalid_argument);

@@ -364,6 +364,60 @@ TEST_P(ShredderModes, SourceReadErrorSurfacesFromRun) {
                                                   cfg.chunker, as_bytes(data)));
 }
 
+TEST_P(ShredderModes, PricesItsHostMemoryKind) {
+  // Every mode stages through the engine's ring; basic mode prices it as
+  // pageable memory, with no pinned-ring construction cost.
+  ShredderConfig cfg = small_config();
+  cfg.mode = GetParam();
+  Shredder shredder(cfg);
+  const auto data = random_bytes(cfg.buffer_bytes / 2, 21);  // one buffer
+  const auto result = shredder.run(as_bytes(data));
+  const bool basic = GetParam() == GpuMode::kBasic;
+  ASSERT_EQ(result.n_buffers, 1u);
+  EXPECT_EQ(result.mean_stage_seconds.transfer,
+            gpu::dma_seconds(cfg.device, data.size(),
+                             gpu::Direction::kHostToDevice,
+                             basic ? gpu::HostMemKind::kPageable
+                                   : gpu::HostMemKind::kPinned));
+  if (basic) {
+    EXPECT_EQ(result.init_seconds, 0.0);
+  } else {
+    EXPECT_GT(result.init_seconds, 0.0);
+  }
+}
+
+// Collects every batch and throws on the second, from the Store stage.
+class ThrowingSink final : public ChunkSink {
+ public:
+  void on_batch(const ChunkBatchView&) override {
+    if (++batches_ == 2) throw std::runtime_error("sink failed");
+  }
+
+ private:
+  int batches_ = 0;
+};
+
+TEST_P(ShredderModes, SinkErrorSurfacesFromRun) {
+  ShredderConfig cfg = small_config();
+  cfg.mode = GetParam();
+  obs::Registry registry;
+  cfg.registry = &registry;
+  Shredder shredder(cfg);
+  const auto data = random_bytes(5 * cfg.buffer_bytes, 19);
+  ThrowingSink sink;
+  try {
+    shredder.run(as_bytes(data), sink);
+    ADD_FAILURE() << "run returned despite the failing sink";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink failed");
+  }
+  EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 0.0);
+  // The failed run's kernel thread was joined; the Shredder runs again.
+  const auto result = shredder.run(as_bytes(data));
+  EXPECT_EQ(result.chunks, chunking::chunk_serial(shredder.tables(),
+                                                  cfg.chunker, as_bytes(data)));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, ShredderModes,
                          ::testing::Values(GpuMode::kBasic, GpuMode::kStreams,
                                            GpuMode::kStreamsCoalesced));
@@ -663,10 +717,6 @@ TEST(SlotLease, MoveOnlyLeaseReturnsSlotAtDestructionAndMoveAssignment) {
   EXPECT_EQ(pool.leased(), 0u);  // destruction returned slot b
   ASSERT_TRUE(pool.acquire().has_value());  // both acquirable again
   ASSERT_TRUE(pool.acquire().has_value());
-
-  const SlotLease owned = SlotLease::from_owned(ByteVec{1, 2, 3});
-  EXPECT_EQ(owned.size(), 3u);
-  EXPECT_EQ(owned.bytes()[2], 3);
 }
 
 TEST(SlotPool, StopWakesWaitersAndRefusesNewLeases) {
@@ -715,7 +765,6 @@ TEST_P(PipelineCarry, EngineStagesEachStreamBehindItsOwnCarry) {
     cfg.kernel.blocks = 4;
     cfg.kernel.threads_per_block = 16;
     cfg.fingerprint = fingerprint;
-    PipelineEngine engine(cfg, device, tables, chunker);
 
     // Stream 1 has two payloads shorter than the carry, stream 2 is empty,
     // and streams 3 and 4 are submitted concurrently from two threads.
@@ -744,6 +793,32 @@ TEST_P(PipelineCarry, EngineStagesEachStreamBehindItsOwnCarry) {
       st.bytes = random_bytes(total, 100 + id);
     }
 
+    // The consumer records what the engine computed, batch by batch.
+    std::size_t batches = 0;
+    PipelineEngine engine(
+        cfg, device, tables, chunker,
+        {.on_batch = [&](BoundaryBatch& batch) {
+          ++batches;
+          Stream& st = streams.at(batch.stream_id);
+          EXPECT_FALSE(st.ended) << "batch after eos on stream "
+                                 << batch.stream_id;
+          EXPECT_EQ(batch.seq, st.next_seq);
+          const std::uint64_t seq = st.next_seq++;
+          st.boundaries.insert(st.boundaries.end(), batch.boundaries.begin(),
+                               batch.boundaries.end());
+          st.chunk_ends.insert(st.chunk_ends.end(), batch.chunk_ends.begin(),
+                               batch.chunk_ends.end());
+          st.digests.insert(st.digests.end(), batch.digests.begin(),
+                            batch.digests.end());
+          if (batch.eos) {
+            st.ended = true;
+            EXPECT_EQ(seq, st.sizes.size());
+            EXPECT_EQ(batch.payload_end, st.bytes.size());
+          } else if (seq < st.sizes.size()) {
+            EXPECT_EQ(batch.payload_end, st.starts[seq] + st.sizes[seq]);
+          }
+        }});
+
     const auto submit_stream = [&engine](std::uint32_t id, const Stream& st,
                                          const auto& before) {
       for (std::size_t i = 0; i < st.sizes.size(); ++i) {
@@ -771,38 +846,12 @@ TEST_P(PipelineCarry, EngineStagesEachStreamBehindItsOwnCarry) {
         turn_cv.notify_all();
       };
     };
-    std::thread first([&] {
-      submit_stream(1, streams.at(1), [] {});
-      submit_stream(2, streams.at(2), [] {});
-      std::thread other([&] { submit_stream(4, streams.at(4), take_turn(1)); });
-      submit_stream(3, streams.at(3), take_turn(0));
-      other.join();
-      engine.close();
-    });
-
-    std::size_t batches = 0;
-    while (auto batch = engine.next_batch()) {
-      ++batches;
-      Stream& st = streams.at(batch->stream_id);
-      EXPECT_FALSE(st.ended) << "batch after eos on stream "
-                             << batch->stream_id;
-      EXPECT_EQ(batch->seq, st.next_seq);
-      const std::uint64_t seq = st.next_seq++;
-      st.boundaries.insert(st.boundaries.end(), batch->boundaries.begin(),
-                           batch->boundaries.end());
-      st.chunk_ends.insert(st.chunk_ends.end(), batch->chunk_ends.begin(),
-                           batch->chunk_ends.end());
-      st.digests.insert(st.digests.end(), batch->digests.begin(),
-                        batch->digests.end());
-      if (batch->eos) {
-        st.ended = true;
-        EXPECT_EQ(seq, st.sizes.size());
-        EXPECT_EQ(batch->payload_end, st.bytes.size());
-      } else if (seq < st.sizes.size()) {
-        EXPECT_EQ(batch->payload_end, st.starts[seq] + st.sizes[seq]);
-      }
-    }
-    first.join();
+    submit_stream(1, streams.at(1), [] {});
+    submit_stream(2, streams.at(2), [] {});
+    std::thread other([&] { submit_stream(4, streams.at(4), take_turn(1)); });
+    submit_stream(3, streams.at(3), take_turn(0));
+    other.join();
+    engine.drain();
     EXPECT_EQ(batches, 6u + 1u + 6u + 6u);
     for (const auto& [id, st] : streams) {
       EXPECT_TRUE(st.ended) << "stream " << id;
@@ -850,37 +899,38 @@ TEST(Pipeline, HeldBatchesHoldNoSlots) {
   cfg.ring_slots = 2;
   cfg.kernel.blocks = 4;
   cfg.kernel.threads_per_block = 16;
-  PipelineEngine engine(cfg, device, tables, chunker);
+  std::vector<BoundaryBatch> held;
+  PipelineEngine engine(cfg, device, tables, chunker,
+                        {.on_batch = [&held](BoundaryBatch& batch) {
+                          held.push_back(std::move(batch));
+                        }});
 
-  const std::size_t kBuffers = 8;
-  const auto data = random_bytes(kBuffers * 2048, 95);
-  std::thread producer([&] {
-    for (std::size_t i = 0; i < kBuffers; ++i) {
-      StreamBuffer buf;
-      buf.payload = ByteSpan(data).subspan(i * 2048, 2048);
-      if (!engine.submit(buf)) break;
-    }
-    StreamBuffer eos;
-    eos.eos = true;
-    engine.submit(eos);
-    engine.close();
-  });
-  // If held batches kept their slots, the producer would stall after
-  // ring_slots buffers and next_batch() would block for good; the watchdog
-  // then stops the engine, so the case fails instead of hanging.
-  std::promise<void> drained;
-  std::thread watchdog([&engine, done = drained.get_future()] {
+  // If held batches kept their slots, submit() would stall after ring_slots
+  // buffers; the watchdog then stops the engine, so the case fails instead
+  // of hanging.
+  std::promise<void> submitted;
+  std::thread watchdog([&engine, done = submitted.get_future()] {
     if (done.wait_for(std::chrono::seconds(10)) ==
         std::future_status::timeout) {
       engine.stop();
     }
   });
-  std::vector<BoundaryBatch> held;
-  while (auto batch = engine.next_batch()) held.push_back(std::move(*batch));
-  drained.set_value();
+  const std::size_t kBuffers = 8;
+  const auto data = random_bytes(kBuffers * 2048, 95);
+  bool all_submitted = true;
+  for (std::size_t i = 0; i < kBuffers && all_submitted; ++i) {
+    StreamBuffer buf;
+    buf.payload = ByteSpan(data).subspan(i * 2048, 2048);
+    all_submitted = engine.submit(buf);
+  }
+  StreamBuffer eos;
+  eos.eos = true;
+  all_submitted = all_submitted && engine.submit(eos);
+  submitted.set_value();
   watchdog.join();
-  producer.join();
+  engine.drain();
 
+  EXPECT_TRUE(all_submitted);
   ASSERT_EQ(held.size(), kBuffers + 1);
   for (std::size_t i = 0; i < held.size(); ++i) EXPECT_EQ(held[i].seq, i);
   EXPECT_TRUE(held.back().eos);
@@ -889,10 +939,10 @@ TEST(Pipeline, HeldBatchesHoldNoSlots) {
 }
 
 TEST(Pipeline, StalledConsumerBackpressuresInsideTheEngineWithoutLeaking) {
-  // A consumer that stops calling next_batch() fills the to-store queue
-  // (2 batches); the kernel thread then waits holding its item's slot, so
-  // with a 1-slot ring the producer stalls after exactly 3 submits. The
-  // slots_leased gauge tracks the slot in flight.
+  // A consumer blocked in on_batch holds its item's slot, so with a 1-slot
+  // ring the producer stalls after exactly 1 submit. The slots_leased gauge
+  // tracks the slot in flight and returns to 0 once the consumer is
+  // released and the engine drained.
   const auto chunker = small_chunker();
   const rabin::RabinTables tables(chunker.window);
   gpu::Device device(gpu::DeviceSpec{}, 2);
@@ -904,7 +954,16 @@ TEST(Pipeline, StalledConsumerBackpressuresInsideTheEngineWithoutLeaking) {
   cfg.kernel.blocks = 4;
   cfg.kernel.threads_per_block = 16;
   cfg.registry = &registry;
-  PipelineEngine engine(cfg, device, tables, chunker);
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool released = false;
+  std::size_t batches = 0;
+  PipelineEngine engine(cfg, device, tables, chunker,
+                        {.on_batch = [&](BoundaryBatch&) {
+                          std::unique_lock<std::mutex> lock(gate_mu);
+                          gate_cv.wait(lock, [&] { return released; });
+                          ++batches;
+                        }});
 
   const std::size_t kBuffers = 6;
   const auto data = random_bytes(kBuffers * 2048, 93);
@@ -916,23 +975,26 @@ TEST(Pipeline, StalledConsumerBackpressuresInsideTheEngineWithoutLeaking) {
       if (!engine.submit(buf)) break;
       submitted.fetch_add(1);
     }
-    engine.close();
   });
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (submitted.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+  while (submitted.load() < 1 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Time enough to run past the stall point if backpressure leaked.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(submitted.load(), 3u);
+  EXPECT_EQ(submitted.load(), 1u);
   EXPECT_EQ(engine.slots_leased(), 1u);
   EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 1.0);
 
-  std::size_t batches = 0;
-  while (auto batch = engine.next_batch()) ++batches;
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    released = true;
+  }
+  gate_cv.notify_all();
   producer.join();
+  engine.drain();
   EXPECT_EQ(batches, kBuffers);
   EXPECT_EQ(submitted.load(), kBuffers);
   EXPECT_EQ(engine.slots_leased(), 0u);
@@ -952,8 +1014,9 @@ TEST(StreamStoreDeathTest, RejectsBatchesPastTheStreamEnd) {
     cfg.kernel.blocks = 4;
     cfg.kernel.threads_per_block = 16;
     cfg.fingerprint = fingerprint;
-    PipelineEngine engine(cfg, device, tables, chunker);
-    engine.stop();  // the batches below are hand-made
+    // The batches below are hand-made: the engine only configures the store.
+    PipelineEngine engine(cfg, device, tables, chunker, {});
+    engine.stop();
     StreamStore store(engine, /*stream_id=*/0, /*sink=*/nullptr);
     BoundaryBatch eos;
     eos.eos = true;

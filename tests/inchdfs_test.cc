@@ -3,8 +3,10 @@
 // the three paper workloads, and the incremental experiment harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/shredder.h"
@@ -490,15 +492,23 @@ TEST_P(ExperimentSmoke, IncrementalFasterAndCorrect) {
   config.split_mask_bits = 14;  // ~16 KB splits
   config.split_min = 4 * 1024;
   config.split_max = 64 * 1024;
-  const auto result = run_incremental_experiment(config);
-  EXPECT_TRUE(result.outputs_match) << workload_name(GetParam());
-  EXPECT_GT(result.speedup, 1.0) << workload_name(GetParam());
-  // K-means reuses heavily only in the warm-start iteration (later
-  // iterations see fresh centroids), so its aggregate reuse is lower.
-  const std::uint64_t floor = GetParam() == Workload::kKMeans
-                                  ? result.map_tasks / 8
-                                  : result.map_tasks / 2;
-  EXPECT_GT(result.map_reused, floor) << workload_name(GetParam());
+  // The speedup is one wall-clock ratio per run, so a busy host can sink a
+  // single run: the bar is the median of three. Correctness and reuse hold
+  // on every run.
+  std::vector<double> speedups;
+  for (int run = 0; run < 3; ++run) {
+    const auto result = run_incremental_experiment(config);
+    EXPECT_TRUE(result.outputs_match) << workload_name(GetParam());
+    // K-means reuses heavily only in the warm-start iteration (later
+    // iterations see fresh centroids), so its aggregate reuse is lower.
+    const std::uint64_t floor = GetParam() == Workload::kKMeans
+                                    ? result.map_tasks / 8
+                                    : result.map_tasks / 2;
+    EXPECT_GT(result.map_reused, floor) << workload_name(GetParam());
+    speedups.push_back(result.speedup);
+  }
+  std::sort(speedups.begin(), speedups.end());
+  EXPECT_GT(speedups[1], 1.0) << workload_name(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ExperimentSmoke,

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -228,7 +229,8 @@ TEST(ChunkingService, ChunkStreamMatchesShredderRun) {
 
 // --- Backpressure -----------------------------------------------------------
 
-// Consumer that stalls the store thread on every chunk it is handed.
+// Consumer that stalls the Store stage (the engine's kernel thread) on
+// every chunk it is handed.
 class SlowSink final : public ChunkSink {
  public:
   void on_batch(const ChunkBatchView& batch) override {
@@ -240,7 +242,7 @@ class SlowSink final : public ChunkSink {
   std::atomic<std::uint64_t> delivered{0};
 };
 
-// Consumer that blocks the store thread until `gate` is released.
+// Consumer that blocks the Store stage until `gate` is released.
 class GatedSink final : public ChunkSink {
  public:
   explicit GatedSink(std::shared_future<void> gate) : gate_(std::move(gate)) {}
@@ -272,6 +274,54 @@ TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   EXPECT_EQ(result.chunks, dedicated_chunks(cfg, as_bytes(data)));
   // The producer outran the device, so the dispatch queue really filled up.
   EXPECT_EQ(result.report.max_queue_depth, cfg.tenant_queue_depth);
+}
+
+// Consumer that throws on its second batch, once `gate` is released.
+class ThrowingSink final : public ChunkSink {
+ public:
+  explicit ThrowingSink(std::shared_future<void> gate)
+      : gate_(std::move(gate)) {}
+  void on_batch(const ChunkBatchView&) override {
+    if (++batches_ < 2) return;
+    gate_.wait();
+    throw std::runtime_error("sink failed");
+  }
+
+ private:
+  std::shared_future<void> gate_;
+  int batches_ = 0;
+};
+
+TEST(ChunkingService, SinkErrorSurfacesFromWaitAndShutdown) {
+  // The sink fails once the tenant has submitted and finished its stream
+  // (its queue holds every buffer, so submit() never waits on the failed
+  // engine). wait() and shutdown() both rethrow the sink's exception, and
+  // every ring slot is back once shutdown() has joined the service.
+  ServiceConfig cfg = small_service_config();
+  cfg.tenant_queue_depth = 8;
+  const auto data = random_bytes(5 * cfg.buffer_bytes, 23);
+  std::promise<void> gate;
+  ThrowingSink sink(gate.get_future().share());
+  ChunkingService svc(cfg);
+  TenantOptions opts;
+  opts.sink = &sink;
+  const auto id = svc.open(std::move(opts));
+  svc.submit(id, as_bytes(data));
+  svc.finish(id);
+  gate.set_value();
+  try {
+    svc.wait(id);
+    ADD_FAILURE() << "wait returned despite the failing sink";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink failed");
+  }
+  try {
+    svc.shutdown();
+    ADD_FAILURE() << "shutdown returned despite the failing sink";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink failed");
+  }
+  EXPECT_EQ(svc.registry().gauge("pipeline.slots_leased").value(), 0.0);
 }
 
 // --- Fairness and reports ---------------------------------------------------
